@@ -1,0 +1,159 @@
+"""Exact pins of observed orchestrator runs.
+
+Each case runs the scheduler with every observer attached and compares,
+bit for bit, against ``schedule_pins.json``:
+
+* every :class:`~repro.sched.orchestrator.ScheduleResult` field,
+  including the per-task ``task_log``;
+* the :class:`~repro.telemetry.MetricsRegistry` snapshot;
+* the sha256 of the bytes :func:`~repro.telemetry.write_chrome_trace`
+  writes for the run's tracer.
+
+Floats are stored through ``json`` (shortest round-tripping repr), so an
+equal record means identical floats.  Regenerate the fixture, only when
+a schedule change is intended, with::
+
+    PYTHONPATH=src python tests/test_schedule_pins.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import tempfile
+from typing import Callable, Dict, List
+
+import pytest
+
+from repro.arch import best_perf
+from repro.arch.config import ArrayGroup, HardwareConfig
+from repro.dataflow import ArrayType
+from repro.model import protein_bert_tiny
+from repro.sched import Orchestrator
+from repro.sched.orchestrator import ScheduleResult
+from repro.system.multi import ProSESystem
+from repro.telemetry import MetricsRegistry, Tracer, write_chrome_trace
+
+FIXTURE = os.path.join(os.path.dirname(__file__), "schedule_pins.json")
+
+CONFIG = protein_bert_tiny(num_layers=4, hidden_size=128, num_heads=4,
+                           intermediate_size=512, max_position=256)
+
+
+def mixed_g_sizes() -> HardwareConfig:
+    """Two G-Type groups of different sizes: the only input on which
+    earliest-finish selection compares per-size durations."""
+    return HardwareConfig(name="MixedG", groups=(
+        ArrayGroup(ArrayType.M, size=64, count=2),
+        ArrayGroup(ArrayType.G, size=16, count=4),
+        ArrayGroup(ArrayType.G, size=32, count=1),
+        ArrayGroup(ArrayType.E, size=16, count=8),
+    ), threads=16)
+
+
+def schedule_record(result: ScheduleResult) -> Dict[str, object]:
+    """Every field of ``result``, JSON-shaped."""
+    return {
+        "makespan_seconds": result.makespan_seconds,
+        "batch": result.batch,
+        "seq_len": result.seq_len,
+        "threads": result.threads,
+        "array_utilization": {t.value: v for t, v
+                              in result.array_utilization.items()},
+        "channel_utilization": {t.value: v for t, v
+                                in result.channel_utilization.items()},
+        "host_utilization": result.host_utilization,
+        "total_stream_bytes": result.total_stream_bytes,
+        "total_dispatches": result.total_dispatches,
+        "contention_seconds": result.contention_seconds,
+        "kind_compute_seconds": dict(result.kind_compute_seconds),
+        "task_log": (None if result.task_log is None else
+                     [[r.thread, r.name, r.kind, r.ready, r.start, r.end,
+                       r.resource] for r in result.task_log]),
+    }
+
+
+def trace_sha256(tracer: Tracer) -> str:
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "trace.json")
+        write_chrome_trace(tracer, path)
+        with open(path, "rb") as handle:
+            return hashlib.sha256(handle.read()).hexdigest()
+
+
+def _observed(run: Callable[[Tracer, MetricsRegistry],
+                            List[ScheduleResult]]) -> Dict[str, object]:
+    tracer, metrics = Tracer(), MetricsRegistry()
+    results = run(tracer, metrics)
+    return {"schedules": [schedule_record(r) for r in results],
+            "metrics": metrics.rows(),
+            "spans": len(tracer),
+            "chrome_trace_sha256": trace_sha256(tracer)}
+
+
+def best_perf_batch4() -> Dict[str, object]:
+    return _observed(lambda tracer, metrics: [Orchestrator(best_perf()).run(
+        CONFIG, batch=4, seq_len=64, tracer=tracer, metrics=metrics,
+        record_tasks=True)])
+
+
+def mixed_sizes_offset() -> Dict[str, object]:
+    # A nonzero trace offset also pins how emitted timestamps are shifted.
+    return _observed(lambda tracer, metrics: [
+        Orchestrator(mixed_g_sizes()).run(
+            CONFIG, batch=16, seq_len=64, tracer=tracer, metrics=metrics,
+            record_tasks=True, trace_offset=0.125)])
+
+
+def system_simulate() -> Dict[str, object]:
+    return _observed(lambda tracer, metrics: list(
+        ProSESystem(best_perf(), instances=2).simulate(
+            CONFIG, batch=6, seq_len=64, tracer=tracer,
+            metrics=metrics).per_instance))
+
+
+CASES = {"best_perf_batch4": best_perf_batch4,
+         "mixed_g_sizes_offset": mixed_sizes_offset,
+         "system_simulate_2x": system_simulate}
+
+
+def _normalized(record: Dict[str, object]) -> Dict[str, object]:
+    """``record`` after a JSON round trip (tuples become lists)."""
+    return json.loads(json.dumps(record))
+
+
+@pytest.fixture(scope="module")
+def pins() -> Dict[str, Dict[str, object]]:
+    with open(FIXTURE, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_schedule_result_pinned(pins, case):
+    got = _normalized(CASES[case]())
+    want = pins[case]
+    assert len(got["schedules"]) == len(want["schedules"])
+    for index, (mine, pinned) in enumerate(zip(got["schedules"],
+                                               want["schedules"])):
+        for field, value in pinned.items():
+            assert mine[field] == value, f"{case}[{index}].{field} moved"
+    assert got["metrics"] == want["metrics"]
+    assert got["spans"] == want["spans"]
+    assert got["chrome_trace_sha256"] == want["chrome_trace_sha256"]
+
+
+def test_mixed_config_places_on_both_g_sizes():
+    """The mixed case must really exercise the per-size comparison."""
+    record = mixed_sizes_offset()["schedules"][0]
+    resources = {row[6] for row in record["task_log"]}
+    assert any(name.startswith("4x 16x16 G") for name in resources)
+    assert any(name.startswith("1x 32x32 G") for name in resources)
+
+
+if __name__ == "__main__":
+    with open(FIXTURE, "w", encoding="utf-8") as out:
+        json.dump({name: CASES[name]() for name in sorted(CASES)}, out,
+                  indent=1, sort_keys=True)
+        out.write("\n")
+    print(f"wrote {FIXTURE}")
