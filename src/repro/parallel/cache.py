@@ -88,7 +88,6 @@ def trace_key(model_config: Any, batch: int, seq_len: int,
 
 def schedule_key(trace: str, hardware: Any, host: Any,
                  threads: Optional[int] = None,
-                 policy: str = "earliest_finish",
                  contention_coefficient: Optional[float] = None,
                  dispatch_overhead: Optional[float] = None) -> str:
     """Cache key for one scheduled run of a traced workload.
@@ -97,7 +96,7 @@ def schedule_key(trace: str, hardware: Any, host: Any,
     operating point changes the key.
     """
     return content_hash(("schedule", CACHE_VERSION, trace, hardware, host,
-                         threads, policy, contention_coefficient,
+                         threads, contention_coefficient,
                          dispatch_overhead))
 
 

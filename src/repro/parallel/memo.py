@@ -44,7 +44,6 @@ def cached_schedule(hardware: "HardwareConfig", model_config: "BertConfig",
                     batch: int, seq_len: int,
                     host: Optional["HostModel"] = None,
                     threads: Optional[int] = None,
-                    policy: str = "earliest_finish",
                     contention_coefficient: Optional[float] = None,
                     dispatch_overhead: Optional[float] = None
                     ) -> "ScheduleResult":
@@ -66,7 +65,7 @@ def cached_schedule(hardware: "HardwareConfig", model_config: "BertConfig",
         dispatch_overhead = DISPATCH_OVERHEAD_SECONDS
     cache = schedule_cache()
     key = schedule_key(trace_key(model_config, batch, seq_len), hardware,
-                       host, threads=threads, policy=policy,
+                       host, threads=threads,
                        contention_coefficient=contention_coefficient,
                        dispatch_overhead=dispatch_overhead)
     result = cache.get(key)
@@ -74,8 +73,7 @@ def cached_schedule(hardware: "HardwareConfig", model_config: "BertConfig",
         result = Orchestrator(
             hardware, host=host,
             contention_coefficient=contention_coefficient,
-            dispatch_overhead=dispatch_overhead,
-            policy=policy).run(model_config, batch=batch, seq_len=seq_len,
-                               threads=threads)
+            dispatch_overhead=dispatch_overhead).run(
+                model_config, batch=batch, seq_len=seq_len, threads=threads)
         cache.put(key, result)
     return result

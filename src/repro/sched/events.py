@@ -147,14 +147,15 @@ def common_start(earliest: float, requests: List[Tuple["Timeline", float]]
 
 def reserve_pair2(earliest: float, first: "Timeline", first_duration: float,
                   second: "Timeline", second_duration: float) -> float:
-    """:func:`reserve_pair` for exactly two requests, without the list.
+    """Reserve two timelines from their common start; returns the start.
 
-    The orchestrator's (channel, array) case: unrolls the convergence
-    loop over the pair, visiting the requests in the same order as
-    ``common_start`` so every intermediate candidate is identical.  The
-    O(1) append/gapless fits of :meth:`Timeline.next_fit` are inlined
-    (same branches, same float expressions); only a fragmented timeline
-    falls back to the general scan.
+    The orchestrator's (channel, array) case, placed identically to
+    :func:`common_start` + ``reserve_at`` per timeline: the convergence
+    loop is unrolled over the pair, visiting the requests in the same
+    order as ``common_start`` so every intermediate candidate is
+    identical.  The O(1) append/gapless fits of :meth:`Timeline.next_fit`
+    are inlined (same branches, same float expressions); only a
+    fragmented timeline falls back to the general scan.
     """
     if first_duration < 0 or second_duration < 0:
         raise ValueError("duration must be non-negative")
@@ -189,31 +190,6 @@ def reserve_pair2(earliest: float, first: "Timeline", first_duration: float,
             second._insert(candidate, second_duration)
             return candidate
     raise RuntimeError("common_start failed to converge")
-
-
-def reserve_pair(earliest: float, requests: List[Tuple["Timeline", float]]
-                 ) -> float:
-    """Find the joint fit and reserve every request at it, in one pass.
-
-    Fuses :func:`common_start` with the per-timeline ``reserve_at`` calls:
-    the convergence loop's final iteration already proved the candidate
-    fits every timeline, so the reservations are recorded directly instead
-    of re-running ``next_fit`` once to validate and once more to place
-    (three fits per timeline reduced to one).  Placements are identical to
-    ``common_start`` + ``reserve_at`` per timeline.
-
-    Returns:
-        The common start time; request ``i`` occupies
-        ``[start, start + duration_i)`` on its timeline.
-    """
-    if len(requests) == 2:
-        (first, first_duration), (second, second_duration) = requests
-        return reserve_pair2(earliest, first, first_duration,
-                             second, second_duration)
-    start = common_start(earliest, requests)
-    for timeline, duration in requests:
-        timeline._insert(start, duration)
-    return start
 
 
 @dataclass

@@ -17,16 +17,16 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..arch.config import HardwareConfig
 from ..arch.interconnect import DISPATCH_OVERHEAD_SECONDS
-from ..arch.timing import DataflowTiming, dataflow_signature, time_dataflow
+from ..arch.timing import dataflow_signature, time_dataflow
 from ..dataflow.graph import DataflowGraph, HostTask
 from ..dataflow.patterns import ArrayType, Dataflow
 from ..model.config import BertConfig
-from ..telemetry import MetricsRegistry, Tracer
-from .events import Pool, Timeline, reserve_pair, reserve_pair2
+from ..telemetry import Histogram, MetricsRegistry, Tracer
+from .events import Pool, Timeline, reserve_pair2
 from .host import HostModel
 
 #: Default growth of per-dispatch mutex overhead per extra thread.
@@ -116,6 +116,116 @@ class ScheduleResult:
         return self.bottleneck.startswith("array")
 
 
+#: One way to place a dataflow: ``(array timeline, link channel, array
+#: size, accelerator compute seconds, DataflowTiming, segments)``, where
+#: each segment is folded to ``(is_host, channel_hold, duration)``.
+Candidate = Tuple
+
+#: One placement-log row: ``(thread, node index, ready, start, end,
+#: resource, kind, candidate, marks)``.  ``marks`` holds each segment's
+#: ``(start, end, host server)``, server ``None`` on the accelerator; a
+#: host task has no candidate and is one host segment.
+LogRow = Tuple
+
+
+def _earliest_finish(ready: float, candidates: Sequence[Candidate],
+                     uniform: bool) -> Candidate:
+    """The candidate whose array finishes the dataflow first.
+
+    Strict ``<`` keeps the first of tied projections.  When every
+    candidate has the same size (``uniform``) they share one duration, so
+    the first array that can start right at ``ready`` is the minimum and
+    ends the scan.  The append/gapless fits mirror
+    :meth:`~repro.sched.events.Timeline.next_fit`.
+    """
+    best = None
+    best_finish = 0.0
+    for candidate in candidates:
+        timeline = candidate[0]
+        duration = candidate[3]
+        last = timeline._last_end
+        if ready >= last:
+            fit = ready
+        elif timeline._gapless and duration > 0:
+            fit = ready if timeline._starts[0] - ready >= duration else last
+        else:
+            fit = timeline.next_fit(ready, duration)
+        if uniform and fit == ready:
+            return candidate
+        finish = fit + duration
+        if best is None or finish < best_finish:
+            best = candidate
+            best_finish = finish
+    return best
+
+
+def _replay(log: List[LogRow], thread_nodes: List[Tuple],
+            sub_batches: List[int], record_tasks: bool,
+            tracer: Optional[Tracer], histogram: Optional[Histogram],
+            trace_pid: str, trace_offset: float
+            ) -> Optional[Tuple[TaskRecord, ...]]:
+    """Derive task records, spans and task latencies from a placement log.
+
+    Rows are visited in dispatch order.  Each task's reservations become
+    spans before the task's own span: host-side segments on the chosen
+    host slot's track (category ``host``), channel holds on the link track
+    (``stream``), array holds on the array's track (``exec``).
+
+    Returns:
+        The task records when ``record_tasks`` is set, else ``None``.
+    """
+    records: Optional[List[TaskRecord]] = [] if record_tasks else None
+    for (thread, index, ready, start, end, resource, kind, candidate,
+         marks) in log:
+        node = thread_nodes[thread][index]
+        if tracer is not None:
+            sub = sub_batches[thread]
+            if candidate is None:
+                tracer.add_span(
+                    node.name, trace_offset + start, trace_offset + end,
+                    pid=trace_pid, tid=marks[0][2], category="host",
+                    ops=len(node.ops), flops=node.flops)
+            else:
+                timeline, channel, size, _, timing, segments = candidate
+                array_type = node.array_type.value
+                for segment_index, (segment, (_, hold, _),
+                                    (seg_start, seg_end, server)) in \
+                        enumerate(zip(timing.segments, segments, marks)):
+                    if server is not None:
+                        tracer.add_span(
+                            f"{node.name}:host{segment_index}",
+                            trace_offset + seg_start, trace_offset + seg_end,
+                            pid=trace_pid, tid=server, category="host",
+                            sub_batch=sub, node=index)
+                        continue
+                    tracer.add_span(
+                        f"{node.name}:xfer{segment_index}",
+                        trace_offset + seg_start,
+                        trace_offset + seg_start + hold,
+                        pid=trace_pid, tid=channel.name, category="stream",
+                        bytes=segment.stream_bytes, sub_batch=sub,
+                        node=index, array_type=array_type)
+                    tracer.add_span(
+                        f"{node.name}:seg{segment_index}",
+                        trace_offset + seg_start, trace_offset + seg_end,
+                        pid=trace_pid, tid=timeline.name, category="exec",
+                        compute_seconds=segment.compute_seconds,
+                        array_size=size, sub_batch=sub, node=index,
+                        array_type=array_type)
+            tracer.add_span(
+                node.name, trace_offset + start, trace_offset + end,
+                pid=trace_pid, tid=f"thread{thread:02d}", category="task",
+                kind=kind, resource=resource, sub_batch=sub, ready=ready,
+                node=index)
+        if histogram is not None:
+            histogram.observe(end - start)
+        if records is not None:
+            records.append(TaskRecord(
+                thread=thread, name=node.name, kind=kind, ready=ready,
+                start=start, end=end, resource=resource))
+    return tuple(records) if records is not None else None
+
+
 class Orchestrator:
     """Cycle-level schedule simulator for a ProSE instance.
 
@@ -126,26 +236,15 @@ class Orchestrator:
         dispatch_overhead: base per-transfer software overhead in seconds.
     """
 
-    #: Array-selection policies.  "earliest_finish" (default) projects
-    #: each candidate array's completion time; "round_robin" rotates
-    #: through the group; "first_free" takes the array that frees first
-    #: regardless of size.
-    POLICIES = ("earliest_finish", "round_robin", "first_free")
-
     def __init__(self, hardware: HardwareConfig,
                  host: Optional[HostModel] = None,
                  contention_coefficient: float = CONTENTION_COEFFICIENT,
-                 dispatch_overhead: float = DISPATCH_OVERHEAD_SECONDS,
-                 policy: str = "earliest_finish") -> None:
-        if policy not in self.POLICIES:
-            raise ValueError(
-                f"unknown policy '{policy}'; choose from {self.POLICIES}")
+                 dispatch_overhead: float = DISPATCH_OVERHEAD_SECONDS
+                 ) -> None:
         self.hardware = hardware
         self.host = host or HostModel()
         self.contention_coefficient = contention_coefficient
         self.dispatch_overhead = dispatch_overhead
-        self.policy = policy
-        self._round_robin_state: Dict[ArrayType, int] = {}
 
     # ------------------------------------------------------------------
 
@@ -159,6 +258,13 @@ class Orchestrator:
             trace_offset: float = 0.0) -> ScheduleResult:
         """Simulate one batched inference.
 
+        One placement loop schedules every task.  When anything observes
+        the run (``record_tasks``, ``tracer`` or ``metrics``), the loop
+        also appends one plain-tuple row per task to a placement log, and
+        the task records, spans and task-latency histogram are all derived
+        from that log after the loop; the schedule itself never depends
+        on who observes it.
+
         Args:
             config: the Protein BERT model.
             batch: inference batch size (split across threads).
@@ -169,11 +275,10 @@ class Orchestrator:
                 overriding the default encoder graph — e.g. the
                 encoder-decoder graph of
                 :func:`repro.dataflow.seq2seq.build_seq2seq_graph`.
-            tracer: optional span tracer.  When given, every task gets a
-                span on its thread track and every Timeline reservation
-                (array segment, link-channel hold, host slot) gets a
-                span on its resource track; ``None`` keeps the schedule
-                bit-identical with near-zero overhead.
+            tracer: optional span tracer.  Every task gets a span on its
+                thread track and every reservation (array segment,
+                link-channel hold, host slot) gets a span on its resource
+                track, followed by one ``orchestrator.run`` span.
             metrics: optional registry accumulating dispatch counters,
                 byte counters, per-task latency histograms, and final
                 occupancy gauges.
@@ -222,16 +327,12 @@ class Orchestrator:
 
         per_dispatch = self.dispatch_overhead * (
             1.0 + self.contention_coefficient * (thread_count - 1))
-        # Timings are memoized by *content* signature (shape/op tuple), not
-        # node identity, so the identical encoder layers share one entry.
-        # Each distinct node object additionally interns a placement *plan*
-        # (signature, candidate members, channel, bandwidth, kind label,
-        # uniform-size timing) so none of it is recomputed per dispatch.
-        timing_cache: Dict[Tuple[int, int], DataflowTiming] = {}
-        interned_signatures: Dict[Tuple, int] = {}
-        # Keyed by node identity; a float is an interned HostTask duration,
-        # a tuple is a dataflow placement plan.
+        # Plans are interned by node identity: a float is a HostTask's
+        # duration, a tuple is a dataflow's (candidates, kind, uniform).
+        # Dataflow plans are built once per *content* signature, so the
+        # identical encoder layers share one set of timings.
         node_plans: Dict[int, object] = {}
+        content_plans: Dict[Tuple, Tuple] = {}
         pooled_members: Optional[List[Tuple[Timeline, int]]] = None
         if self.hardware.pooled:
             # Homogeneous baseline: every array carries both LUT kinds and
@@ -242,6 +343,9 @@ class Orchestrator:
         contention_seconds = 0.0
         kind_compute: Dict[str, float] = {}
         makespan = 0.0
+        log: Optional[List[LogRow]] = (
+            [] if record_tasks or tracer is not None or metrics is not None
+            else None)
 
         # Earliest-ready-first list scheduling across threads.  Each thread
         # walks its own graph serially (Figure 8); at every step the thread
@@ -254,22 +358,18 @@ class Orchestrator:
         thread_nodes = [graphs[sub].nodes for sub in sub_batches]
         thread_node_counts = [len(nodes) for nodes in thread_nodes]
         pointers = [0] * thread_count
-        clocks = [0.0] * thread_count
-        task_log: List[TaskRecord] = []
         heap = [(0.0, t) for t in range(thread_count)]
         heapq.heapify(heap)
         while heap:
-            ready, thread_index = heapq.heappop(heap)
-            sub = sub_batches[thread_index]
-            nodes = thread_nodes[thread_index]
-            node_index = pointers[thread_index]
-            node = nodes[node_index]
-            finish = finishes[thread_index]
             # The popped key *is* the ready time: deps live in the same
             # thread's graph and the thread walks it serially in index
             # order, so every dep had its final finish time (and the
             # thread its final clock) when the key was pushed.
-            actual_ready = ready
+            ready, thread_index = heapq.heappop(heap)
+            nodes = thread_nodes[thread_index]
+            node_index = pointers[thread_index]
+            node = nodes[node_index]
+            finish = finishes[thread_index]
             plan = node_plans.get(id(node))
             if plan is None:
                 if isinstance(node, HostTask):
@@ -277,72 +377,76 @@ class Orchestrator:
                     # a float plan *is* the type tag for the host branch.
                     plan = float(self.host.task_seconds(node.ops))
                 else:
-                    plan = self._build_plan(node, arrays, pooled_members,
-                                            channels, timing_cache,
-                                            interned_signatures,
-                                            per_dispatch)
+                    content = dataflow_signature(node)
+                    plan = content_plans.get(content)
+                    if plan is None:
+                        plan = self._plan(
+                            node, pooled_members or arrays[node.array_type],
+                            channels[node.array_type], per_dispatch)
+                        content_plans[content] = plan
                 node_plans[id(node)] = plan
             if type(plan) is float:
-                start, end, server = host_pool.reserve_named(
-                    actual_ready, plan)
-                resource_label = "host"
-                kind_label = "host"
-                if tracer is not None:
-                    tracer.add_span(
-                        node.name, trace_offset + start, trace_offset + end,
-                        pid=trace_pid, tid=server, category="host",
-                        ops=len(node.ops), flops=node.flops)
+                start, end, server = host_pool.reserve_named(ready, plan)
+                if log is not None:
+                    log.append((thread_index, node_index, ready, start, end,
+                                "host", "host", None,
+                                ((start, end, server),)))
             else:
-                if tracer is None:
-                    start, end, resource_label, timing = \
-                        self._schedule_dataflow_fast(
-                            node, actual_ready, plan, host_pool,
-                            timing_cache, per_dispatch)
-                else:
-                    start, end, resource_label, timing = \
-                        self._schedule_dataflow(
-                            node, actual_ready, sub, node_index, plan,
-                            host_pool, timing_cache, per_dispatch,
-                            tracer=tracer, trace_pid=trace_pid,
-                            trace_offset=trace_offset)
-                kind_label = plan[4]
+                candidates, kind, uniform = plan
+                candidate = _earliest_finish(ready, candidates, uniform)
+                timeline, channel, _, _, timing, segments = candidate
+                marks = [] if log is not None else None
+                clock = ready
+                start = None
+                for is_host, hold, duration in segments:
+                    if is_host:
+                        seg_start, clock, server = host_pool.reserve_named(
+                            clock, hold)
+                        if marks is not None:
+                            marks.append((seg_start, clock, server))
+                        continue
+                    seg_start = reserve_pair2(clock, channel, hold,
+                                              timeline, duration)
+                    clock = seg_start + duration
+                    if marks is not None:
+                        marks.append((seg_start, clock, None))
+                    if start is None:
+                        start = seg_start
+                if start is None:
+                    start = ready
+                end = clock
                 total_bytes += timing.total_stream_bytes
                 accel_segments = timing.accel_segments
                 total_dispatches += accel_segments
                 contention_seconds += per_dispatch * accel_segments
-                kind_compute[kind_label] = (
-                    kind_compute.get(kind_label, 0.0)
-                    + timing.accel_compute_seconds)
-            if record_tasks:
-                task_log.append(TaskRecord(
-                    thread=thread_index, name=node.name, kind=kind_label,
-                    ready=actual_ready, start=start, end=end,
-                    resource=resource_label))
-            if tracer is not None:
-                tracer.add_span(
-                    node.name, trace_offset + start, trace_offset + end,
-                    pid=trace_pid, tid=f"thread{thread_index:02d}",
-                    category="task", kind=kind_label,
-                    resource=resource_label, sub_batch=sub,
-                    ready=actual_ready, node=node_index)
-            if metrics is not None:
-                metrics.histogram("sched/task_seconds").observe(end - start)
+                kind_compute[kind] = (kind_compute.get(kind, 0.0)
+                                      + timing.accel_compute_seconds)
+                if log is not None:
+                    log.append((thread_index, node_index, ready, start, end,
+                                timeline.name, kind, candidate,
+                                tuple(marks)))
             finish[node_index] = end
-            clocks[thread_index] = end
             if end > makespan:
                 makespan = end
             next_index = node_index + 1
             pointers[thread_index] = next_index
             if next_index < thread_node_counts[thread_index]:
-                next_node = nodes[next_index]
                 # max(dep finishes, thread clock); `end` is the clock, and
                 # it never loses a tie, matching the old max(...) exactly.
                 next_ready = end
-                for dep in next_node.deps:
+                for dep in nodes[next_index].deps:
                     dep_finish = finish[dep]
                     if dep_finish > next_ready:
                         next_ready = dep_finish
                 heapq.heappush(heap, (next_ready, thread_index))
+
+        task_log = None
+        if log is not None:
+            task_log = _replay(
+                log, thread_nodes, sub_batches, record_tasks, tracer,
+                (metrics.histogram("sched/task_seconds")
+                 if metrics is not None else None),
+                trace_pid, trace_offset)
 
         array_util = {}
         for array_type, members in arrays.items():
@@ -363,7 +467,7 @@ class Orchestrator:
             total_dispatches=total_dispatches,
             contention_seconds=contention_seconds,
             kind_compute_seconds=kind_compute,
-            task_log=tuple(task_log) if record_tasks else None)
+            task_log=task_log)
         if tracer is not None:
             # The run span carries the resource inventory (idle arrays
             # emit no spans, so the trace alone cannot recover the
@@ -376,7 +480,7 @@ class Orchestrator:
                 "orchestrator.run", trace_offset, trace_offset + makespan,
                 pid=trace_pid, tid="schedule", category="run",
                 batch=batch, seq_len=seq_len, threads=thread_count,
-                policy=self.policy, dispatches=total_dispatches,
+                policy="earliest_finish", dispatches=total_dispatches,
                 stream_bytes=total_bytes,
                 host_slots=self.host.slots,
                 bottleneck=result.bottleneck, **inventory)
@@ -405,257 +509,44 @@ class Orchestrator:
 
     # ------------------------------------------------------------------
 
-    def _build_plan(self, dataflow: Dataflow,
-                    arrays: Dict[ArrayType, List[Tuple[Timeline, int]]],
-                    pooled_members: Optional[List[Tuple[Timeline, int]]],
-                    channels: Dict[ArrayType, Timeline],
-                    cache: Dict[Tuple[int, int], DataflowTiming],
-                    interned_signatures: Dict[Tuple, int],
-                    per_dispatch: float) -> Tuple:
-        """Intern everything about placing ``dataflow`` that is invariant
-        across dispatches: its content signature, the candidate arrays,
-        the link channel, the channel bandwidth, the kind label, and —
-        when every candidate has the same size under the earliest-finish
-        policy — the one shared :class:`DataflowTiming` plus the fully
-        folded per-segment reservation constants (channel hold and joint
-        duration depend only on the timing, the bandwidth, and the run's
-        per-dispatch overhead, so they are computed once here with the
-        exact float expressions the dispatch loop used)."""
-        content = dataflow_signature(dataflow)
-        signature = interned_signatures.get(content)
-        if signature is None:
-            signature = len(interned_signatures)
-            interned_signatures[content] = signature
-        array_type = dataflow.array_type
-        members = (pooled_members if pooled_members is not None
-                   else arrays[array_type])
+    def _plan(self, dataflow: Dataflow,
+              members: List[Tuple[Timeline, int]],
+              channel: Timeline, per_dispatch: float) -> Tuple:
+        """Fold everything about placing ``dataflow`` that is invariant
+        across dispatches into ``(candidates, kind label, uniform)``.
+
+        Each distinct array size is timed once, and each of its segments
+        is folded into ``(is_host, channel_hold, duration)`` constants:
+        the mutex-guarded per-type I/O buffer serializes each dispatch on
+        the channel — lock acquisition + transfer setup (``per_dispatch``,
+        growing with thread contention), then the stream itself — and the
+        array is held from the same instant, since the stream feeds it
+        directly (no local scratchpad).
+        """
         if not members:
             raise ValueError(
-                f"no {array_type.value}-Type arrays provisioned")
-        bandwidth = self.hardware.type_bandwidth(array_type)
-        uniform_timing: Optional[DataflowTiming] = None
-        seg_plan: Optional[Tuple[Tuple[bool, float, float], ...]] = None
-        sizes = {size for _, size in members}
-        if len(sizes) == 1 and self.policy == "earliest_finish":
-            uniform_timing = self._timing(dataflow, next(iter(sizes)),
-                                          signature, cache)
-            folded = []
-            for segment in uniform_timing.segments:
-                if segment.resource == "host":
-                    folded.append((True, segment.compute_seconds, 0.0))
-                    continue
-                stream_seconds = (segment.stream_bytes / bandwidth
-                                  if bandwidth > 0 else 0.0)
-                folded.append((
-                    False, per_dispatch + stream_seconds,
-                    max(segment.compute_seconds, stream_seconds)
-                    + per_dispatch))
-            seg_plan = tuple(folded)
-        return (signature, members, channels[array_type], bandwidth,
-                dataflow.kind.value, uniform_timing, seg_plan)
-
-    def _pick(self, dataflow: Dataflow, ready: float, plan: Tuple,
-              cache: Dict[Tuple[int, int], DataflowTiming]
-              ) -> Tuple[Timeline, int, DataflowTiming]:
-        """Resolve (timeline, size, timing) for one dispatch of ``plan``."""
-        signature = plan[0]
-        members = plan[1]
-        uniform_timing = plan[5]
-        if uniform_timing is None:
-            timeline, size = self._select_array(dataflow, ready, signature,
-                                                members, cache)
-            return timeline, size, self._timing(dataflow, size, signature,
-                                                cache)
-        # Earliest-finish over same-size candidates: every projection
-        # shares one duration, so minimizing the finish time means
-        # minimizing the fit — and the first member that can start
-        # right at `ready` is exactly the first minimum (any earlier
-        # member fit strictly later), ending the scan immediately.
-        # The gapless/append fit checks mirror Timeline.next_fit.
-        timing = uniform_timing
-        duration = timing.accel_compute_seconds
-        best = None
-        best_finish = 0.0
-        for member in members:
-            timeline = member[0]
-            last = timeline._last_end
-            if ready >= last:
-                best = member
-                break
-            if timeline._gapless and duration > 0:
-                if timeline._starts[0] - ready >= duration:
-                    fit = ready
-                else:
-                    fit = last
-            else:
-                fit = timeline.next_fit(ready, duration)
-            if fit == ready:
-                best = member
-                break
-            finish = fit + duration
-            if best is None or finish < best_finish:
-                best = member
-                best_finish = finish
-        timeline, size = best
-        return timeline, size, timing
-
-    def _schedule_dataflow_fast(self, dataflow: Dataflow, ready: float,
-                                plan: Tuple, host_pool: Pool,
-                                cache: Dict[Tuple[int, int], DataflowTiming],
-                                per_dispatch: float
-                                ) -> Tuple[float, float, str, DataflowTiming]:
-        """Untraced :meth:`_schedule_dataflow`: identical placement
-        arithmetic with no span bookkeeping and no per-segment tuples."""
-        timeline, _size, timing = self._pick(dataflow, ready, plan, cache)
-        channel = plan[2]
-        clock = ready
-        first_start: Optional[float] = None
-        seg_plan = plan[6]
-        if seg_plan is not None:
-            # Stream/hold/duration were folded into the plan (identical
-            # expressions); only the joint reservation remains per segment.
-            for is_host, hold, duration in seg_plan:
-                if is_host:
-                    _seg_start, clock, _server = host_pool.reserve_named(
-                        clock, hold)
-                    continue
-                start = reserve_pair2(clock, channel, hold,
-                                      timeline, duration)
-                clock = start + duration
-                if first_start is None:
-                    first_start = start
-            return (first_start if first_start is not None else ready,
-                    clock, timeline.name, timing)
-        bandwidth = plan[3]
-        for segment in timing.segments:
-            if segment.resource == "host":
-                _seg_start, clock, _server = host_pool.reserve_named(
-                    clock, segment.compute_seconds)
+                f"no {dataflow.array_type.value}-Type arrays provisioned")
+        bandwidth = self.hardware.type_bandwidth(dataflow.array_type)
+        folded: Dict[int, Tuple] = {}
+        for _, size in members:
+            if size in folded:
                 continue
-            stream_seconds = (segment.stream_bytes / bandwidth
-                              if bandwidth > 0 else 0.0)
-            channel_hold = per_dispatch + stream_seconds
-            duration = (max(segment.compute_seconds, stream_seconds)
-                        + per_dispatch)
-            start = reserve_pair2(clock, channel, channel_hold,
-                                  timeline, duration)
-            clock = start + duration
-            if first_start is None:
-                first_start = start
-        return (first_start if first_start is not None else ready,
-                clock, timeline.name, timing)
-
-    def _schedule_dataflow(self, dataflow: Dataflow, ready: float, sub: int,
-                           node_index: int, plan: Tuple,
-                           host_pool: Pool,
-                           cache: Dict[Tuple[int, int], DataflowTiming],
-                           per_dispatch: float,
-                           tracer: Optional[Tracer] = None,
-                           trace_pid: str = "instance0",
-                           trace_offset: float = 0.0
-                           ) -> Tuple[float, float, str, DataflowTiming]:
-        """Place one dataflow's segments.
-
-        When tracing, every reservation this placement makes becomes one
-        span: array holds on the array's track (category ``exec``),
-        channel holds on the link track (``stream``), host-side segments
-        on the chosen host slot's track (``host``).
-
-        Returns:
-            (start, end, resource label, timing) of the placed dataflow.
-        """
-        channel = plan[2]
-        bandwidth = plan[3]
-        timeline, size, timing = self._pick(dataflow, ready, plan, cache)
-        clock = ready
-        first_start: Optional[float] = None
-        for segment_index, segment in enumerate(timing.segments):
-            if segment.resource == "host":
-                seg_start, clock, server = host_pool.reserve_named(
-                    clock, segment.compute_seconds)
-                if tracer is not None:
-                    tracer.add_span(
-                        f"{dataflow.name}:host{segment_index}",
-                        trace_offset + seg_start, trace_offset + clock,
-                        pid=trace_pid, tid=server, category="host",
-                        sub_batch=sub, node=node_index)
-                continue
-            stream_seconds = (segment.stream_bytes / bandwidth
-                              if bandwidth > 0 else 0.0)
-            # The mutex-guarded per-type I/O buffer serializes each
-            # dispatch on the channel: lock acquisition + transfer setup
-            # (per_dispatch, growing with thread contention) then the
-            # stream itself.  The array is held from the same instant —
-            # the stream feeds it directly (no local scratchpad).
-            channel_hold = per_dispatch + stream_seconds
-            duration = (max(segment.compute_seconds, stream_seconds)
-                        + per_dispatch)
-            start = reserve_pair(clock, [(channel, channel_hold),
-                                         (timeline, duration)])
-            clock = start + duration
-            if tracer is not None:
-                tracer.add_span(
-                    f"{dataflow.name}:xfer{segment_index}",
-                    trace_offset + start,
-                    trace_offset + start + channel_hold,
-                    pid=trace_pid, tid=channel.name, category="stream",
-                    bytes=segment.stream_bytes, sub_batch=sub,
-                    node=node_index,
-                    array_type=dataflow.array_type.value)
-                tracer.add_span(
-                    f"{dataflow.name}:seg{segment_index}",
-                    trace_offset + start, trace_offset + clock,
-                    pid=trace_pid, tid=timeline.name, category="exec",
-                    compute_seconds=segment.compute_seconds,
-                    array_size=size, sub_batch=sub, node=node_index,
-                    array_type=dataflow.array_type.value)
-            if first_start is None:
-                first_start = start
-        return (first_start if first_start is not None else ready, clock,
-                timeline.name, timing)
-
-    def _select_array(self, dataflow: Dataflow, ready: float,
-                      signature: int,
-                      members: List[Tuple[Timeline, int]],
-                      cache: Dict[Tuple[int, int], DataflowTiming]
-                      ) -> Tuple[Timeline, int]:
-        """Pick an array for ``dataflow`` according to the policy."""
-        if self.policy == "round_robin":
-            index = self._round_robin_state.get(dataflow.array_type, 0)
-            self._round_robin_state[dataflow.array_type] = \
-                (index + 1) % len(members)
-            return members[index % len(members)]
-        if self.policy == "first_free":
-            return min(members,
-                       key=lambda member: member[0].next_fit(ready, 0.0))
-
-        # earliest_finish: project each candidate's completion time from
-        # its precomputed compute duration (one timing per distinct array
-        # size — members of the same size share it).  Strict `<` keeps the
-        # first of tied projections, matching `min` over the member order.
-        durations: Dict[int, float] = {}
-        best_member: Optional[Tuple[Timeline, int]] = None
-        best_finish = 0.0
-        for member in members:
-            timeline, size = member
-            duration = durations.get(size)
-            if duration is None:
-                duration = self._timing(dataflow, size, signature,
-                                        cache).accel_compute_seconds
-                durations[size] = duration
-            finish = timeline.next_fit(ready, duration) + duration
-            if best_member is None or finish < best_finish:
-                best_member, best_finish = member, finish
-        return best_member
-
-    def _timing(self, dataflow: Dataflow, size: int, signature: int,
-                cache: Dict[Tuple[int, int], DataflowTiming]
-                ) -> DataflowTiming:
-        key = (signature, size)
-        timing = cache.get(key)
-        if timing is None:
             timing = time_dataflow(
                 dataflow, size, self.hardware,
                 host_elementwise_throughput=self.host.elementwise_throughput)
-            cache[key] = timing
-        return timing
+            segments = []
+            for segment in timing.segments:
+                if segment.resource == "host":
+                    segments.append((True, segment.compute_seconds, 0.0))
+                    continue
+                stream_seconds = (segment.stream_bytes / bandwidth
+                                  if bandwidth > 0 else 0.0)
+                segments.append((
+                    False, per_dispatch + stream_seconds,
+                    max(segment.compute_seconds, stream_seconds)
+                    + per_dispatch))
+            folded[size] = (timing.accel_compute_seconds, timing,
+                            tuple(segments))
+        candidates = tuple((timeline, channel, size) + folded[size]
+                           for timeline, size in members)
+        return candidates, dataflow.kind.value, len(folded) == 1

@@ -11,9 +11,13 @@ coexist:
   context manager, timed against the tracer's own monotonic epoch —
   used by the functional datapath.
 
-Instrumented code takes an *optional* ``tracer=`` argument and guards
-every call with ``if tracer is not None``, so a disabled tracer costs
-one pointer comparison and every simulation result stays bit-identical.
+Instrumented code takes an *optional* ``tracer=`` argument, and a
+simulation result never depends on whether one is given.  The
+orchestrator's placement loop does not touch the tracer at all: it
+appends a plain-tuple row per task to a placement log, and its spans are
+derived from that log after the loop.  Other simulators guard their
+calls with ``if tracer is not None``, so a disabled tracer costs one
+pointer comparison.
 """
 
 from __future__ import annotations

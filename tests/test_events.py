@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sched import Pool, Timeline
-from repro.sched.events import common_start, reserve_pair
+from repro.sched.events import common_start, reserve_pair2
 
 
 def legacy_next_fit(timeline: Timeline, earliest: float,
@@ -189,14 +189,13 @@ class TestReservePairParity:
     @given(joint_requests)
     @settings(max_examples=100, deadline=None)
     def test_matches_common_start_plus_reserve_at(self, requests):
-        """reserve_pair on (channel, array) pairs must produce the same
+        """reserve_pair2 on (channel, array) pairs must produce the same
         starts and the same timeline state as the legacy three-fit
         sequence, reservation by reservation."""
         channel, array = Timeline("chan"), Timeline("arr")
         legacy_channel, legacy_array = Timeline("chan"), Timeline("arr")
         for earliest, hold, duration in requests:
-            start = reserve_pair(earliest, [(channel, hold),
-                                            (array, duration)])
+            start = reserve_pair2(earliest, channel, hold, array, duration)
             expected = common_start(earliest, [(legacy_channel, hold),
                                                (legacy_array, duration)])
             legacy_channel.reserve_at(expected, hold)

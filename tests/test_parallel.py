@@ -89,8 +89,6 @@ class TestKeys:
         assert schedule_key(trace, hardware, HostModel(slots=4)) != base
         assert schedule_key(trace, hardware, HostModel(),
                             threads=8) != base
-        assert schedule_key(trace, hardware, HostModel(),
-                            policy="round_robin") != base
 
     def test_content_hash_rejects_unknown_types(self):
         with pytest.raises(TypeError):
