@@ -11,8 +11,7 @@
     python -m repro.cli fleet --scenario rack_power_loss --trace-out fleet.json
     python -m repro.cli monitor --scenario rack_power_loss
     python -m repro.cli trace --seq-len 128 --batch 8 --out trace.json
-    python -m repro.cli bench --repeat 5 --compare BENCH_0001.json --check
-    python -m repro.cli analyze --scenario dse_point --format ascii
+    python -m repro.cli analyze --trace trace.json --format ascii
     python -m repro.cli analyze --trace now.json --against before.json
 """
 
@@ -433,26 +432,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         validate_chrome_trace,
     )
 
-    if bool(args.trace) == bool(args.scenario):
-        raise SystemExit("analyze needs exactly one input: --trace "
-                         "<exported.json> or --scenario <name>")
-    if args.scenario:
-        from .bench import trace_scenario
-
-        try:
-            tracer, _fingerprint = trace_scenario(args.scenario)
-        except (KeyError, ValueError) as error:
-            raise SystemExit(str(error)) from error
-        source_label = f"scenario '{args.scenario}'"
-    else:
-        tracer = load_trace(args.trace)
-        source_label = args.trace
+    if args.top < 1:
+        raise SystemExit(f"--top must be at least 1, got {args.top}")
+    tracer = load_trace(args.trace)
     against = load_trace(args.against) if args.against else None
 
     try:
         analysis = analyze_trace(tracer, against=against, root=args.root)
     except ValueError as error:
-        raise SystemExit(f"cannot analyze {source_label}: {error}") \
+        raise SystemExit(f"cannot analyze {args.trace}: {error}") \
             from error
 
     if args.format == "json":
@@ -464,7 +452,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         data = to_chrome_trace(
             tracer,
             metadata={"tool": "repro.cli analyze", "version": __version__,
-                      "source": source_label,
+                      "source": args.trace,
                       "critical_path_hops": len(analysis.path.hops)},
             extra_spans=critical_path_spans(analysis.path))
         counts = validate_chrome_trace(data)
@@ -483,108 +471,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
         print(f"analysis -> {args.out}", file=sys.stderr)
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import (
-        attribute_comparison,
-        build_record,
-        build_rollups,
-        compare_records,
-        format_attribution,
-        format_comparison,
-        load_records,
-        next_bench_path,
-        run_scenarios,
-        scenario_names,
-        scenarios,
-        write_record,
-    )
-    from .parallel import SweepExecutor
-    from .telemetry import MetricsRegistry, Tracer, validate_chrome_trace, write_chrome_trace
-    from .telemetry.profiling import format_hotspots, profile
-
-    registry = scenarios()
-    if args.list:
-        width = max(len(name) for name in registry)
-        for name, scenario in registry.items():
-            tags = f" [{', '.join(scenario.tags)}]" if scenario.tags else ""
-            print(f"{name:<{width}s}  {scenario.description}{tags}")
-        return 0
-    try:
-        names = scenario_names(args.scenarios)
-    except KeyError as error:
-        raise SystemExit(str(error)) from error
-    if args.check and not args.compare:
-        raise SystemExit("--check requires --compare BENCH_*.json "
-                         "baseline(s)")
-    if args.attribute and not args.compare:
-        raise SystemExit("--attribute requires --compare BENCH_*.json "
-                         "baseline(s)")
-
-    executor = SweepExecutor(SweepExecutor.resolve_workers(args.workers))
-    metrics = MetricsRegistry()
-    timings = run_scenarios(names, repeat=args.repeat, executor=executor,
-                            metrics=metrics)
-    width = max(len(name) for name in names)
-    for name in names:
-        timing = timings[name]
-        flag = "" if timing["stable"] else "  [unstable fingerprint]"
-        print(f"{name:<{width}s}  median "
-              f"{timing['median_seconds'] * 1e3:9.3f} ms  "
-              f"[{timing['min_seconds'] * 1e3:9.3f}, "
-              f"{timing['max_seconds'] * 1e3:9.3f}] ms  "
-              f"x{timing['repeat']}{flag}")
-    print(f"ran {len(names)} scenario(s) with {executor.workers} "
-          f"worker(s), mode={executor.last_mode}")
-
-    profiles = []
-    if args.profile:
-        tracer = Tracer()
-        for name in names:
-            scenario = registry[name]
-            if scenario.setup is not None:
-                scenario.setup()
-            with profile(tracer, label=name) as report:
-                with tracer.span(f"scenario:{name}", pid="bench"):
-                    scenario.fn()
-            profiles.append(report)
-            print()
-            print(format_hotspots(report, top=args.top))
-        data = write_chrome_trace(
-            tracer, args.profile_out,
-            metadata={"tool": "repro.cli bench", "version": __version__,
-                      "scenarios": ",".join(names)},
-            profiles=profiles)
-        counts = validate_chrome_trace(data)
-        print(f"profile trace: {counts['spans']} spans on "
-              f"{counts['tracks']} tracks -> {args.profile_out} "
-              f"(open at https://ui.perfetto.dev)")
-
-    rollups = build_rollups(names) if args.rollups else None
-    record = build_record(
-        timings, repeat=args.repeat, metrics=metrics, rollups=rollups,
-        extra={"executor": {"workers": executor.workers,
-                            "mode": executor.last_mode}})
-    out = args.out or next_bench_path(".")
-    write_record(record, out)
-    suffix = (f" (+{len(rollups)} span rollup(s))" if rollups else "")
-    print(f"record -> {out}{suffix}")
-
-    if args.compare:
-        baselines = load_records(args.compare)
-        comparison = compare_records(record, baselines,
-                                     band_pct=args.band,
-                                     min_delta_seconds=args.min_delta)
-        print()
-        print(format_comparison(comparison))
-        if args.attribute:
-            attributions = attribute_comparison(comparison, baselines)
-            print()
-            print(format_attribution(attributions, top=args.top))
-        if args.check and not comparison.ok:
-            return 1
     return 0
 
 
@@ -891,66 +777,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ASCII timeline width")
     trace.set_defaults(handler=cmd_trace)
 
-    bench = sub.add_parser(
-        "bench",
-        help="benchmark observatory: record BENCH_<seq>.json, compare "
-             "against the trajectory, profile hotspots")
-    bench.add_argument("--scenarios", default="all",
-                       help="'all', a tag (e.g. 'fast'), or a "
-                            "comma-separated scenario list")
-    bench.add_argument("--repeat", type=int, default=5,
-                       help="timed executions per scenario "
-                            "(median-of-N, default 5)")
-    bench.add_argument("--out", default=None,
-                       help="record path (default: next free "
-                            "BENCH_<seq>.json in the current directory)")
-    bench.add_argument("--compare", nargs="+", default=None,
-                       metavar="BENCH_JSON",
-                       help="prior record(s) to compare against")
-    bench.add_argument("--check", action="store_true",
-                       help="exit nonzero when any scenario regresses "
-                            "beyond the band (requires --compare)")
-    bench.add_argument("--band", type=float, default=25.0,
-                       help="regression tolerance band in percent "
-                            "(default 25)")
-    bench.add_argument("--min-delta", type=float, default=0.0,
-                       metavar="SECONDS",
-                       help="absolute slowdown floor: a band breach "
-                            "only fails when current - baseline also "
-                            "exceeds this many seconds (default 0)")
-    bench.add_argument("--profile", action="store_true",
-                       help="re-run each scenario under cProfile and "
-                            "print span-attributed hotspot tables")
-    bench.add_argument("--profile-out", default="bench_profile.json",
-                       help="Perfetto trace with hotspot tracks "
-                            "(with --profile)")
-    bench.add_argument("--top", type=int, default=50,
-                       help="hotspot table rows per scenario "
-                            "(default 50)")
-    bench.add_argument("--workers", type=int, default=None,
-                       help="time scenarios in N forked processes "
-                            "(default $REPRO_SWEEP_WORKERS or 1)")
-    bench.add_argument("--list", action="store_true",
-                       help="list registered scenarios and exit")
-    bench.add_argument("--attribute", action="store_true",
-                       help="after --compare, re-run regressed "
-                            "scenarios with tracing and print a span "
-                            "attribution table")
-    bench.add_argument("--rollups", action="store_true",
-                       help="embed span rollups for traceable scenarios "
-                            "in the record (future --attribute runs "
-                            "diff against them)")
-    bench.set_defaults(handler=cmd_bench)
-
     analyze = sub.add_parser(
         "analyze",
         help="trace analytics: critical path, utilization attribution, "
              "run-to-run regression diff")
-    analyze.add_argument("--trace", default=None, metavar="JSON",
+    analyze.add_argument("--trace", required=True, metavar="JSON",
                          help="exported Chrome-trace JSON to analyze")
-    analyze.add_argument("--scenario", default=None,
-                         help="instead of --trace: run this bench "
-                              "scenario's traced variant and analyze it")
     analyze.add_argument("--against", default=None, metavar="JSON",
                          help="baseline trace; adds a span-attributed "
                               "latency diff")

@@ -1,7 +1,7 @@
 """Trace analytics: critical paths, utilization attribution, trace diffs.
 
-The recording layers (:class:`~repro.telemetry.spans.Tracer`, the bench
-observatory, the SLO monitor) can say *what* happened; this module says
+The recording layers (:class:`~repro.telemetry.spans.Tracer`, the
+metrics registry, the SLO monitor) can say *what* happened; this module says
 *why a number is what it is*.  Three analyses over a finished trace —
 a live :class:`Tracer` or an exported Chrome-trace JSON:
 
@@ -19,9 +19,8 @@ a live :class:`Tracer` or an exported Chrome-trace JSON:
 * **trace diff** — two traces of the same scenario aligned by span
   ``(name, category)`` structure; the end-to-end delta is attributed to
   the top-k span groups that moved.  Rollups (the compact aggregation
-  the diff runs on) are JSON documents, so BENCH records can embed them
-  and future regressions diff against committed baselines without
-  re-running old code (:mod:`repro.bench.attribution`).
+  the diff runs on) are JSON documents, so a committed rollup can serve
+  as the baseline of a later diff without re-running old code.
 
 Everything here is read-only over recorded spans: analyzing a run can
 never change its results.

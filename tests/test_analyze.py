@@ -5,28 +5,16 @@ idle-gap synthesis, determinism), utilization attribution (busy/blocked
 accounting, concurrency histogram, the "bound by" verdict against the
 scheduler's own bottleneck), trace rollups and run-to-run diffs, the
 Chrome-trace round trip including the highlighted critical-path track,
-BENCH rollup embedding, and the ``analyze`` / ``bench --attribute``
-CLI paths.
+and the ``analyze`` CLI over a trace written by ``trace``.
 """
 
 import json
 
 import pytest
 
-from repro.bench import (
-    attribute_comparison,
-    build_record,
-    build_rollups,
-    compare_records,
-    format_attribution,
-    select_scenarios,
-    trace_scenario,
-    traced_scenario_names,
-    validate_record,
-    write_record,
-)
-from repro.bench.scenarios import BATCH, SEQ_LEN, _base_config, _hardware
+from repro.arch import best_perf
 from repro.cli import main
+from repro.model import protein_bert_base
 from repro.sched.orchestrator import Orchestrator
 from repro.telemetry import (
     Tracer,
@@ -47,13 +35,18 @@ from repro.telemetry import (
 )
 from repro.telemetry.analyze import IDLE_HOP, find_root
 
+#: One batched BERT-base inference on BestPerf, small enough to trace fast.
+BATCH = 8
+SEQ_LEN = 128
+CONFIG = protein_bert_base()
+
 
 @pytest.fixture(scope="module")
 def schedule_run():
     """One traced nominal schedule plus its ScheduleResult."""
     tracer = Tracer()
-    result = Orchestrator(_hardware()).run(
-        _base_config(), batch=BATCH, seq_len=SEQ_LEN, tracer=tracer)
+    result = Orchestrator(best_perf()).run(
+        CONFIG, batch=BATCH, seq_len=SEQ_LEN, tracer=tracer)
     return tracer, result
 
 
@@ -104,7 +97,7 @@ class TestCriticalPath:
     def test_extraction_is_deterministic_per_seed(self):
         def analysis_json():
             tracer = Tracer()
-            Orchestrator(_hardware()).run(_base_config(), batch=BATCH,
+            Orchestrator(best_perf()).run(CONFIG, batch=BATCH,
                                           seq_len=SEQ_LEN, tracer=tracer)
             return analyze_trace(tracer).to_json()
 
@@ -153,7 +146,7 @@ class TestUtilization:
         for config in table4_configs()[:3]:
             tracer = Tracer()
             result = Orchestrator(config).run(
-                _base_config(), batch=BATCH, seq_len=SEQ_LEN,
+                CONFIG, batch=BATCH, seq_len=SEQ_LEN,
                 tracer=tracer)
             report = utilization_report(tracer)
             assert report.phases[0].bound_by == result.bottleneck, \
@@ -230,7 +223,7 @@ class TestRollupsAndDiff:
     def test_identical_seed_traces_diff_to_zero(self, schedule_run):
         tracer, _result = schedule_run
         other = Tracer()
-        Orchestrator(_hardware()).run(_base_config(), batch=BATCH,
+        Orchestrator(best_perf()).run(CONFIG, batch=BATCH,
                                       seq_len=SEQ_LEN, tracer=other)
         diff = diff_rollups(build_rollup(tracer), build_rollup(other))
         assert diff.delta_seconds == 0.0
@@ -323,106 +316,47 @@ class TestChromeRoundTrip:
         assert first == second
 
 
-# -- bench integration ---------------------------------------------------
-
-class TestBenchAttribution:
-    def test_traced_scenarios_cover_the_simulations(self):
-        traced = traced_scenario_names()
-        assert {"schedule", "dse_point", "campaign_simulate",
-                "fleet_simulate"} <= set(traced)
-
-    def test_trace_scenario_runs_and_rejects_untraceable(self):
-        tracer, fingerprint = trace_scenario("schedule")
-        assert fingerprint > 0.0
-        assert tracer.finished_spans()
-        with pytest.raises(ValueError, match="no traced variant"):
-            trace_scenario("trace_build")
-        with pytest.raises(KeyError):
-            trace_scenario("nope")
-
-    def test_record_embeds_and_validates_rollups(self, tmp_path):
-        rollups = build_rollups(["schedule", "trace_build"])
-        assert list(rollups) == ["schedule"]  # untraceable skipped
-        timing = {"name": "schedule", "repeat": 1, "samples": [0.1],
-                  "median_seconds": 0.1, "min_seconds": 0.1,
-                  "max_seconds": 0.1, "mean_seconds": 0.1,
-                  "fingerprint": 1.0, "stable": True}
-        record = build_record({"schedule": timing}, repeat=1,
-                              rollups=rollups)
-        out = tmp_path / "BENCH_0001.json"
-        write_record(record, str(out))
-        loaded = validate_record(json.loads(out.read_text()))
-        validate_rollup(loaded["rollups"]["schedule"])
-        bad = dict(record, rollups={"schedule": {"schema": "junk"}})
-        with pytest.raises(ValueError, match="rollup for scenario"):
-            validate_record(bad)
-
-    def _comparison(self, status_name="schedule", regressed=True):
-        timing = {"name": status_name, "repeat": 1, "samples": [0.4],
-                  "median_seconds": 0.4 if regressed else 0.1,
-                  "min_seconds": 0.1, "max_seconds": 0.4,
-                  "mean_seconds": 0.2, "fingerprint": 1.0,
-                  "stable": True}
-        current = build_record({status_name: timing}, repeat=1)
-        baseline = build_record(
-            {status_name: dict(timing, median_seconds=0.1)}, repeat=1)
-        return compare_records(current, [baseline], band_pct=10.0), \
-            [baseline]
-
-    def test_attribution_of_a_regression_without_baseline_rollup(self):
-        comparison, baselines = self._comparison()
-        assert select_scenarios(comparison) == ["schedule"]
-        attributions = attribute_comparison(comparison, baselines)
-        assert len(attributions) == 1
-        assert attributions[0].diff is None
-        assert "no baseline rollup" in attributions[0].note
-        text = format_attribution(attributions, top=5)
-        assert "attribution for 'schedule'" in text
-        assert "current composition" in text
-
-    def test_attribution_diffs_against_embedded_rollup(self):
-        comparison, baselines = self._comparison()
-        baselines[0]["rollups"] = build_rollups(["schedule"])
-        attributions = attribute_comparison(comparison, baselines)
-        diff = attributions[0].diff
-        assert diff is not None
-        assert diff.delta_seconds == 0.0  # same seed, same structure
-        assert "zero-delta" in format_attribution(attributions)
-
-    def test_attribution_falls_back_to_largest_mover(self):
-        comparison, _baselines = self._comparison(regressed=False)
-        assert not comparison.regressions
-        assert select_scenarios(comparison) == ["schedule"]
-
-    def test_untraceable_comparison_yields_empty_selection(self):
-        comparison, _ = self._comparison(status_name="trace_build")
-        assert select_scenarios(comparison) == []
-        assert "no traceable scenario" in format_attribution([])
-
-
 # -- CLI -----------------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def schedule_trace(tmp_path_factory):
+    """A traced schedule exported by ``repro.cli trace``."""
+    out = tmp_path_factory.mktemp("trace")
+    assert main(["trace", "--workload", "schedule",
+                 "--batch", str(BATCH), "--seq-len", str(SEQ_LEN),
+                 "--out", str(out / "trace.json"),
+                 "--metrics-csv", str(out / "metrics.csv"),
+                 "--metrics-jsonl", str(out / "metrics.jsonl")]) == 0
+    return str(out / "trace.json")
+
+
 class TestAnalyzeCli:
-    def test_analyze_scenario_ascii(self, capsys):
-        assert main(["analyze", "--scenario", "schedule",
+    def test_analyze_trace_ascii(self, schedule_trace, capsys):
+        assert main(["analyze", "--trace", schedule_trace,
                      "--top", "5"]) == 0
         out = capsys.readouterr().out
         assert "critical path of 'orchestrator.run'" in out
         assert "bound by" in out
 
-    def test_analyze_requires_exactly_one_input(self):
-        with pytest.raises(SystemExit, match="exactly one input"):
+    def test_analyze_requires_exactly_one_input(self, capsys):
+        with pytest.raises(SystemExit):
             main(["analyze"])
-        with pytest.raises(SystemExit, match="exactly one input"):
+        assert "--trace" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
             main(["analyze", "--trace", "x.json", "--scenario",
                   "schedule"])
-        with pytest.raises(SystemExit, match="no traced variant"):
-            main(["analyze", "--scenario", "trace_build"])
+        assert "unrecognized arguments: --scenario" in \
+            capsys.readouterr().err
+
+    def test_analyze_rejects_nonpositive_top(self, schedule_trace):
+        for top in ("0", "-3"):
+            with pytest.raises(SystemExit, match="--top"):
+                main(["analyze", "--trace", schedule_trace, "--top", top])
 
     def test_analyze_against_identical_trace_is_zero_delta(
-            self, tmp_path, capsys, monkeypatch):
+            self, schedule_trace, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert main(["analyze", "--scenario", "schedule", "--format",
+        assert main(["analyze", "--trace", schedule_trace, "--format",
                      "perfetto", "--out", "trace.json"]) == 0
         capsys.readouterr()
         assert main(["analyze", "--trace", "trace.json", "--against",
@@ -436,10 +370,11 @@ class TestAnalyzeCli:
         on_disk = json.loads((tmp_path / "analysis.json").read_text())
         assert on_disk == analysis
 
-    def test_analyze_perfetto_export_validates(self, tmp_path, capsys,
+    def test_analyze_perfetto_export_validates(self, schedule_trace,
+                                               tmp_path, capsys,
                                                monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert main(["analyze", "--scenario", "schedule", "--format",
+        assert main(["analyze", "--trace", schedule_trace, "--format",
                      "perfetto"]) == 0
         out = capsys.readouterr().out
         assert "critical-path track" in out
@@ -450,21 +385,3 @@ class TestAnalyzeCli:
                        if event.get("ph") == "M"
                        and event["name"] == "thread_name"]
         assert "critical path" in track_names
-
-    def test_bench_attribute_prints_a_table(self, tmp_path, capsys,
-                                            monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["bench", "--scenarios", "schedule", "--repeat", "1",
-                     "--rollups", "--out", "BENCH_0001.json"]) == 0
-        capsys.readouterr()
-        assert main(["bench", "--scenarios", "schedule", "--repeat", "1",
-                     "--out", "BENCH_0002.json", "--compare",
-                     "BENCH_0001.json", "--attribute"]) == 0
-        out = capsys.readouterr().out
-        assert "attribution for 'schedule'" in out
-        assert "trace diff of 'orchestrator.run'" in out
-
-    def test_bench_attribute_requires_compare(self):
-        with pytest.raises(SystemExit, match="--attribute requires"):
-            main(["bench", "--scenarios", "trace_build", "--repeat", "1",
-                  "--attribute"])

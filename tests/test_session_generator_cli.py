@@ -131,6 +131,12 @@ class TestCli:
         for name in ("simulate", "trace", "reliability", "zoo"):
             assert name in out
 
+    def test_workers_help_documents_env_default(self, capsys):
+        for command in ("experiments", "dse", "sweep", "reliability"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert "REPRO_SWEEP_WORKERS" in capsys.readouterr().out
+
     def test_version_flag(self, capsys):
         from repro import __version__
         with pytest.raises(SystemExit) as excinfo:

@@ -3,11 +3,14 @@
 Covers the observability invariants the rest of the stack relies on:
 span nesting/ordering, bit-identity of every report when the tracer is
 disabled, Chrome-trace schema validity of exported JSON, histogram
-percentile math at bucket edges, and registry merge semantics.
+percentile math at bucket edges, registry merge semantics, and the
+cProfile hotspot reports (coverage, span attribution, Perfetto export,
+bit-identical results).
 """
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.arch import best_perf
@@ -23,6 +26,8 @@ from repro.telemetry import (
     Histogram,
     MetricsRegistry,
     Tracer,
+    format_hotspots,
+    profile,
     render_tracks,
     to_chrome_trace,
     validate_chrome_trace,
@@ -240,7 +245,6 @@ class TestServingTracing:
 
 class TestFunctionalTracing:
     def test_forward_bit_identical_and_instrumented(self):
-        import numpy as np
         tokens = np.arange(12, dtype=np.int64).reshape(2, 6) % 20
         plain_model = ProteinBert(CONFIG, seed=3)
         plain = AcceleratedProteinBert(plain_model, array_size=8).forward(
@@ -550,3 +554,88 @@ class TestRenderTracks:
                               width=10)
         assert "|.........." in chart.splitlines()[0] or (
             "|" in chart.splitlines()[0])
+
+
+# -- cProfile hotspots ---------------------------------------------------
+
+class TestProfiling:
+    def test_profile_collects_named_hotspots(self):
+        with profile(label="unit") as report:
+            np.matmul(np.ones((64, 64)), np.ones((64, 64)))
+        assert report.wall_seconds > 0
+        assert report.entries
+        assert all(entry.function for entry in report.entries)
+        assert report.total_self_seconds == pytest.approx(
+            sum(e.self_seconds for e in report.entries))
+
+    def test_dse_point_hotspot_table_covers_90_percent(self):
+        from repro.dse.explorer import DesignSpaceExplorer
+        from repro.parallel.cache import clear_caches
+
+        explorer = DesignSpaceExplorer(batch=8, seq_len=128)
+        explorer.evaluate(best_perf())  # warm numpy/runtime internals once
+        clear_caches()  # in-memory only: the profiled point is cold
+        with profile(label="dse_point") as report:
+            explorer.evaluate(best_perf())
+        assert report.coverage(50) >= 0.90
+        table = format_hotspots(report, top=50)
+        assert "cover" in table
+        assert "orchestrator" in table  # the scheduler shows up by name
+
+    def test_span_attribution_for_spans_inside_the_window(self):
+        from repro.arch.systolic import (
+            ExecutionStats,
+            SimdOpcode,
+            SimdStep,
+            make_array,
+        )
+
+        rng = np.random.default_rng(2022)
+        a = rng.standard_normal((128, 128)).astype(np.float32)
+        b = rng.standard_normal((128, 128)).astype(np.float32)
+        array = make_array(16, ArrayType.G)
+        steps = (SimdStep(SimdOpcode.ADD, 0.5), SimdStep(SimdOpcode.GELU))
+        tracer = Tracer()
+        with profile(tracer, label="gemm") as report:
+            with tracer.span("gemm", pid="host"):
+                array.execute_chain(a, b, steps, ExecutionStats())
+        assert "gemm" in report.span_hotspots
+        assert report.span_hotspots["gemm"]
+        # the hook restored the original bound method
+        assert "span" not in vars(tracer)
+
+    def test_span_stack_recorded_for_enclosing_spans(self):
+        tracer = Tracer()
+        with tracer.span("outer", pid="host"):
+            with profile(tracer, label="inner") as report:
+                sum(range(10))
+        assert report.span_stack == ("outer",)
+
+    def test_profile_export_validates_and_sits_on_profile_track(self):
+        tracer = Tracer()
+        with profile(tracer, label="export_case") as report:
+            with tracer.span("work", pid="host"):
+                np.fft.fft(np.ones(4096))
+        data = to_chrome_trace(tracer, profiles=[report])
+        counts = validate_chrome_trace(data)
+        assert counts["spans"] >= len(report.entries[:40]) + 1
+        names = {event.get("args", {}).get("name")
+                 for event in data["traceEvents"]
+                 if event.get("ph") == "M"
+                 and event.get("name") == "process_name"}
+        assert {"host", "profile"} <= names
+
+    def test_results_bit_identical_with_profiling(self):
+        model = AcceleratedProteinBert(ProteinBert(CONFIG, seed=2022))
+        tokens = np.random.default_rng(2022).integers(
+            0, CONFIG.vocab_size, size=(2, 32))
+        plain = model.forward(tokens)
+        with profile(label="parity"):
+            profiled = model.forward(tokens)
+        assert np.array_equal(plain, profiled)
+
+    def test_top_rejects_nonpositive(self):
+        with profile() as report:
+            pass
+        with pytest.raises(ValueError, match="top-N"):
+            report.top(0)
