@@ -129,11 +129,12 @@ class SpecialFunctionLut:
         pattern: 1 sign + 8 exponent + 7 mantissa.  Indexing the dense
         table with ``bits >> 16`` therefore evaluates sign/window routing
         *and* the two-level lookup in a single gather.  Out-of-window and
-        identity regions are baked in here, mirroring
-        :meth:`lookup_grouped` exactly; the in-window runs are the very
-        second-level tables built above, scattered at
-        ``(sign << 15) | (biased_exponent << 7)`` (the mantissa occupies
-        the low 7 index bits, so each table lands as one contiguous run).
+        identity regions are baked in here, mirroring the per-field
+        (sign, exponent) routing of the two-level lookup exactly; the
+        in-window runs are the very second-level tables built above,
+        scattered at ``(sign << 15) | (biased_exponent << 7)`` (the
+        mantissa occupies the low 7 index bits, so each table lands as
+        one contiguous run).
         """
         spec = self.spec
         low, high = spec.exponent_window
@@ -191,52 +192,6 @@ class SpecialFunctionLut:
         flat = np.ascontiguousarray(array).ravel()
         bits = flat.view(np.uint32)
         return self._dense[bits >> np.uint32(16)].reshape(np.shape(array))
-
-    def lookup_grouped(self, values: np.ndarray) -> np.ndarray:
-        """Legacy two-level evaluation (reference for parity tests).
-
-        Extracts the (sign, exponent, mantissa) fields and routes each
-        element to the in-window table or the out-of-window approximation,
-        gathering one (sign, exponent) group at a time — the code the
-        dense table in :meth:`lookup` was flattened from.
-        """
-        spec = self.spec
-        array = to_bfloat16(np.asarray(values, dtype=np.float32))
-        flat = np.ascontiguousarray(array).ravel()
-        bits = flat.view(np.uint32)
-        signs = (bits >> np.uint32(31)) & np.uint32(1)
-        exponents = ((bits >> np.uint32(23)) & np.uint32(0xFF)).astype(np.int64)
-        mantissas = ((bits >> np.uint32(23 - BF16_MANTISSA_BITS))
-                     & np.uint32(MANTISSA_ENTRIES - 1)).astype(np.int64)
-        unbiased = exponents - EXPONENT_BIAS
-
-        low, high = spec.exponent_window
-        output = np.empty_like(flat)
-
-        below = unbiased < low
-        output[below & (signs == 0)] = spec.below_positive
-        output[below & (signs == 1)] = spec.below_negative
-
-        above = unbiased > high
-        above_pos = above & (signs == 0)
-        if spec.above_positive is None:
-            output[above_pos] = flat[above_pos]
-        else:
-            output[above_pos] = spec.above_positive
-        output[above & (signs == 1)] = spec.above_negative
-
-        in_window = ~(below | above)
-        if in_window.any():
-            # Group by (sign, exponent) so each second-level table is hit
-            # with one gather — mirrors the hardware's two-level indexing.
-            keys = signs[in_window] * 512 + exponents[in_window]
-            positions = np.flatnonzero(in_window)
-            for key in np.unique(keys):
-                sign, biased = int(key) // 512, int(key) % 512
-                select = positions[keys == key]
-                table = self._tables[(sign, biased)]
-                output[select] = table[mantissas[select]]
-        return output.reshape(np.shape(array))
 
     def max_absolute_error(self, values: np.ndarray) -> float:
         """Worst-case |LUT - float reference| over ``values``."""

@@ -1,7 +1,7 @@
 """Fast functional model of a ProSE systolic array.
 
-Numerically equivalent to the cycle-by-cycle PE-grid simulation in
-:mod:`repro.arch.cycle_sim` (validated by tests), but vectorized: operands
+Numerically equivalent to the cycle-by-cycle PE-grid simulation the tests
+check it against (``tests/oracles/cycle_sim.py``), but vectorized: operands
 are rounded to bfloat16, MACs accumulate in fp32, SIMD ALU results and
 read-outs round to bfloat16, and GELU/Exp go through the same lookup tables
 the hardware stores.
@@ -88,10 +88,6 @@ class SystolicArray:
             make_gelu_lut() if array_type.has_gelu else None)
         self._exp: Optional[SpecialFunctionLut] = (
             make_exp_lut() if array_type.has_exp else None)
-
-    @property
-    def num_pes(self) -> int:
-        return self.size * self.size
 
     @property
     def num_simd_alus(self) -> int:

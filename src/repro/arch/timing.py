@@ -264,9 +264,3 @@ def time_dataflow(dataflow: Dataflow, array_size: int,
                           segments=tuple(segments),
                           matmul_cycles=total_matmul_cycles,
                           simd_cycles=total_simd_cycles)
-
-
-def best_array_size(dataflow: Dataflow, config: HardwareConfig) -> int:
-    """The array size the config provisions for this dataflow's type."""
-    groups = config.groups_of(dataflow.array_type)
-    return max(group.size for group in groups)

@@ -34,10 +34,6 @@ class FeatureExtractor:
         self.tokenizer = tokenizer or ProteinTokenizer()
         self.batch_size = batch_size
 
-    @property
-    def feature_dim(self) -> int:
-        return self.model.config.hidden_size
-
     def extract(self, sequences: Sequence[str]) -> np.ndarray:
         """Features of shape ``(len(sequences), hidden_size)``."""
         if not sequences:

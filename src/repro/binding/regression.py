@@ -67,14 +67,6 @@ class RidgeRegression:
         x = (features - self._mean) / self._scale
         return x @ self._weights + self._bias
 
-    def score_spearman(self, features: np.ndarray,
-                       targets: np.ndarray) -> float:
-        """Spearman rank correlation between predictions and targets."""
-        from .metrics import spearman
-
-        return spearman(self.predict(features), np.asarray(targets))
-
-
 @dataclass
 class PcaRidgeModel:
     """PCA-reduced ridge regression — the low-N downstream model.

@@ -88,10 +88,6 @@ class DataflowGraph:
             counts[dataflow.array_type] += 1
         return counts
 
-    def topological_order(self) -> List[int]:
-        """Construction order is topological by the constructor invariant."""
-        return list(range(len(self._nodes)))
-
     def validate_acyclic(self) -> bool:
         """Graphs built here are acyclic by construction; re-verify anyway."""
         in_degree = [len(node.deps) for node in self._nodes]

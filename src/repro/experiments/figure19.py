@@ -41,11 +41,6 @@ class Figure19Result:
                 return cell.efficiency_gain
         raise KeyError((config_name, link_name, baseline))
 
-    def max_gain(self, baseline: str) -> float:
-        return max(c.efficiency_gain for c in self.cells
-                   if c.baseline == baseline)
-
-
 def run(config: Optional[BertConfig] = None,
         configs: Optional[Sequence[HardwareConfig]] = None,
         links: Optional[Sequence[LinkConfig]] = None,

@@ -156,10 +156,6 @@ class FleetReport:
         return min(1.0, self.nominal_makespan_seconds
                    / self.makespan_seconds)
 
-    @property
-    def completion_fraction(self) -> float:
-        return self.completed / self.batch if self.batch else 1.0
-
     def summary(self) -> str:
         text = (f"goodput={self.goodput:.1f} inf/s "
                 f"availability={self.availability:.4f} "

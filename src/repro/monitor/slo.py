@@ -90,11 +90,6 @@ class BudgetStatus:
     def total(self) -> float:
         return self.good + self.bad
 
-    @property
-    def error_fraction(self) -> float:
-        return self.bad / self.total if self.total > 0 else 0.0
-
-
 class SLOTracker:
     """Accumulates one SLO's good/bad stream and answers burn queries.
 

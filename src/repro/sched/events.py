@@ -40,11 +40,6 @@ class Timeline:
     #: one float attribute instead of touching the interval lists.
     _last_end: float = field(default=float("-inf"), repr=False)
 
-    @property
-    def free_at(self) -> float:
-        """Time after the last reservation (no gaps considered)."""
-        return self._ends[-1] if self._ends else 0.0
-
     def next_fit(self, earliest: float, duration: float) -> float:
         """Earliest start ≥ ``earliest`` with an idle gap of ``duration``."""
         if duration < 0:
@@ -110,52 +105,22 @@ class Timeline:
         self.busy_seconds += duration
         return start, end
 
-    def reserve(self, earliest: float, duration: float) -> Tuple[float, float]:
-        """Reserve the earliest feasible interval at or after ``earliest``."""
-        return self._insert(self.next_fit(earliest, duration), duration)
-
-    def reserve_at(self, start: float, duration: float) -> Tuple[float, float]:
-        """Reserve exactly at ``start``; caller must have used next_fit."""
-        if self.next_fit(start, duration) != start:
-            raise ValueError(f"{self.name}: interval at {start} not free")
-        return self._insert(start, duration)
-
     def utilization(self, makespan: float) -> float:
         """Busy fraction of the timeline over ``makespan``."""
         return self.busy_seconds / makespan if makespan > 0 else 0.0
-
-
-def common_start(earliest: float, requests: List[Tuple["Timeline", float]]
-                 ) -> float:
-    """Earliest time at which every (timeline, duration) request fits.
-
-    Used when a dataflow must hold its link channel and its systolic array
-    from the same instant.
-    """
-    candidate = earliest
-    for _ in range(10000):
-        moved = False
-        for timeline, duration in requests:
-            fit = timeline.next_fit(candidate, duration)
-            if fit > candidate:
-                candidate = fit
-                moved = True
-        if not moved:
-            return candidate
-    raise RuntimeError("common_start failed to converge")
 
 
 def reserve_pair2(earliest: float, first: "Timeline", first_duration: float,
                   second: "Timeline", second_duration: float) -> float:
     """Reserve two timelines from their common start; returns the start.
 
-    The orchestrator's (channel, array) case, placed identically to
-    :func:`common_start` + ``reserve_at`` per timeline: the convergence
-    loop is unrolled over the pair, visiting the requests in the same
-    order as ``common_start`` so every intermediate candidate is
-    identical.  The O(1) append/gapless fits of :meth:`Timeline.next_fit`
-    are inlined (same branches, same float expressions); only a
-    fragmented timeline falls back to the general scan.
+    The orchestrator's (channel, array) case: the start is the fixed point
+    of alternating :meth:`Timeline.next_fit` calls, ``first`` then
+    ``second``, each moving the candidate to its own earliest fit until
+    neither moves it; both timelines are then reserved at that start.  The
+    O(1) append/gapless fits of :meth:`Timeline.next_fit` are inlined
+    (same branches, same float expressions); only a fragmented timeline
+    falls back to the general scan.
     """
     if first_duration < 0 or second_duration < 0:
         raise ValueError("duration must be non-negative")
@@ -189,7 +154,7 @@ def reserve_pair2(earliest: float, first: "Timeline", first_duration: float,
             first._insert(candidate, first_duration)
             second._insert(candidate, second_duration)
             return candidate
-    raise RuntimeError("common_start failed to converge")
+    raise RuntimeError("reserve_pair2 failed to converge")
 
 
 @dataclass
@@ -206,14 +171,10 @@ class Pool:
         return cls(name=name, servers=[
             Timeline(name=f"{name}[{i}]") for i in range(count)])
 
-    def reserve(self, earliest: float, duration: float) -> Tuple[float, float]:
-        """Reserve on the server that can start the earliest."""
-        start, end, _name = self.reserve_named(earliest, duration)
-        return start, end
-
     def reserve_named(self, earliest: float,
                       duration: float) -> Tuple[float, float, str]:
-        """Like :meth:`reserve`, also naming the server that was picked.
+        """Reserve on the server that can start the earliest; returns
+        ``(start, end, server_name)``.
 
         The fit found during the min-scan is reserved directly; ties keep
         the first (lowest-index) server, matching ``min`` semantics.  A

@@ -27,7 +27,6 @@ from .analyze import (
     build_rollup,
     critical_path_spans,
     diff_rollups,
-    diff_traces,
     extract_critical_path,
     format_analysis,
     format_critical_path,
@@ -92,7 +91,6 @@ __all__ = [
     "critical_path_spans",
     "default_glyph",
     "diff_rollups",
-    "diff_traces",
     "extract_critical_path",
     "format_analysis",
     "format_critical_path",

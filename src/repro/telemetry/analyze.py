@@ -728,14 +728,6 @@ def diff_rollups(baseline: Dict[str, object],
         rows=tuple(rows), class_deltas=class_deltas)
 
 
-def diff_traces(baseline: Union[Tracer, Dict[str, object], str],
-                current: Union[Tracer, Dict[str, object], str],
-                root: Optional[str] = None) -> TraceDiff:
-    """Diff two traces end to end (convenience over rollups)."""
-    return diff_rollups(build_rollup(load_trace(baseline), root=root),
-                        build_rollup(load_trace(current), root=root))
-
-
 # -- whole-trace analysis ------------------------------------------------
 
 @dataclass(frozen=True)

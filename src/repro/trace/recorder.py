@@ -41,16 +41,6 @@ class TraceRecorder:
             grouped.setdefault(op.kind, []).append(op)
         return grouped
 
-    def by_layer(self) -> Dict[int, List[Op]]:
-        """Group recorded ops by encoder layer index."""
-        grouped: Dict[int, List[Op]] = {}
-        for op in self.ops:
-            grouped.setdefault(op.layer, []).append(op)
-        return grouped
-
-    def total_flops(self) -> int:
-        return sum(op.flops for op in self.ops)
-
     def kind_signature(self) -> Tuple[Tuple[OpKind, Tuple[int, ...]], ...]:
         """Order-preserving (kind, shape) signature, for trace equivalence."""
         return tuple((op.kind, op.shape) for op in self.ops)

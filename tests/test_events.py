@@ -1,31 +1,18 @@
 """Tests for the gap-aware resource timelines and pools."""
 
-import bisect
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sched import Pool, Timeline
-from repro.sched.events import common_start, reserve_pair2
-
-
-def legacy_next_fit(timeline: Timeline, earliest: float,
-                    duration: float) -> float:
-    """The pre-optimization ``next_fit``: unconditional bisect + gap scan.
-
-    Kept verbatim as the parity reference for the gapless fast path."""
-    if duration < 0:
-        raise ValueError("duration must be non-negative")
-    index = bisect.bisect_right(timeline._ends, earliest)
-    candidate = earliest
-    starts, ends = timeline._starts, timeline._ends
-    while index < len(starts):
-        if starts[index] - candidate >= duration:
-            return candidate
-        candidate = max(candidate, ends[index])
-        index += 1
-    return candidate
+from repro.sched.events import reserve_pair2
+from tests.oracles.events import (
+    common_start,
+    legacy_next_fit,
+    pool_reserve,
+    reserve,
+    reserve_at,
+)
 
 
 def clone_timeline(timeline: Timeline) -> Timeline:
@@ -42,55 +29,55 @@ def clone_timeline(timeline: Timeline) -> Timeline:
 class TestTimeline:
     def test_sequential_reservations(self):
         timeline = Timeline("t")
-        assert timeline.reserve(0.0, 2.0) == (0.0, 2.0)
-        assert timeline.reserve(0.0, 3.0) == (2.0, 5.0)
+        assert reserve(timeline, 0.0, 2.0) == (0.0, 2.0)
+        assert reserve(timeline, 0.0, 3.0) == (2.0, 5.0)
 
     def test_backfills_gaps(self):
         timeline = Timeline("t")
-        timeline.reserve(10.0, 5.0)          # busy [10, 15]
-        start, end = timeline.reserve(0.0, 4.0)
+        reserve(timeline, 10.0, 5.0)         # busy [10, 15]
+        start, end = reserve(timeline, 0.0, 4.0)
         assert (start, end) == (0.0, 4.0)    # fits before the future block
 
     def test_gap_too_small_skipped(self):
         timeline = Timeline("t")
-        timeline.reserve(0.0, 2.0)           # [0, 2]
-        timeline.reserve(3.0, 2.0)           # [3, 5]
-        start, _ = timeline.reserve(0.0, 2.0)
+        reserve(timeline, 0.0, 2.0)          # [0, 2]
+        reserve(timeline, 3.0, 2.0)          # [3, 5]
+        start, _ = reserve(timeline, 0.0, 2.0)
         assert start == 5.0                  # 1-wide gap at [2,3] skipped
 
     def test_exact_fit_gap_used(self):
         timeline = Timeline("t")
-        timeline.reserve(0.0, 2.0)
-        timeline.reserve(4.0, 2.0)
-        start, _ = timeline.reserve(0.0, 2.0)
+        reserve(timeline, 0.0, 2.0)
+        reserve(timeline, 4.0, 2.0)
+        start, _ = reserve(timeline, 0.0, 2.0)
         assert start == 2.0
 
     def test_earliest_respected_inside_gap(self):
         timeline = Timeline("t")
-        timeline.reserve(10.0, 2.0)
-        start, _ = timeline.reserve(3.0, 2.0)
+        reserve(timeline, 10.0, 2.0)
+        start, _ = reserve(timeline, 3.0, 2.0)
         assert start == 3.0
 
     def test_busy_seconds_accumulate(self):
         timeline = Timeline("t")
-        timeline.reserve(0.0, 2.0)
-        timeline.reserve(5.0, 3.0)
+        reserve(timeline, 0.0, 2.0)
+        reserve(timeline, 5.0, 3.0)
         assert timeline.busy_seconds == pytest.approx(5.0)
         assert timeline.utilization(10.0) == pytest.approx(0.5)
 
     def test_zero_duration_allowed(self):
         timeline = Timeline("t")
-        assert timeline.reserve(1.0, 0.0) == (1.0, 1.0)
+        assert reserve(timeline, 1.0, 0.0) == (1.0, 1.0)
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
-            Timeline("t").reserve(0.0, -1.0)
+            reserve(Timeline("t"), 0.0, -1.0)
 
     def test_reserve_at_requires_free_slot(self):
         timeline = Timeline("t")
-        timeline.reserve(0.0, 5.0)
+        reserve(timeline, 0.0, 5.0)
         with pytest.raises(ValueError):
-            timeline.reserve_at(2.0, 1.0)
+            reserve_at(timeline, 2.0, 1.0)
 
     @given(st.lists(st.tuples(
         st.floats(min_value=0, max_value=100),
@@ -100,7 +87,7 @@ class TestTimeline:
         timeline = Timeline("t")
         intervals = []
         for earliest, duration in requests:
-            granted = timeline.reserve(earliest, duration)
+            granted = reserve(timeline, earliest, duration)
             if granted[1] > granted[0]:   # zero-width grants (including
                 intervals.append(granted)  # underflowed ones) occupy nothing
         intervals.sort()
@@ -114,7 +101,7 @@ class TestTimeline:
     def test_start_never_before_earliest(self, requests):
         timeline = Timeline("t")
         for earliest, duration in requests:
-            start, _ = timeline.reserve(earliest, duration)
+            start, _ = reserve(timeline, earliest, duration)
             assert start >= earliest - 1e-12
 
 
@@ -133,7 +120,7 @@ class TestNextFitParity:
         for earliest, duration in requests:
             assert timeline.next_fit(earliest, duration) == \
                 legacy_next_fit(timeline, earliest, duration)
-            timeline.reserve(earliest, duration)
+            reserve(timeline, earliest, duration)
 
     @given(request_lists)
     @settings(max_examples=100, deadline=None)
@@ -141,7 +128,7 @@ class TestNextFitParity:
         """When the flag says gapless, the busy set really is one block."""
         timeline = Timeline("t")
         for earliest, duration in requests:
-            timeline.reserve(earliest, duration)
+            reserve(timeline, earliest, duration)
             if timeline._gapless:
                 for end, nxt in zip(timeline._ends, timeline._starts[1:]):
                     assert end >= nxt
@@ -159,7 +146,7 @@ class TestNextFitParity:
         change any answer: the flag is an optimization, not a semantic."""
         timeline = Timeline("t")
         for req_earliest, req_duration in requests:
-            timeline.reserve(req_earliest, req_duration)
+            reserve(timeline, req_earliest, req_duration)
         forced = clone_timeline(timeline)
         forced._gapless = False
         assert timeline.next_fit(earliest, duration) == \
@@ -168,13 +155,13 @@ class TestNextFitParity:
     def test_sequential_appends_stay_gapless(self):
         timeline = Timeline("t")
         for i in range(10):
-            timeline.reserve(0.0, 1.0)
+            reserve(timeline, 0.0, 1.0)
         assert timeline._gapless
 
     def test_future_reservation_clears_flag(self):
         timeline = Timeline("t")
-        timeline.reserve(0.0, 1.0)
-        timeline.reserve(5.0, 1.0)
+        reserve(timeline, 0.0, 1.0)
+        reserve(timeline, 5.0, 1.0)
         assert not timeline._gapless
         # and the gap is then found by the general scan
         assert timeline.next_fit(0.0, 2.0) == 1.0
@@ -198,8 +185,8 @@ class TestReservePairParity:
             start = reserve_pair2(earliest, channel, hold, array, duration)
             expected = common_start(earliest, [(legacy_channel, hold),
                                                (legacy_array, duration)])
-            legacy_channel.reserve_at(expected, hold)
-            legacy_array.reserve_at(expected, duration)
+            reserve_at(legacy_channel, expected, hold)
+            reserve_at(legacy_array, expected, duration)
             assert start == expected
             assert channel._starts == legacy_channel._starts
             assert channel._ends == legacy_channel._ends
@@ -217,13 +204,13 @@ class TestCommonStart:
 
     def test_pushed_by_busier_resource(self):
         a, b = Timeline("a"), Timeline("b")
-        a.reserve(0.0, 5.0)
+        reserve(a, 0.0, 5.0)
         assert common_start(0.0, [(a, 1.0), (b, 1.0)]) == 5.0
 
     def test_finds_shared_gap(self):
         a, b = Timeline("a"), Timeline("b")
-        a.reserve(0.0, 2.0)       # a busy [0,2]
-        b.reserve(3.0, 2.0)       # b busy [3,5]
+        reserve(a, 0.0, 2.0)      # a busy [0,2]
+        reserve(b, 3.0, 2.0)      # b busy [3,5]
         # A 1-second joint reservation fits at [2,3].
         assert common_start(0.0, [(a, 1.0), (b, 1.0)]) == 2.0
 
@@ -231,15 +218,15 @@ class TestCommonStart:
 class TestPool:
     def test_parallel_servers(self):
         pool = Pool.with_servers("host", 2)
-        s1, _ = pool.reserve(0.0, 5.0)
-        s2, _ = pool.reserve(0.0, 5.0)
-        s3, _ = pool.reserve(0.0, 5.0)
+        s1, _ = pool_reserve(pool, 0.0, 5.0)
+        s2, _ = pool_reserve(pool, 0.0, 5.0)
+        s3, _ = pool_reserve(pool, 0.0, 5.0)
         assert s1 == 0.0 and s2 == 0.0
         assert s3 == 5.0
 
     def test_utilization_across_servers(self):
         pool = Pool.with_servers("host", 2)
-        pool.reserve(0.0, 4.0)
+        pool_reserve(pool, 0.0, 4.0)
         assert pool.utilization(4.0) == pytest.approx(0.5)
 
     def test_zero_servers_rejected(self):
@@ -259,6 +246,6 @@ class TestPool:
             start, end, name = pool.reserve_named(earliest, duration)
             best = min(legacy_pool.servers,
                        key=lambda s: s.next_fit(earliest, duration))
-            legacy_start, legacy_end = best.reserve(earliest, duration)
+            legacy_start, legacy_end = reserve(best, earliest, duration)
             assert (start, end, name) == (legacy_start, legacy_end,
                                           best.name)

@@ -12,6 +12,7 @@ from repro.arch import (
     make_gelu_lut,
 )
 from repro.model import all_bf16_values, gelu, is_bfloat16, to_bfloat16
+from tests.oracles.lut import lookup_grouped
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +124,7 @@ class TestDenseGroupedParity:
         lut = gelu_lut if lut_name == "gelu" else exp_lut
         values = self._all_bf16_patterns()
         dense = lut.lookup(values)
-        grouped = lut.lookup_grouped(values)
+        grouped = lookup_grouped(lut, values)
         # Bitwise comparison: NaNs must map to the same pattern too.
         assert np.array_equal(dense.view(np.uint32),
                               grouped.view(np.uint32))
@@ -146,7 +147,7 @@ class TestDenseGroupedParity:
         rng = np.random.default_rng(7)
         fine = rng.normal(scale=30, size=4096).astype(np.float32)
         assert np.array_equal(gelu_lut.lookup(fine).view(np.uint32),
-                              gelu_lut.lookup_grouped(fine).view(np.uint32))
+                              lookup_grouped(gelu_lut, fine).view(np.uint32))
 
 
 class TestLookupMechanics:

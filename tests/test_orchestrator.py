@@ -1,11 +1,19 @@
 """Tests for the multithreaded orchestration simulator (Figure 8)."""
 
+from collections import defaultdict
 
 import pytest
 
-from repro.arch import best_perf, homogeneous, infinite_link, nvlink
-from repro.model import protein_bert_tiny
+from repro.arch import (
+    best_perf,
+    homogeneous,
+    infinite_link,
+    nvlink,
+    table4_configs,
+)
+from repro.model import protein_bert_base, protein_bert_tiny
 from repro.sched import HostModel, Orchestrator
+from repro.telemetry import Tracer
 
 # A small but structurally complete workload for fast scheduling tests.
 CONFIG = protein_bert_tiny(num_layers=4, hidden_size=128, num_heads=4,
@@ -152,3 +160,45 @@ class TestResourceModel:
             assert a.kind_compute_seconds[kind] == pytest.approx(
                 b.kind_compute_seconds[kind], rel=0.05)
 
+
+
+class TestScheduleInvariants:
+    """Resource bounds on real BERT-base schedules, one case per Table 4
+    config: no resource or thread runs two things at once, nothing is
+    busier than 100%, and no thread works longer than the makespan."""
+
+    @pytest.mark.parametrize("hardware", table4_configs(),
+                             ids=lambda hardware: hardware.name)
+    def test_resource_bounds(self, hardware):
+        for batch, seq_len in ((8, 128), (32, 512)):
+            self._check(hardware, batch, seq_len)
+
+    @staticmethod
+    def _check(hardware, batch, seq_len):
+        tracer = Tracer()
+        result = Orchestrator(hardware).run(
+            protein_bert_base(), batch=batch, seq_len=seq_len,
+            record_tasks=True, tracer=tracer)
+
+        tracks = defaultdict(list)
+        for span in tracer.finished_spans():
+            if span.category in ("exec", "stream", "host", "task"):
+                tracks[span.category == "task", span.tid].append(
+                    (span.start, span.end))
+        assert any(is_thread for is_thread, _ in tracks)
+        assert any(not is_thread for is_thread, _ in tracks)
+        for track, intervals in tracks.items():
+            intervals.sort()
+            for (_, previous_end), (start, _) in zip(intervals,
+                                                     intervals[1:]):
+                assert start >= previous_end, (track, start, previous_end)
+
+        utilizations = (list(result.array_utilization.values())
+                        + list(result.channel_utilization.values())
+                        + [result.host_utilization])
+        assert max(utilizations) <= 1.0 + 1e-12
+
+        busy = defaultdict(float)
+        for record in result.task_log:
+            busy[record.thread] += record.end - record.start
+        assert max(busy.values()) <= result.makespan_seconds

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.arch import SimdOpcode
 from repro.trace import Op, OpKind, op_from_dict, op_to_dict
-from repro.verify import DifferentialHarness
+from tests.oracles.differential import DifferentialHarness
 
 op_kinds = st.sampled_from(list(OpKind))
 

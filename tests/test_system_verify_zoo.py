@@ -11,7 +11,7 @@ from repro.profiling import (
     prose_device_bytes,
 )
 from repro.system import ProSESystem, format_scaling, scaling_study
-from repro.verify import DifferentialHarness, campaign_report
+from tests.oracles.differential import DifferentialHarness, campaign_report
 
 FAST_CONFIG = protein_bert_tiny(num_layers=2, hidden_size=128, num_heads=4,
                                 intermediate_size=512, max_position=256)

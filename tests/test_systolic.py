@@ -5,16 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch import (
-    CycleAccurateArray,
-    ExecutionStats,
-    ProcessingElement,
-    SimdOpcode,
-    SimdStep,
-    SystolicArray,
-)
+from repro.arch import ExecutionStats, SimdOpcode, SimdStep, SystolicArray
 from repro.dataflow import ArrayType
 from repro.model import to_bfloat16
+from tests.oracles.cycle_sim import CycleAccurateArray
+from tests.oracles.pe import ProcessingElement
 
 
 class TestProcessingElement:
