@@ -3,7 +3,7 @@
     python -m repro.cli simulate --batch 128 --seq-len 512
     python -m repro.cli compare --baseline a100
     python -m repro.cli experiments --only "Figure 18"
-    python -m repro.cli dse --limit 40
+    python -m repro.cli dse --limit 40 --workers 2 --trace-out dse.json
     python -m repro.cli binding
     python -m repro.cli embed MEYQKLVIV ACDEFGHIK
     python -m repro.cli zoo
@@ -84,59 +84,30 @@ def _print_design_points(result) -> None:
 
 
 def cmd_dse(args: argparse.Namespace) -> int:
-    from .dse.explorer import DesignSpaceExplorer
-
-    explorer = DesignSpaceExplorer(batch=args.batch,
-                                   seq_len=args.seq_len)
-    result = explorer.sweep(limit=args.limit, workers=args.workers)
-    _print_design_points(result)
-    return 0
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
     import time
 
     from .dse.explorer import DesignSpaceExplorer
     from .dse.space import DEFAULT_PE_BUDGET
-    from .parallel import (
-        SweepExecutor,
-        cache_stats,
-        clear_caches,
-        configure,
-        record_cache_metrics,
-    )
-    from .telemetry import MetricsRegistry, Tracer, write_chrome_trace
-
-    if args.cache_dir:
-        configure(disk_dir=args.cache_dir)
-    if args.no_cache:
-        configure(enabled=False)
-    if args.clear_cache:
-        clear_caches(disk=True)
+    from .parallel import SweepExecutor
+    from .telemetry import Tracer, write_chrome_trace
 
     tracer = Tracer() if args.trace_out else None
-    metrics = MetricsRegistry()
     executor = SweepExecutor(SweepExecutor.resolve_workers(args.workers))
     explorer = DesignSpaceExplorer(batch=args.batch, seq_len=args.seq_len)
     started = time.perf_counter()
     result = explorer.sweep(pe_budget=args.budget or DEFAULT_PE_BUDGET,
                             limit=args.limit, executor=executor,
-                            tracer=tracer, metrics=metrics)
+                            tracer=tracer)
     elapsed = time.perf_counter() - started
     _print_design_points(result)
     print(f"wall time: {elapsed:.3f}s "
           f"({executor.workers} worker(s), mode={executor.last_mode})")
-    worker_stats = executor.last_cache_stats
-    parent_stats = cache_stats()
-    for name in sorted(set(worker_stats) | set(parent_stats)):
-        snap = worker_stats.get(name) or parent_stats.get(name)
-        print(f"cache[{name}]: {snap.hits} hits, {snap.misses} misses, "
-              f"{snap.disk_hits} disk hits")
-    record_cache_metrics(metrics, worker_stats or None)
+    for name, snap in sorted(executor.last_cache_stats.items()):
+        print(f"cache[{name}]: {snap.hits} hits, {snap.misses} misses")
     if args.trace_out:
         data = write_chrome_trace(
             tracer, args.trace_out,
-            metadata={"tool": "repro.cli sweep", "version": __version__,
+            metadata={"tool": "repro.cli dse", "version": __version__,
                       "workers": executor.workers,
                       "mode": executor.last_mode})
         print(f"trace: {len(data['traceEvents'])} events -> "
@@ -599,38 +570,20 @@ def build_parser() -> argparse.ArgumentParser:
                                   "(default $REPRO_SWEEP_WORKERS or 1)")
     experiments.set_defaults(handler=cmd_experiments)
 
-    dse = sub.add_parser("dse", help="design-space exploration")
+    dse = sub.add_parser(
+        "dse", help="design-space exploration sweep (Figures 16-17)")
     dse.add_argument("--batch", type=int, default=32)
     dse.add_argument("--seq-len", type=int, default=512)
-    dse.add_argument("--limit", type=int, default=None)
+    dse.add_argument("--limit", type=int, default=None,
+                     help="evaluate only the first N configurations")
+    dse.add_argument("--budget", type=int, default=None,
+                     help="PE budget (default 16384)")
     dse.add_argument("--workers", type=int, default=None,
                      help="evaluate configurations over N processes "
                           "(default $REPRO_SWEEP_WORKERS or 1)")
+    dse.add_argument("--trace-out", default=None,
+                     help="write a Perfetto trace of per-worker spans")
     dse.set_defaults(handler=cmd_dse)
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="parallel DSE sweep with shape-keyed memoization")
-    sweep.add_argument("--batch", type=int, default=32)
-    sweep.add_argument("--seq-len", type=int, default=512)
-    sweep.add_argument("--limit", type=int, default=None,
-                       help="evaluate only the first N configurations")
-    sweep.add_argument("--budget", type=int, default=None,
-                       help="PE budget (default 16384)")
-    sweep.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default "
-                            "$REPRO_SWEEP_WORKERS or 1)")
-    sweep.add_argument("--cache-dir", default=None,
-                       help="on-disk cache directory (default "
-                            "$REPRO_CACHE_DIR; unset disables the disk "
-                            "layer)")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="disable the trace/schedule caches")
-    sweep.add_argument("--clear-cache", action="store_true",
-                       help="empty the caches (including disk) first")
-    sweep.add_argument("--trace-out", default=None,
-                       help="write a Perfetto trace of per-worker spans")
-    sweep.set_defaults(handler=cmd_sweep)
 
     binding = sub.add_parser("binding",
                              help="Section 2.2 binding-affinity study")
@@ -827,6 +780,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command is None:
         _print_overview(parser)
         return 0
+    for flag in ("workers", "limit"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise SystemExit(f"--{flag} must be at least 1, got {value}")
     return args.handler(args)
 
 

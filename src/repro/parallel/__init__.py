@@ -6,22 +6,17 @@ Two cooperating pieces:
   experiment artifacts, fault-rate campaigns) out over a process pool;
   ``workers=1`` is the bit-identical serial path, and results always
   come back in input order regardless of worker count.
-* the shape-keyed caches (:mod:`repro.parallel.cache`) — traced dataflow
-  graphs keyed by ``(model_config, batch, seq_len)`` and schedules keyed
-  by ``(trace_key, hardware_config, link, host)``, with an in-memory LRU
-  plus an optional on-disk layer (``REPRO_CACHE_DIR``).
+* the shape-keyed caches (:mod:`repro.parallel.cache`) — per-process
+  in-memory LRUs holding traced dataflow graphs keyed by
+  ``(model_config, batch, seq_len, with_mask)`` and schedules keyed by
+  ``(trace_key, hardware_config, host)``, all compared by value.
 """
 
 from .cache import (
-    CACHE_VERSION,
-    ENV_CACHE_DIR,
     CacheStats,
     ShapeCache,
     cache_stats,
     clear_caches,
-    configure,
-    content_hash,
-    get_cache,
     record_cache_metrics,
     schedule_cache,
     schedule_key,
@@ -32,9 +27,7 @@ from .executor import ENV_WORKERS, SweepExecutor
 from .memo import cached_build_graph, cached_schedule
 
 __all__ = [
-    "CACHE_VERSION",
     "CacheStats",
-    "ENV_CACHE_DIR",
     "ENV_WORKERS",
     "ShapeCache",
     "SweepExecutor",
@@ -42,9 +35,6 @@ __all__ = [
     "cached_build_graph",
     "cached_schedule",
     "clear_caches",
-    "configure",
-    "content_hash",
-    "get_cache",
     "record_cache_metrics",
     "schedule_cache",
     "schedule_key",

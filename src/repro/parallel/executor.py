@@ -174,5 +174,3 @@ class SweepExecutor:
             for name, delta in merged.items():
                 metrics.counter(f"cache/{name}/hits").inc(delta.hits)
                 metrics.counter(f"cache/{name}/misses").inc(delta.misses)
-                metrics.counter(f"cache/{name}/disk_hits").inc(
-                    delta.disk_hits)

@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 def cached_build_graph(config: "BertConfig", batch: int, seq_len: int,
                        with_mask: bool = False) -> DataflowGraph:
-    """Trace a workload once per process (plus the optional disk layer).
+    """Trace a workload once per process.
 
     The graph is immutable (frozen dataclass nodes), so sharing one
     instance across orchestrator runs is safe.
@@ -42,38 +42,24 @@ def cached_build_graph(config: "BertConfig", batch: int, seq_len: int,
 
 def cached_schedule(hardware: "HardwareConfig", model_config: "BertConfig",
                     batch: int, seq_len: int,
-                    host: Optional["HostModel"] = None,
-                    threads: Optional[int] = None,
-                    contention_coefficient: Optional[float] = None,
-                    dispatch_overhead: Optional[float] = None
-                    ) -> "ScheduleResult":
+                    host: Optional["HostModel"] = None) -> "ScheduleResult":
     """Simulate one batched inference, memoized on its full shape key.
 
     The key covers the workload (via :func:`trace_key`), the hardware
-    configuration (which embeds its link and lane partition), the host
-    model, and every orchestrator knob, so any change to the operating
-    point misses rather than returning a stale schedule.
+    configuration (which embeds its link, lane partition and thread
+    count) and the host model, so any change to the operating point
+    misses rather than returning a stale schedule.
     """
     from ..sched.host import HostModel
-    from ..sched.orchestrator import CONTENTION_COEFFICIENT, Orchestrator
-    from ..arch.interconnect import DISPATCH_OVERHEAD_SECONDS
+    from ..sched.orchestrator import Orchestrator
 
     host = host or HostModel()
-    if contention_coefficient is None:
-        contention_coefficient = CONTENTION_COEFFICIENT
-    if dispatch_overhead is None:
-        dispatch_overhead = DISPATCH_OVERHEAD_SECONDS
     cache = schedule_cache()
     key = schedule_key(trace_key(model_config, batch, seq_len), hardware,
-                       host, threads=threads,
-                       contention_coefficient=contention_coefficient,
-                       dispatch_overhead=dispatch_overhead)
+                       host)
     result = cache.get(key)
     if result is None:
-        result = Orchestrator(
-            hardware, host=host,
-            contention_coefficient=contention_coefficient,
-            dispatch_overhead=dispatch_overhead).run(
-                model_config, batch=batch, seq_len=seq_len, threads=threads)
+        result = Orchestrator(hardware, host=host).run(
+            model_config, batch=batch, seq_len=seq_len)
         cache.put(key, result)
     return result

@@ -1,6 +1,7 @@
 """Tests for the parallel sweep engine and shape-keyed memoization."""
 
 import dataclasses
+import enum
 import re
 
 import pytest
@@ -9,7 +10,9 @@ from repro.arch.config import best_perf, most_efficient
 from repro.arch.interconnect import make_partition, nvlink
 from repro.arch.lut import make_exp_lut, make_gelu_lut
 from repro.dse.explorer import DesignSpaceExplorer
-from repro.model.config import protein_bert_tiny
+from repro.dse.space import enumerate_configs
+from repro.experiments.figure17 import DEFAULT_BUDGETS
+from repro.model.config import protein_bert_base, protein_bert_tiny
 from repro.parallel import (
     ShapeCache,
     SweepExecutor,
@@ -17,8 +20,6 @@ from repro.parallel import (
     cached_build_graph,
     cached_schedule,
     clear_caches,
-    configure,
-    content_hash,
     schedule_cache,
     schedule_key,
     trace_cache,
@@ -38,10 +39,8 @@ FAST_CONFIG = protein_bert_tiny(num_layers=2, hidden_size=128, num_heads=4,
 def _fresh_caches():
     """Isolate every test from cache state left by its neighbours."""
     clear_caches()
-    configure(enabled=True, disk_dir=None)
     yield
     clear_caches()
-    configure(enabled=True, disk_dir=None)
 
 
 def _double(value):
@@ -57,7 +56,7 @@ class TestKeys:
         a = trace_key(FAST_CONFIG, 8, 128)
         b = trace_key(FAST_CONFIG, 8, 128)
         assert a == b
-        assert re.fullmatch(r"[0-9a-f]{32}", a)
+        assert a == trace_key(dataclasses.replace(FAST_CONFIG), 8, 128)
 
     def test_trace_key_sensitive_to_workload_shape(self):
         base = trace_key(FAST_CONFIG, 8, 128)
@@ -87,12 +86,42 @@ class TestKeys:
         hardware = best_perf()
         base = schedule_key(trace, hardware, HostModel())
         assert schedule_key(trace, hardware, HostModel(slots=4)) != base
-        assert schedule_key(trace, hardware, HostModel(),
-                            threads=8) != base
 
     def test_content_hash_rejects_unknown_types(self):
+        key = schedule_key(trace_key(FAST_CONFIG, 8, 128), [best_perf()],
+                           HostModel())
         with pytest.raises(TypeError):
-            content_hash(object())
+            ShapeCache("t").put(key, 1)
+
+    @staticmethod
+    def _assert_value_hashed(value, path):
+        if dataclasses.is_dataclass(value):
+            assert type(value).__dataclass_params__.frozen, path
+            for field in dataclasses.fields(value):
+                TestKeys._assert_value_hashed(
+                    getattr(value, field.name), f"{path}.{field.name}")
+        elif isinstance(value, tuple):
+            for index, item in enumerate(value):
+                TestKeys._assert_value_hashed(item, f"{path}[{index}]")
+        else:
+            assert value is None or isinstance(
+                value, (enum.Enum, str, int, float, bool)), (
+                    f"{path}: {type(value).__qualname__}")
+
+    def test_key_components_hash_by_value(self):
+        configs = [config for budget in DEFAULT_BUDGETS
+                   for config in enumerate_configs(budget)]
+        host = HostModel()
+        for name, value in (("best_perf", best_perf()),
+                            ("protein_bert_base", protein_bert_base()),
+                            ("HostModel", host)):
+            self._assert_value_hashed(value, name)
+        for config in configs:
+            self._assert_value_hashed(config, config.name)
+        trace = trace_key(protein_bert_base(), 32, 512)
+        assert len(configs) == 846
+        assert len({schedule_key(trace, config, host)
+                    for config in configs}) == 846
 
 
 class TestShapeCache:
@@ -113,34 +142,6 @@ class TestShapeCache:
         assert cache.get("b") is None
         assert cache.get("a") == 1
         assert cache.stats.evictions == 1
-
-    def test_disabled_cache_is_passthrough(self):
-        cache = ShapeCache("t", enabled=False)
-        cache.put("k", 1)
-        assert cache.get("k") is None
-        assert len(cache) == 0
-
-    def test_disk_layer_round_trip(self, tmp_path):
-        first = ShapeCache("sched", disk_dir=tmp_path)
-        first.put("deadbeef", {"makespan": 1.5})
-        assert (tmp_path / "sched" / "deadbeef.pkl").is_file()
-        fresh = ShapeCache("sched", disk_dir=tmp_path)
-        assert fresh.get("deadbeef") == {"makespan": 1.5}
-        assert fresh.stats.disk_hits == 1
-
-    def test_disk_clear(self, tmp_path):
-        cache = ShapeCache("sched", disk_dir=tmp_path)
-        cache.put("k", 1)
-        cache.clear(disk=True)
-        assert cache.get("k") is None
-        assert not list((tmp_path / "sched").glob("*.pkl"))
-
-    def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
-        (tmp_path / "sched").mkdir()
-        (tmp_path / "sched" / "bad.pkl").write_bytes(b"not a pickle")
-        cache = ShapeCache("sched", disk_dir=tmp_path)
-        assert cache.get("bad") is None
-        assert not (tmp_path / "sched" / "bad.pkl").exists()
 
 
 class TestMemo:
@@ -166,13 +167,6 @@ class TestMemo:
         again = cached_schedule(hardware, FAST_CONFIG, batch=4,
                                 seq_len=64)
         assert again is memoized
-
-    def test_cached_schedule_disk_layer(self, tmp_path):
-        configure(disk_dir=tmp_path)
-        cached_schedule(best_perf(), FAST_CONFIG, batch=4, seq_len=64)
-        clear_caches()          # drop memory, keep disk
-        cached_schedule(best_perf(), FAST_CONFIG, batch=4, seq_len=64)
-        assert schedule_cache().stats.disk_hits >= 1
 
 
 class TestExecutor:
@@ -325,20 +319,11 @@ class TestCliSweep:
     def test_sweep_subcommand(self, capsys):
         from repro.cli import main
 
-        assert main(["sweep", "--limit", "2", "--workers", "1",
+        assert main(["dse", "--limit", "2", "--workers", "1",
                      "--batch", "4", "--seq-len", "64"]) == 0
         out = capsys.readouterr().out
         assert "evaluated 2 configurations" in out
         assert "cache[schedule]" in out
-
-    def test_sweep_no_cache(self, capsys):
-        from repro.cli import main
-
-        assert main(["sweep", "--limit", "2", "--workers", "1",
-                     "--batch", "4", "--seq-len", "64",
-                     "--no-cache"]) == 0
-        out = capsys.readouterr().out
-        assert "evaluated 2 configurations" in out
 
     def test_global_stats_observable(self):
         cached_build_graph(FAST_CONFIG, batch=2, seq_len=64)

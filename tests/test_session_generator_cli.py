@@ -132,10 +132,23 @@ class TestCli:
             assert name in out
 
     def test_workers_help_documents_env_default(self, capsys):
-        for command in ("experiments", "dse", "sweep", "reliability"):
+        for command in ("experiments", "dse", "reliability"):
             with pytest.raises(SystemExit):
                 main([command, "--help"])
             assert "REPRO_SWEEP_WORKERS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["experiments", "--workers", "0"],
+        ["dse", "--workers", "-2"],
+        ["dse", "--limit", "0"],
+        ["reliability", "--sweep", "--workers", "0"],
+        ["fleet", "--scenario", "all", "--workers", "0"],
+    ])
+    def test_nonpositive_counts_rejected(self, argv):
+        flag, value = argv[-2:]
+        with pytest.raises(SystemExit,
+                           match=f"^{flag} must be at least 1, got {value}$"):
+            main(argv)
 
     def test_version_flag(self, capsys):
         from repro import __version__
