@@ -7,7 +7,9 @@ bit for bit, against ``schedule_pins.json``:
   including the per-task ``task_log``;
 * the :class:`~repro.telemetry.MetricsRegistry` snapshot;
 * the sha256 of the bytes :func:`~repro.telemetry.write_chrome_trace`
-  writes for the run's tracer.
+  writes for the run's tracer;
+* the sha256 of the trace analysis (``analyze_trace(tracer).to_json()``)
+  and of its rollup (``build_rollup``, as sorted-keys JSON).
 
 Floats are stored through ``json`` (shortest round-tripping repr), so an
 equal record means identical floats.  Regenerate the fixture, only when
@@ -29,11 +31,19 @@ import pytest
 from repro.arch import best_perf
 from repro.arch.config import ArrayGroup, HardwareConfig
 from repro.dataflow import ArrayType
+from repro.fleet import FleetSimulator, build_fleet, build_scenario
 from repro.model import protein_bert_tiny
+from repro.reliability import FaultModel
 from repro.sched import Orchestrator
 from repro.sched.orchestrator import ScheduleResult
 from repro.system.multi import ProSESystem
-from repro.telemetry import MetricsRegistry, Tracer, write_chrome_trace
+from repro.telemetry import (
+    MetricsRegistry,
+    Tracer,
+    analyze_trace,
+    build_rollup,
+    write_chrome_trace,
+)
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "schedule_pins.json")
 
@@ -82,6 +92,10 @@ def trace_sha256(tracer: Tracer) -> str:
             return hashlib.sha256(handle.read()).hexdigest()
 
 
+def text_sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def _observed(run: Callable[[Tracer, MetricsRegistry],
                             List[ScheduleResult]]) -> Dict[str, object]:
     tracer, metrics = Tracer(), MetricsRegistry()
@@ -89,7 +103,10 @@ def _observed(run: Callable[[Tracer, MetricsRegistry],
     return {"schedules": [schedule_record(r) for r in results],
             "metrics": metrics.rows(),
             "spans": len(tracer),
-            "chrome_trace_sha256": trace_sha256(tracer)}
+            "chrome_trace_sha256": trace_sha256(tracer),
+            "analysis_sha256": text_sha256(analyze_trace(tracer).to_json()),
+            "rollup_sha256": text_sha256(
+                json.dumps(build_rollup(tracer), sort_keys=True))}
 
 
 def best_perf_batch4() -> Dict[str, object]:
@@ -113,9 +130,36 @@ def system_simulate() -> Dict[str, object]:
             metrics=metrics).per_instance))
 
 
+def system_one_failure() -> Dict[str, object]:
+    # The recovery shard runs a second orchestrator phase, at an offset,
+    # on the surviving instance's pid.
+    def run(tracer, metrics):
+        report = ProSESystem(best_perf(), instances=2).simulate_with_faults(
+            CONFIG, batch=6, seq_len=64,
+            fault_model=FaultModel(seed=11, targeted_instance_failures=(1,)),
+            tracer=tracer, metrics=metrics)
+        return list(report.base.per_instance) + list(report.recovery)
+    return _observed(run)
+
+
+def fleet_rack_power_loss() -> Dict[str, object]:
+    # No ScheduleResult: pins the shard/fabric/recovery span categories.
+    def run(tracer, metrics):
+        topology = build_fleet(racks=2, hosts_per_rack=2,
+                               instances_per_host=2)
+        FleetSimulator(topology, model_config=CONFIG, seq_len=64,
+                       reference_batch=4).run(
+            batch=64, scenario=build_scenario("rack_power_loss", topology),
+            tracer=tracer, metrics=metrics)
+        return []
+    return _observed(run)
+
+
 CASES = {"best_perf_batch4": best_perf_batch4,
          "mixed_g_sizes_offset": mixed_sizes_offset,
-         "system_simulate_2x": system_simulate}
+         "system_simulate_2x": system_simulate,
+         "system_faults_one_failure": system_one_failure,
+         "fleet_rack_power_loss": fleet_rack_power_loss}
 
 
 def _normalized(record: Dict[str, object]) -> Dict[str, object]:
@@ -141,6 +185,8 @@ def test_schedule_result_pinned(pins, case):
     assert got["metrics"] == want["metrics"]
     assert got["spans"] == want["spans"]
     assert got["chrome_trace_sha256"] == want["chrome_trace_sha256"]
+    assert got["analysis_sha256"] == want["analysis_sha256"]
+    assert got["rollup_sha256"] == want["rollup_sha256"]
 
 
 def test_mixed_config_places_on_both_g_sizes():
