@@ -405,9 +405,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     if args.top < 1:
         raise SystemExit(f"--top must be at least 1, got {args.top}")
-    tracer = load_trace(args.trace)
-    against = load_trace(args.against) if args.against else None
 
+    def load(path: str):
+        try:
+            return load_trace(path)
+        except (OSError, ValueError) as error:
+            raise SystemExit(f"cannot analyze {path}: {error}") from error
+
+    tracer = load(args.trace)
+    against = load(args.against) if args.against else None
     try:
         analysis = analyze_trace(tracer, against=against, root=args.root)
     except ValueError as error:

@@ -26,6 +26,7 @@ from ..dataflow.graph import DataflowGraph, HostTask
 from ..dataflow.patterns import ArrayType, Dataflow
 from ..model.config import BertConfig
 from ..telemetry import Histogram, MetricsRegistry, Tracer
+from ..telemetry.analyze import bottleneck_of
 from .events import Pool, Timeline, reserve_pair2
 from .host import HostModel
 
@@ -89,26 +90,20 @@ class ScheduleResult:
         """Batch latency (the makespan)."""
         return self.makespan_seconds
 
-    #: Tie-break priority of resource classes in :attr:`bottleneck`.
-    BOTTLENECK_PRIORITY = ("array", "link", "host")
-
     @property
     def bottleneck(self) -> str:
         """Which resource class limits this schedule.
 
         Exact utilization ties are broken deterministically: by resource
-        class (array > link > host), then alphabetically within a class.
+        class (array > link > host), then alphabetically within a class
+        (see :func:`~repro.telemetry.analyze.bottleneck_of`).
         """
-        rank = {cls: i for i, cls in enumerate(self.BOTTLENECK_PRIORITY)}
-        candidates = [("host", self.host_utilization)]
+        utilization = {"host": self.host_utilization}
         for array_type, value in self.array_utilization.items():
-            candidates.append((f"array:{array_type.value}", value))
+            utilization[f"array:{array_type.value}"] = value
         for array_type, value in self.channel_utilization.items():
-            candidates.append((f"link:{array_type.value}", value))
-        return min(candidates,
-                   key=lambda item: (-item[1],
-                                     rank[item[0].split(":")[0]],
-                                     item[0]))[0]
+            utilization[f"link:{array_type.value}"] = value
+        return bottleneck_of(utilization)
 
     @property
     def compute_bound(self) -> bool:

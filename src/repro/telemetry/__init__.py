@@ -27,15 +27,12 @@ from .analyze import (
     build_rollup,
     critical_path_spans,
     diff_rollups,
-    extract_critical_path,
     format_analysis,
     format_critical_path,
     format_diff,
     format_utilization,
     load_trace,
-    phase_verdicts,
     tracer_from_chrome_trace,
-    utilization_report,
     validate_rollup,
 )
 from .export import (
@@ -91,20 +88,17 @@ __all__ = [
     "critical_path_spans",
     "default_glyph",
     "diff_rollups",
-    "extract_critical_path",
     "format_analysis",
     "format_critical_path",
     "format_diff",
     "format_hotspots",
     "format_utilization",
     "load_trace",
-    "phase_verdicts",
     "profile",
     "render_tracer",
     "render_tracks",
     "to_chrome_trace",
     "tracer_from_chrome_trace",
-    "utilization_report",
     "validate_chrome_trace",
     "validate_rollup",
     "write_chrome_trace",

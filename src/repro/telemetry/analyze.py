@@ -2,8 +2,8 @@
 
 The recording layers (:class:`~repro.telemetry.spans.Tracer`, the
 metrics registry, the SLO monitor) can say *what* happened; this module says
-*why a number is what it is*.  Three analyses over a finished trace —
-a live :class:`Tracer` or an exported Chrome-trace JSON:
+*why a number is what it is*.  Three analyses over one sorted list of a
+finished trace's spans (a live :class:`Tracer` or Chrome-trace JSON):
 
 * **critical path** — starting from the end of the root span, repeatedly
   hop to the span whose completion unblocked the current instant (the
@@ -18,8 +18,8 @@ a live :class:`Tracer` or an exported Chrome-trace JSON:
   ``bottleneck`` the scheduler recorded on its run span.
 * **trace diff** — two traces of the same scenario aligned by span
   ``(name, category)`` structure; the end-to-end delta is attributed to
-  the top-k span groups that moved.  Rollups (the compact aggregation
-  the diff runs on) are JSON documents, so a committed rollup can serve
+  the top-k span groups that moved.  Rollups (the diff's input, carried
+  by each analysis) are JSON documents, so a committed rollup can serve
   as the baseline of a later diff without re-running old code.
 
 Everything here is read-only over recorded spans: analyzing a run can
@@ -74,43 +74,49 @@ def tracer_from_chrome_trace(data: Dict[str, object]) -> Tracer:
     labels, ``X`` events become spans (the ``clock`` attribute survives
     the round trip through ``args``), ``i`` events become instants.
     Counter tracks and the profile process carry no schedule structure
-    and are skipped.
+    and are skipped.  A malformed document raises :class:`ValueError`
+    naming the offending event index and key.
     """
-    events = data.get("traceEvents")
+    events = data.get("traceEvents") if isinstance(data, dict) else None
     if not isinstance(events, list):
         raise ValueError("trace must carry a traceEvents list")
     pid_names: Dict[int, str] = {}
     tid_names: Dict[Tuple[int, int], str] = {}
-    for event in events:
-        if event.get("ph") != "M":
-            continue
-        if event.get("name") == "process_name":
-            pid_names[event["pid"]] = event["args"]["name"]
-        elif event.get("name") == "thread_name":
-            tid_names[(event["pid"], event["tid"])] = event["args"]["name"]
     tracer = Tracer()
-    for event in events:
-        phase = event.get("ph")
-        if phase not in ("X", "i"):
-            continue
-        pid = pid_names.get(event["pid"], str(event["pid"]))
-        if pid in ("profile", "analysis"):
-            # Derived tracks (hotspot lanes, a previous run's critical-
-            # path highlight) would double-count if re-analyzed.
-            continue
-        tid = tid_names.get((event["pid"], event["tid"]),
-                            str(event["tid"]))
-        args = dict(event.get("args") or {})
-        start = float(event["ts"]) / 1e6
-        if phase == "i":
-            tracer.instant(event["name"], start, pid=pid, tid=tid,
-                           category=str(event.get("cat", "event")), **args)
-            continue
-        clock = str(args.pop("clock", SIM_CLOCK))
-        end = start + float(event.get("dur", 0.0)) / 1e6
-        tracer.add_span(event["name"], start, end, pid=pid, tid=tid,
-                        category=str(event.get("cat", "span")),
-                        clock=clock, **args)
+    try:
+        for index, event in enumerate(events):
+            if event.get("ph") != "M":
+                continue
+            if event.get("name") == "process_name":
+                pid_names[event["pid"]] = event["args"]["name"]
+            elif event.get("name") == "thread_name":
+                tid_names[(event["pid"], event["tid"])] = event["args"]["name"]
+        for index, event in enumerate(events):
+            phase = event.get("ph")
+            if phase not in ("X", "i"):
+                continue
+            pid = pid_names.get(event["pid"], str(event["pid"]))
+            if pid in ("profile", "analysis"):
+                # Derived tracks (hotspot lanes, a critical-path
+                # highlight) would double-count if re-analyzed.
+                continue
+            tid = tid_names.get((event["pid"], event["tid"]),
+                                str(event["tid"]))
+            args = dict(event.get("args") or {})
+            start = float(event["ts"]) / 1e6
+            if phase == "i":
+                tracer.instant(event["name"], start, pid=pid, tid=tid,
+                               category=str(event.get("cat", "event")),
+                               **args)
+                continue
+            clock = str(args.pop("clock", SIM_CLOCK))
+            end = start + float(event.get("dur", 0.0)) / 1e6
+            tracer.add_span(event["name"], start, end, pid=pid, tid=tid,
+                            category=str(event.get("cat", "span")),
+                            clock=clock, **args)
+    except KeyError as error:
+        raise ValueError(f"trace event {index} has no {error.args[0]!r} "
+                         f"key") from error
     return tracer
 
 
@@ -120,18 +126,13 @@ def load_trace(source: Union[Tracer, Dict[str, object], str]) -> Tracer:
         return source
     if isinstance(source, str):
         with open(source, encoding="utf-8") as handle:
-            source = json.load(handle)
+            return tracer_from_chrome_trace(json.load(handle))
     if isinstance(source, dict):
         return tracer_from_chrome_trace(source)
     raise TypeError(f"cannot load a trace from {type(source).__name__}")
 
 
-def _sim_spans(tracer: Tracer) -> List[Span]:
-    return [span for span in tracer.finished_spans()
-            if span.clock == SIM_CLOCK]
-
-
-def find_root(tracer: Tracer, name: Optional[str] = None) -> Span:
+def _find_root(spans: List[Span], name: Optional[str]) -> Span:
     """The end-to-end span the analyses anchor on.
 
     With ``name``, the longest sim-time span of that name.  Otherwise
@@ -139,7 +140,6 @@ def find_root(tracer: Tracer, name: Optional[str] = None) -> Span:
     exists — e.g. a hand-built trace — a synthetic span covering the
     hull of all sim-time spans.
     """
-    spans = _sim_spans(tracer)
     if not spans:
         raise ValueError("trace has no finished sim-time spans")
     if name is not None:
@@ -221,9 +221,7 @@ class CriticalPath:
                 "by_category": self.by_category()}
 
 
-def extract_critical_path(tracer: Tracer, root: Optional[str] = None,
-                          epsilon: float = DEFAULT_EPSILON
-                          ) -> CriticalPath:
+def _critical_path(spans: List[Span], root_span: Span) -> CriticalPath:
     """Chain the blocking predecessors of the end-to-end span.
 
     Walks backward from the root's end: at every cursor the blocking
@@ -233,12 +231,11 @@ def extract_critical_path(tracer: Tracer, root: Optional[str] = None,
     span reaches produces a synthetic :data:`IDLE_HOP` — on nominal
     simulator traces the chain is gap-free by construction.
     """
-    root_span = find_root(tracer, root)
     candidates = [
-        span for span in _sim_spans(tracer)
+        span for span in spans
         if span is not root_span and span.duration > 0.0
-        and span.end > root_span.start + epsilon
-        and span.start < root_span.end - epsilon
+        and span.end > root_span.start + DEFAULT_EPSILON
+        and span.start < root_span.end - DEFAULT_EPSILON
         and span.category not in _ROOT_CATEGORIES
         and span.category not in ("critical", "idle")]
     # Sorted by end for the bisect walk; the tie-break key picks the
@@ -248,46 +245,36 @@ def extract_critical_path(tracer: Tracer, root: Optional[str] = None,
     hops: List[CriticalHop] = []
     gap_seconds = 0.0
     cursor = root_span.end
-
-    def emit(span: Span, upper: float) -> float:
-        lower = max(span.start, root_span.start)
-        hops.append(CriticalHop(
-            name=span.name, pid=span.pid, tid=span.tid,
-            category=span.category, start=span.start, end=span.end,
-            self_seconds=upper - lower,
-            kind=str(span.args.get("kind", "")),
-            resource=str(span.args.get("resource", ""))))
-        return lower
-
-    while cursor > root_span.start + epsilon:
-        index = bisect_right(ends, cursor + epsilon) - 1
-        if index < 0:
-            # Nothing ends at or before the cursor: idle back to start.
-            gap = cursor - root_span.start
-            gap_seconds += gap
-            hops.append(CriticalHop(
-                name=IDLE_HOP, pid=root_span.pid, tid=root_span.tid,
-                category="idle", start=root_span.start, end=cursor,
-                self_seconds=gap))
-            break
-        best = candidates[index]
+    while cursor > root_span.start + DEFAULT_EPSILON:
+        index = bisect_right(ends, cursor + DEFAULT_EPSILON) - 1
+        best = candidates[index] if index >= 0 else None
         scan = index - 1
-        while scan >= 0 and ends[scan] >= best.end - epsilon:
+        while scan >= 0 and ends[scan] >= best.end - DEFAULT_EPSILON:
             other = candidates[scan]
             if (other.start, other.pid, other.tid, other.name) > (
                     best.start, best.pid, best.tid, best.name):
                 best = other
             scan -= 1
-        if best.end < cursor - epsilon:
-            gap = cursor - best.end
+        if best is None or best.end < cursor - DEFAULT_EPSILON:
+            # Nothing ends at the cursor: idle back to the latest end
+            # before it, or to the root's start if nothing ends before.
+            idle_from = root_span.start if best is None else best.end
+            gap = cursor - idle_from
             gap_seconds += gap
             hops.append(CriticalHop(
                 name=IDLE_HOP, pid=root_span.pid, tid=root_span.tid,
-                category="idle", start=best.end, end=cursor,
+                category="idle", start=idle_from, end=cursor,
                 self_seconds=gap))
-            cursor = best.end
+            cursor = idle_from
             continue
-        cursor = emit(best, cursor)
+        lower = max(best.start, root_span.start)
+        hops.append(CriticalHop(
+            name=best.name, pid=best.pid, tid=best.tid,
+            category=best.category, start=best.start, end=best.end,
+            self_seconds=cursor - lower,
+            kind=str(best.args.get("kind", "")),
+            resource=str(best.args.get("resource", ""))))
+        cursor = lower
     hops.reverse()
     return CriticalPath(root_name=root_span.name, root_pid=root_span.pid,
                         root_seconds=root_span.duration,
@@ -359,11 +346,13 @@ class PhaseVerdict:
                 "utilization": dict(sorted(self.utilization.items()))}
 
 
-#: The scheduler's deterministic bottleneck tie-break, mirrored.
+#: Resource classes in bottleneck tie-break order.
 _BOTTLENECK_RANK = {"array": 0, "link": 1, "host": 2}
 
 
-def _verdict_of(utilization: Dict[str, float]) -> str:
+def bottleneck_of(utilization: Dict[str, float]) -> str:
+    """The busiest of ``host``/``array:<T>``/``link:<T>``; exact ties go
+    array > link > host, then alphabetically (the scheduler's rule)."""
     return min(utilization.items(),
                key=lambda item: (-item[1],
                                  _BOTTLENECK_RANK.get(
@@ -383,21 +372,25 @@ def _array_type_of_tid(tid: str) -> Optional[str]:
     return head.rsplit(" ", 1)[-1] if " " in head else None
 
 
-def phase_verdicts(tracer: Tracer,
-                   epsilon: float = DEFAULT_EPSILON) -> List[PhaseVerdict]:
+def _phase_verdicts(spans: List[Span]) -> List[PhaseVerdict]:
     """Recompute "bound by" per scheduler run span, from spans alone.
 
     Each ``orchestrator.run`` span is one phase.  Busy time per array
     group and link channel comes from the ``exec``/``stream``/``host``
-    spans inside the phase window on the phase's pid; idle resources
+    spans inside the phase window on the phase's pid (a recovery shard
+    runs a second, offset phase on a surviving pid); idle resources
     contribute through the inventory counts the run span carries.
     Phases without that inventory metadata are skipped.
     """
+    phases: List[Span] = []
+    busy_by_pid: Dict[str, List[Span]] = {}
+    for span in spans:
+        if span.category == "run" and span.name == "orchestrator.run":
+            phases.append(span)
+        elif span.category in ("exec", "stream", "host"):
+            busy_by_pid.setdefault(span.pid, []).append(span)
     verdicts: List[PhaseVerdict] = []
-    spans = _sim_spans(tracer)
-    for phase in spans:
-        if phase.category != "run" or phase.name != "orchestrator.run":
-            continue
+    for phase in phases:
         args = phase.args
         host_slots = args.get("host_slots")
         if not isinstance(host_slots, int):
@@ -406,40 +399,32 @@ def phase_verdicts(tracer: Tracer,
                   for key, value in args.items()
                   if key.startswith("arrays_") and isinstance(value, int)}
         duration = phase.duration
-        busy_array: Dict[str, float] = {}
-        busy_link: Dict[str, float] = {}
-        busy_host = 0.0
-        for span in spans:
-            if (span.pid != phase.pid
-                    or span.start < phase.start - epsilon
-                    or span.end > phase.end + epsilon):
+        busy: Dict[str, float] = {}
+        for span in busy_by_pid.get(phase.pid, ()):
+            if (span.start < phase.start - DEFAULT_EPSILON
+                    or span.end > phase.end + DEFAULT_EPSILON):
                 continue
-            if span.category == "exec":
+            resource = CATEGORY_CLASSES[span.category]
+            if resource != "host":
                 array_type = _array_type_of_tid(span.tid)
-                if array_type:
-                    busy_array[array_type] = (
-                        busy_array.get(array_type, 0.0) + span.duration)
-            elif span.category == "stream":
-                array_type = _array_type_of_tid(span.tid)
-                if array_type:
-                    busy_link[array_type] = (
-                        busy_link.get(array_type, 0.0) + span.duration)
-            elif span.category == "host":
-                busy_host += span.duration
+                if not array_type:
+                    continue
+                resource += f":{array_type}"
+            busy[resource] = busy.get(resource, 0.0) + span.duration
         utilization: Dict[str, float] = {
-            "host": (busy_host / (duration * host_slots)
+            "host": (busy.get("host", 0.0) / (duration * host_slots)
                      if duration > 0 and host_slots > 0 else 0.0)}
         for array_type, count in counts.items():
             utilization[f"array:{array_type}"] = (
-                busy_array.get(array_type, 0.0) / (duration * count)
+                busy.get(f"array:{array_type}", 0.0) / (duration * count)
                 if duration > 0 and count > 0 else 0.0)
             utilization[f"link:{array_type}"] = (
-                busy_link.get(array_type, 0.0) / duration
+                busy.get(f"link:{array_type}", 0.0) / duration
                 if duration > 0 else 0.0)
         recorded = args.get("bottleneck")
         verdicts.append(PhaseVerdict(
             name=phase.name, pid=phase.pid, start=phase.start,
-            end=phase.end, bound_by=_verdict_of(utilization),
+            end=phase.end, bound_by=bottleneck_of(utilization),
             utilization=utilization,
             recorded=recorded if isinstance(recorded, str) else None))
     verdicts.sort(key=lambda v: (v.start, v.pid))
@@ -478,10 +463,8 @@ class UtilizationReport:
                 "phases": [phase.as_dict() for phase in self.phases]}
 
 
-def utilization_report(tracer: Tracer, root: Optional[str] = None,
-                       epsilon: float = DEFAULT_EPSILON
-                       ) -> UtilizationReport:
-    """Per-track busy/idle/blocked plus the concurrency histogram.
+def _utilization(spans: List[Span], root_span: Span) -> UtilizationReport:
+    """Per-track busy/idle/blocked, the concurrency histogram, verdicts.
 
     Busy time counts the resource-occupying categories only (see
     :data:`CATEGORY_CLASSES`); thread tracks additionally report
@@ -489,10 +472,9 @@ def utilization_report(tracer: Tracer, root: Optional[str] = None,
     and its actual start, i.e. time spent waiting on a contended
     resource rather than on a dependency.
     """
-    root_span = find_root(tracer, root)
     horizon = root_span.duration
     by_track: Dict[Tuple[str, str], List[Span]] = {}
-    for span in _sim_spans(tracer):
+    for span in spans:
         if span.category not in CATEGORY_CLASSES:
             continue
         if span.end <= root_span.start or span.start >= root_span.end:
@@ -500,14 +482,14 @@ def utilization_report(tracer: Tracer, root: Optional[str] = None,
         by_track.setdefault((span.pid, span.tid), []).append(span)
     tracks: List[TrackUsage] = []
     busy_intervals: List[Tuple[float, int]] = []
-    for (pid, tid), spans in sorted(by_track.items()):
-        classes = {CATEGORY_CLASSES[span.category] for span in spans}
+    for (pid, tid), track in sorted(by_track.items()):
         # A track carries one class in practice; mixed tracks (e.g. a
         # fleet instance running shard + recovery) collapse sensibly.
-        resource_class = sorted(classes)[0]
-        busy = sum(span.duration for span in spans)
+        resource_class = min(CATEGORY_CLASSES[span.category]
+                             for span in track)
+        busy = sum(span.duration for span in track)
         blocked = 0.0
-        for span in spans:
+        for span in track:
             ready = span.args.get("ready")
             if isinstance(ready, (int, float)) and not isinstance(
                     ready, bool):
@@ -515,9 +497,9 @@ def utilization_report(tracer: Tracer, root: Optional[str] = None,
         tracks.append(TrackUsage(
             pid=pid, tid=tid, resource_class=resource_class,
             busy_seconds=busy, blocked_seconds=blocked,
-            horizon_seconds=horizon, spans=len(spans)))
+            horizon_seconds=horizon, spans=len(track)))
         if resource_class != "thread":
-            for span in spans:
+            for span in track:
                 start = max(span.start, root_span.start)
                 end = min(span.end, root_span.end)
                 if end > start:
@@ -540,34 +522,24 @@ def utilization_report(tracer: Tracer, root: Optional[str] = None,
     return UtilizationReport(
         horizon_seconds=horizon, tracks=tuple(tracks),
         concurrency=concurrency,
-        phases=tuple(phase_verdicts(tracer, epsilon=epsilon)))
+        phases=tuple(_phase_verdicts(spans)))
 
 
 # -- rollups & trace diff ------------------------------------------------
 
-def build_rollup(tracer: Tracer, root: Optional[str] = None,
-                 epsilon: float = DEFAULT_EPSILON) -> Dict[str, object]:
-    """Aggregate a trace into a compact, diffable JSON document.
-
-    Spans group by ``(name, category)``; the rollup carries per-group
-    count and total duration, per-class busy seconds, the root
-    duration, and the critical path aggregated the same way.  Two runs
-    of the same scenario align by these keys even when thread/track
-    placement differs.
-    """
-    root_span = find_root(tracer, root)
+def _rollup(spans: List[Span], root_span: Span, path: CriticalPath,
+            report: UtilizationReport) -> Dict[str, object]:
+    """The rollup document :func:`build_rollup` describes."""
     groups: Dict[Tuple[str, str], List[float]] = {}
-    for span in _sim_spans(tracer):
+    for span in spans:
         if span is root_span or span.category in _ROOT_CATEGORIES:
             continue
         key = (span.name, span.category)
         groups.setdefault(key, []).append(span.duration)
-    path = extract_critical_path(tracer, root=root, epsilon=epsilon)
     critical: Dict[Tuple[str, str], List[float]] = {}
     for hop in path.hops:
         key = (hop.name, hop.category)
         critical.setdefault(key, []).append(hop.self_seconds)
-    report = utilization_report(tracer, root=root, epsilon=epsilon)
     return {
         "schema": ROLLUP_SCHEMA,
         "schema_version": ROLLUP_SCHEMA_VERSION,
@@ -611,6 +583,12 @@ def validate_rollup(rollup: Dict[str, object]) -> Dict[str, object]:
                 entry.get("name"), str) or not isinstance(
                 entry.get("total_seconds"), (int, float)):
             raise ValueError(f"bad rollup span entry {entry!r}")
+        if not isinstance(entry.get("count", 1), int):
+            raise ValueError(f"bad rollup span count {entry['count']!r}")
+    classes = rollup.get("classes", {})
+    if not isinstance(classes, dict) or not all(
+            isinstance(value, (int, float)) for value in classes.values()):
+        raise ValueError(f"bad rollup classes {classes!r}")
     return rollup
 
 
@@ -715,9 +693,9 @@ def diff_rollups(baseline: Dict[str, object],
     rows.sort(key=lambda row: (-abs(row.delta_seconds), row.name,
                                row.category))
     base_classes = {str(k): float(v)
-                    for k, v in (baseline.get("classes") or {}).items()}
+                    for k, v in baseline.get("classes", {}).items()}
     cur_classes = {str(k): float(v)
-                   for k, v in (current.get("classes") or {}).items()}
+                   for k, v in current.get("classes", {}).items()}
     class_deltas = {
         name: cur_classes.get(name, 0.0) - base_classes.get(name, 0.0)
         for name in sorted(set(base_classes) | set(cur_classes))}
@@ -736,6 +714,7 @@ class TraceAnalysis:
 
     path: CriticalPath
     utilization: UtilizationReport
+    rollup: Dict[str, object]  # feeds diffs; not part of as_dict()
     diff: Optional[TraceDiff] = None
 
     def as_dict(self, top: Optional[int] = None) -> Dict[str, object]:
@@ -754,31 +733,41 @@ class TraceAnalysis:
 def analyze_trace(source: Union[Tracer, Dict[str, object], str],
                   against: Union[Tracer, Dict[str, object], str,
                                  None] = None,
-                  root: Optional[str] = None,
-                  epsilon: float = DEFAULT_EPSILON) -> TraceAnalysis:
-    """Run every analysis over ``source``.
+                  root: Optional[str] = None) -> TraceAnalysis:
+    """Run every analysis over one sorted list of ``source``'s spans.
 
     Args:
         source: tracer, Chrome-trace dict, or path to an exported JSON.
         against: optional baseline trace; adds the run-to-run diff.
         root: anchor span name (default: the run/fleet root).
-        epsilon: float-slack for chaining and window checks.
     """
-    tracer = load_trace(source)
-    analysis_diff = None
+    spans = [span for span in load_trace(source).finished_spans()
+             if span.clock == SIM_CLOCK]
+    root_span = _find_root(spans, root)
+    path = _critical_path(spans, root_span)
+    utilization = _utilization(spans, root_span)
+    rollup = _rollup(spans, root_span, path, utilization)
+    diff = None
     if against is not None:
-        analysis_diff = diff_rollups(
-            build_rollup(load_trace(against), root=root, epsilon=epsilon),
-            build_rollup(tracer, root=root, epsilon=epsilon))
-    return TraceAnalysis(
-        path=extract_critical_path(tracer, root=root, epsilon=epsilon),
-        utilization=utilization_report(tracer, root=root, epsilon=epsilon),
-        diff=analysis_diff)
+        diff = diff_rollups(analyze_trace(against, root=root).rollup, rollup)
+    return TraceAnalysis(path=path, utilization=utilization, rollup=rollup,
+                         diff=diff)
 
 
-def critical_path_spans(path: CriticalPath,
-                        pid: str = "analysis",
-                        tid: str = "critical path") -> List[Span]:
+def build_rollup(source: Union[Tracer, Dict[str, object], str],
+                 root: Optional[str] = None) -> Dict[str, object]:
+    """Aggregate a trace into a compact, diffable JSON document.
+
+    Spans group by ``(name, category)``; the rollup carries per-group
+    count and total duration, per-class busy seconds, the root
+    duration, and the critical path aggregated the same way.  Two runs
+    of the same scenario align by these keys even when thread/track
+    placement differs.  It is the rollup :func:`analyze_trace` carries.
+    """
+    return analyze_trace(source, root=root).rollup
+
+
+def critical_path_spans(path: CriticalPath) -> List[Span]:
     """The path as disjoint highlight spans for Perfetto re-export.
 
     Pass to :func:`repro.telemetry.export.to_chrome_trace` via
@@ -792,8 +781,8 @@ def critical_path_spans(path: CriticalPath,
         start = (hop.end - hop.self_seconds if cursor is None else cursor)
         end = start + hop.self_seconds
         spans.append(Span(
-            name=hop.name, start=start, end=end, pid=pid, tid=tid,
-            category="critical", clock=SIM_CLOCK,
+            name=hop.name, start=start, end=end, pid="analysis",
+            tid="critical path", category="critical", clock=SIM_CLOCK,
             args={"hop": index, "source_track": f"{hop.pid}/{hop.tid}",
                   "source_category": hop.category,
                   "self_seconds": hop.self_seconds}))

@@ -22,18 +22,16 @@ from repro.telemetry import (
     build_rollup,
     critical_path_spans,
     diff_rollups,
-    extract_critical_path,
     format_critical_path,
     format_diff,
     format_utilization,
     load_trace,
     to_chrome_trace,
     tracer_from_chrome_trace,
-    utilization_report,
     validate_chrome_trace,
     validate_rollup,
 )
-from repro.telemetry.analyze import IDLE_HOP, find_root
+from repro.telemetry.analyze import IDLE_HOP
 
 #: One batched BERT-base inference on BestPerf, small enough to trace fast.
 BATCH = 8
@@ -64,7 +62,7 @@ def _toy_tracer():
 class TestCriticalPath:
     def test_path_tiles_the_root_span_exactly(self, schedule_run):
         tracer, result = schedule_run
-        path = extract_critical_path(tracer)
+        path = analyze_trace(tracer).path
         assert path.root_name == "orchestrator.run"
         assert path.root_seconds == pytest.approx(
             result.makespan_seconds, abs=0.0)
@@ -77,7 +75,7 @@ class TestCriticalPath:
 
     def test_hops_are_chronological_and_contiguous(self, schedule_run):
         tracer, _result = schedule_run
-        path = extract_critical_path(tracer)
+        path = analyze_trace(tracer).path
         cursor = 0.0
         for hop in path.hops:
             assert hop.self_seconds > 0.0
@@ -87,7 +85,7 @@ class TestCriticalPath:
         assert ends == sorted(ends)
 
     def test_gap_synthesis_on_a_sparse_trace(self):
-        path = extract_critical_path(_toy_tracer())
+        path = analyze_trace(_toy_tracer()).path
         names = [hop.name for hop in path.hops]
         assert names == ["a", IDLE_HOP, "b"]
         assert path.gap_seconds == pytest.approx(1.0)
@@ -105,23 +103,37 @@ class TestCriticalPath:
 
     def test_named_and_missing_roots(self, schedule_run):
         tracer, _result = schedule_run
-        named = extract_critical_path(tracer, root="orchestrator.run")
+        named = analyze_trace(tracer, root="orchestrator.run").path
         assert named.root_name == "orchestrator.run"
         with pytest.raises(ValueError, match="no sim-time span named"):
-            extract_critical_path(tracer, root="nope")
+            analyze_trace(tracer, root="nope")
         with pytest.raises(ValueError, match="no finished sim-time"):
-            extract_critical_path(Tracer())
+            analyze_trace(Tracer())
 
     def test_hull_root_when_no_run_span_exists(self):
         tracer = Tracer()
         tracer.add_span("x", 1.0, 3.0, category="exec")
-        root = find_root(tracer)
-        assert root.name == "(trace)"
-        assert (root.start, root.end) == (1.0, 3.0)
+        path = analyze_trace(tracer).path
+        assert path.root_name == "(trace)"
+        assert (path.hops[0].start, path.hops[-1].end) == (1.0, 3.0)
+
+    def test_one_analysis_reads_the_finished_spans_once(
+            self, schedule_run, monkeypatch):
+        tracer, _result = schedule_run
+        calls = []
+        finished_spans = Tracer.finished_spans
+
+        def counting(self):
+            calls.append(self)
+            return finished_spans(self)
+
+        monkeypatch.setattr(Tracer, "finished_spans", counting)
+        analyze_trace(tracer)
+        assert calls == [tracer]
 
     def test_formatting_mentions_hops_and_composition(self, schedule_run):
         tracer, _result = schedule_run
-        text = format_critical_path(extract_critical_path(tracer), top=5)
+        text = format_critical_path(analyze_trace(tracer).path, top=5)
         assert "critical path of 'orchestrator.run'" in text
         assert "more hop(s)" in text
         assert "path composition:" in text
@@ -133,7 +145,7 @@ class TestUtilization:
     def test_verdict_matches_schedule_result_bottleneck(
             self, schedule_run):
         tracer, result = schedule_run
-        report = utilization_report(tracer)
+        report = analyze_trace(tracer).utilization
         assert len(report.phases) == 1
         phase = report.phases[0]
         assert phase.bound_by == result.bottleneck
@@ -148,13 +160,13 @@ class TestUtilization:
             result = Orchestrator(config).run(
                 CONFIG, batch=BATCH, seq_len=SEQ_LEN,
                 tracer=tracer)
-            report = utilization_report(tracer)
+            report = analyze_trace(tracer).utilization
             assert report.phases[0].bound_by == result.bottleneck, \
                 config.name
 
     def test_track_accounting_sums(self, schedule_run):
         tracer, _result = schedule_run
-        report = utilization_report(tracer)
+        report = analyze_trace(tracer).utilization
         for track in report.tracks:
             assert 0.0 <= track.busy_fraction <= 1.0 + 1e-9
             assert track.idle_seconds >= 0.0
@@ -166,7 +178,7 @@ class TestUtilization:
 
     def test_concurrency_histogram_is_a_distribution(self, schedule_run):
         tracer, _result = schedule_run
-        report = utilization_report(tracer)
+        report = analyze_trace(tracer).utilization
         assert sum(report.concurrency.values()) == pytest.approx(1.0)
         assert all(share >= 0.0 for share in report.concurrency.values())
         assert report.mean_concurrency > 1.0  # arrays + links overlap
@@ -176,13 +188,13 @@ class TestUtilization:
         tracer.add_span("root", 0.0, 4.0, category="run")
         tracer.add_span("t", 2.0, 3.0, category="task", tid="thread00",
                         ready=1.0)
-        report = utilization_report(tracer)
+        report = analyze_trace(tracer).utilization
         track = next(t for t in report.tracks if t.tid == "thread00")
         assert track.blocked_seconds == pytest.approx(1.0)
 
     def test_formatting_includes_phase_verdict(self, schedule_run):
         tracer, _result = schedule_run
-        text = format_utilization(utilization_report(tracer), top=5)
+        text = format_utilization(analyze_trace(tracer).utilization, top=5)
         assert "bound by" in text
         assert "[matches scheduler]" in text
 
@@ -211,6 +223,13 @@ class TestRollupsAndDiff:
             validate_rollup(dict(base, root_seconds=-1))
         with pytest.raises(ValueError, match="span entry"):
             validate_rollup(dict(base, spans=[{"name": 3}]))
+        with pytest.raises(ValueError, match="span count"):
+            validate_rollup(dict(base, spans=[
+                {"name": "a", "total_seconds": 1.0, "count": 1.5}]))
+        with pytest.raises(ValueError, match="rollup classes"):
+            validate_rollup(dict(base, classes=["array"]))
+        with pytest.raises(ValueError, match="rollup classes"):
+            validate_rollup(dict(base, classes={"array": "busy"}))
 
     def test_self_diff_is_exactly_zero(self, schedule_run):
         tracer, _result = schedule_run
@@ -270,7 +289,7 @@ class TestChromeRoundTrip:
 
     def test_highlight_track_exports_valid_and_tiles(self, schedule_run):
         tracer, _result = schedule_run
-        path = extract_critical_path(tracer)
+        path = analyze_trace(tracer).path
         extra = critical_path_spans(path)
         data = to_chrome_trace(tracer, extra_spans=extra)
         counts = validate_chrome_trace(data)
@@ -283,13 +302,13 @@ class TestChromeRoundTrip:
     def test_highlight_track_is_not_reanalyzed_after_reload(
             self, schedule_run):
         tracer, _result = schedule_run
-        path = extract_critical_path(tracer)
+        path = analyze_trace(tracer).path
         data = to_chrome_trace(tracer,
                                extra_spans=critical_path_spans(path))
         reloaded = tracer_from_chrome_trace(data)
         assert not [span for span in reloaded.finished_spans()
                     if span.pid == "analysis"]
-        again = extract_critical_path(reloaded)
+        again = analyze_trace(reloaded).path
         assert len(again.hops) == len(path.hops)
 
     def test_load_trace_accepts_path_dict_and_tracer(
@@ -347,6 +366,24 @@ class TestAnalyzeCli:
                   "schedule"])
         assert "unrecognized arguments: --scenario" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "No such file"),
+        ("not json", "Expecting value"),
+        ('{"events": []}', "traceEvents"),
+        ('{"traceEvents": [{"ph": "X", "name": "a", "pid": 1, "tid": 1}]}',
+         "trace event 0 has no 'ts' key"),
+    ], ids=["missing", "not-json", "no-trace-events", "event-without-ts"])
+    def test_analyze_bad_input_fails_with_one_line(self, tmp_path,
+                                                    content, message):
+        path = tmp_path / "trace.json"
+        if content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "--trace", str(path)])
+        text = str(exit_info.value.code)
+        assert text.startswith(f"cannot analyze {path}: ")
+        assert message in text and "\n" not in text
 
     def test_analyze_rejects_nonpositive_top(self, schedule_trace):
         for top in ("0", "-3"):
