@@ -1,6 +1,5 @@
 """Multithreaded orchestration/scheduling simulator (Figure 8)."""
 
-from .events import Pool, Timeline
 from .host import (
     CPU_ACTIVE_POWER_WATTS,
     CPU_DUTY_CYCLE,
@@ -19,11 +18,9 @@ __all__ = [
     "HOST_POWER_WATTS",
     "HostModel",
     "Orchestrator",
-    "Pool",
     "ScheduleResult",
     "TaskRecord",
     "render_gantt",
     "thread_timeline",
     "utilization_summary",
-    "Timeline",
 ]

@@ -16,8 +16,10 @@ sweet spot.
 from __future__ import annotations
 
 import heapq
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..arch.config import HardwareConfig
 from ..arch.interconnect import DISPATCH_OVERHEAD_SECONDS
@@ -27,7 +29,6 @@ from ..dataflow.patterns import ArrayType, Dataflow
 from ..model.config import BertConfig
 from ..telemetry import Histogram, MetricsRegistry, Tracer
 from ..telemetry.analyze import bottleneck_of
-from .events import Pool, Timeline, reserve_pair2
 from .host import HostModel
 
 #: Default growth of per-dispatch mutex overhead per extra thread.
@@ -111,59 +112,98 @@ class ScheduleResult:
         return self.bottleneck.startswith("array")
 
 
-#: One way to place a dataflow: ``(array timeline, link channel, array
-#: size, accelerator compute seconds, DataflowTiming, segments)``, where
-#: each segment is folded to ``(is_host, channel_hold, duration)``.
+#: One way to place a dataflow: ``(array, link channel, array size,
+#: accelerator compute seconds, DataflowTiming, segments)``, where the
+#: array and channel are resource indices and each segment is folded to
+#: ``(is_host, channel_hold, duration)``.
 Candidate = Tuple
 
 #: One placement-log row: ``(thread, node index, ready, start, end,
 #: resource, kind, candidate, marks)``.  ``marks`` holds each segment's
-#: ``(start, end, host server)``, server ``None`` on the accelerator; a
-#: host task has no candidate and is one host segment.
+#: ``(start, end, host slot)``, slot ``None`` on the accelerator; a host
+#: task has no candidate and is one host segment.
 LogRow = Tuple
 
 
-def _earliest_finish(ready: float, candidates: Sequence[Candidate],
-                     uniform: bool) -> Candidate:
-    """The candidate whose array finishes the dataflow first.
+def _fit(starts: List[float], ends: List[float], earliest: float,
+         duration: float) -> float:
+    """Earliest start ≥ ``earliest`` of an idle gap of ``duration``.
 
-    Strict ``<`` keeps the first of tied projections.  When every
-    candidate has the same size (``uniform``) they share one duration, so
-    the first array that can start right at ``ready`` is the minimum and
-    ends the scan.  The append/gapless fits mirror
-    :meth:`~repro.sched.events.Timeline.next_fit`.
+    ``starts`` and ``ends`` are one resource's busy runs: sorted,
+    disjoint, and coalesced (:func:`_reserve` merges runs that touch
+    exactly), so a resource with no interior gap holds one run.  Callers
+    answer the O(1) case ``earliest >= ends[-1]`` (the answer is
+    ``earliest``) inline and call this only below the last run end.
+
+    A zero-width request starts at ``earliest`` unless ``earliest`` lies
+    strictly inside a busy run; then it starts at that run's end.
     """
-    best = None
-    best_finish = 0.0
-    for candidate in candidates:
-        timeline = candidate[0]
-        duration = candidate[3]
-        last = timeline._last_end
-        if ready >= last:
-            fit = ready
-        elif timeline._gapless and duration > 0:
-            fit = ready if timeline._starts[0] - ready >= duration else last
-        else:
-            fit = timeline.next_fit(ready, duration)
-        if uniform and fit == ready:
+    if earliest > starts[-1]:
+        return ends[-1]           # inside the last run: no search
+    index = bisect_right(ends, earliest)
+    if starts[index] - earliest >= duration:
+        return earliest
+    candidate = ends[index]
+    for index in range(index + 1, len(starts)):
+        if starts[index] - candidate >= duration:
             return candidate
-        finish = fit + duration
-        if best is None or finish < best_finish:
-            best = candidate
-            best_finish = finish
-    return best
+        candidate = ends[index]
+    return candidate
 
 
-def _replay(log: List[LogRow], thread_nodes: List[Tuple],
+def _reserve(starts: List[List[float]], ends: List[List[float]],
+             last: List[float], busy: List[float], resource: int,
+             start: float, duration: float) -> float:
+    """Hold ``resource`` for ``duration`` from ``start``; returns the end.
+
+    ``start`` must come from :func:`_fit` (or the ``last`` fast path)
+    with the same ``duration``: no overlap check is repeated.  A run that
+    touches a neighbour exactly merges into it.  A zero-width hold
+    (including a duration that underflows against ``start``) occupies
+    nothing and adds no busy time.
+    """
+    end = start + duration
+    if end <= start:
+        return end
+    tail = last[resource]
+    if start > tail:
+        starts[resource].append(start)
+        ends[resource].append(end)
+        last[resource] = end
+    elif start == tail:
+        ends[resource][-1] = end
+        last[resource] = end
+    else:
+        # Backfill into an interior gap, which always lies before the
+        # last run, so ``last`` is unchanged.
+        runs_start, runs_end = starts[resource], ends[resource]
+        index = bisect_left(runs_start, start)
+        if index and runs_end[index - 1] == start:
+            if runs_start[index] == end:
+                runs_end[index - 1] = runs_end.pop(index)
+                del runs_start[index]
+            else:
+                runs_end[index - 1] = end
+        elif runs_start[index] == end:
+            runs_start[index] = start
+        else:
+            runs_start.insert(index, start)
+            runs_end.insert(index, end)
+    busy[resource] += duration
+    return end
+
+
+def _replay(log: List[LogRow], names: List[str], thread_nodes: List[Tuple],
             sub_batches: List[int], record_tasks: bool,
             tracer: Optional[Tracer], histogram: Optional[Histogram],
             trace_pid: str, trace_offset: float
             ) -> Optional[Tuple[TaskRecord, ...]]:
     """Derive task records, spans and task latencies from a placement log.
 
-    Rows are visited in dispatch order.  Each task's reservations become
-    spans before the task's own span: host-side segments on the chosen
-    host slot's track (category ``host``), channel holds on the link track
+    Rows are visited in dispatch order, and ``names`` maps a resource
+    index to its track name.  Each task's reservations become spans
+    before the task's own span: host-side segments on the chosen host
+    slot's track (category ``host``), channel holds on the link track
     (``stream``), array holds on the array's track (``exec``).
 
     Returns:
@@ -178,32 +218,32 @@ def _replay(log: List[LogRow], thread_nodes: List[Tuple],
             if candidate is None:
                 tracer.add_span(
                     node.name, trace_offset + start, trace_offset + end,
-                    pid=trace_pid, tid=marks[0][2], category="host",
+                    pid=trace_pid, tid=names[marks[0][2]], category="host",
                     ops=len(node.ops), flops=node.flops)
             else:
-                timeline, channel, size, _, timing, segments = candidate
+                array, channel, size, _, timing, segments = candidate
                 array_type = node.array_type.value
                 for segment_index, (segment, (_, hold, _),
-                                    (seg_start, seg_end, server)) in \
+                                    (seg_start, seg_end, slot)) in \
                         enumerate(zip(timing.segments, segments, marks)):
-                    if server is not None:
+                    if slot is not None:
                         tracer.add_span(
                             f"{node.name}:host{segment_index}",
                             trace_offset + seg_start, trace_offset + seg_end,
-                            pid=trace_pid, tid=server, category="host",
+                            pid=trace_pid, tid=names[slot], category="host",
                             sub_batch=sub, node=index)
                         continue
                     tracer.add_span(
                         f"{node.name}:xfer{segment_index}",
                         trace_offset + seg_start,
                         trace_offset + seg_start + hold,
-                        pid=trace_pid, tid=channel.name, category="stream",
+                        pid=trace_pid, tid=names[channel], category="stream",
                         bytes=segment.stream_bytes, sub_batch=sub,
                         node=index, array_type=array_type)
                     tracer.add_span(
                         f"{node.name}:seg{segment_index}",
                         trace_offset + seg_start, trace_offset + seg_end,
-                        pid=trace_pid, tid=timeline.name, category="exec",
+                        pid=trace_pid, tid=names[array], category="exec",
                         compute_seconds=segment.compute_seconds,
                         array_size=size, sub_batch=sub, node=index,
                         array_type=array_type)
@@ -227,8 +267,10 @@ class Orchestrator:
     Args:
         hardware: the accelerator configuration to simulate.
         host: host CPU model.
-        contention_coefficient: per-extra-thread growth of dispatch cost.
-        dispatch_overhead: base per-transfer software overhead in seconds.
+        contention_coefficient: per-extra-thread growth of dispatch cost;
+            finite and non-negative.
+        dispatch_overhead: base per-transfer software overhead in seconds;
+            finite and non-negative.
     """
 
     def __init__(self, hardware: HardwareConfig,
@@ -236,6 +278,12 @@ class Orchestrator:
                  contention_coefficient: float = CONTENTION_COEFFICIENT,
                  dispatch_overhead: float = DISPATCH_OVERHEAD_SECONDS
                  ) -> None:
+        for label, value in (("contention_coefficient",
+                              contention_coefficient),
+                             ("dispatch_overhead", dispatch_overhead)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{label} must be finite and non-negative, got {value}")
         self.hardware = hardware
         self.host = host or HostModel()
         self.contention_coefficient = contention_coefficient
@@ -310,31 +358,45 @@ class Orchestrator:
         for sub in set(sub_batches):
             graphs[sub] = graph_builder(sub)
 
-        arrays: Dict[ArrayType, List[Tuple[Timeline, int]]] = {
+        # Every array, link channel and host slot is an index into the
+        # parallel per-resource lists: busy-run starts and ends, the last
+        # run end (the O(1) fit test) and busy seconds.
+        names: List[str] = []
+        arrays: Dict[ArrayType, List[Tuple[int, int]]] = {
             t: [] for t in ArrayType}
         for group in self.hardware.groups:
             for index in range(group.count):
-                arrays[group.array_type].append(
-                    (Timeline(name=f"{group.label}[{index}]"), group.size))
-        channels: Dict[ArrayType, Timeline] = {
-            t: Timeline(name=f"channel:{t.value}") for t in ArrayType}
-        host_pool = Pool.with_servers("host", self.host.slots)
+                arrays[group.array_type].append((len(names), group.size))
+                names.append(f"{group.label}[{index}]")
+        channels: Dict[ArrayType, int] = {}
+        for array_type in ArrayType:
+            channels[array_type] = len(names)
+            names.append(f"channel:{array_type.value}")
+        slots = range(len(names), len(names) + self.host.slots)
+        names.extend(f"host[{index}]" for index in range(self.host.slots))
+        starts: List[List[float]] = [[] for _ in names]
+        ends: List[List[float]] = [[] for _ in names]
+        last = [float("-inf")] * len(names)
+        busy = [0.0] * len(names)
 
         per_dispatch = self.dispatch_overhead * (
             1.0 + self.contention_coefficient * (thread_count - 1))
-        # Plans are interned by node identity: a float is a HostTask's
-        # duration, a tuple is a dataflow's (candidates, kind, uniform).
-        # Dataflow plans are built once per *content* signature, so the
-        # identical encoder layers share one set of timings.
-        node_plans: Dict[int, object] = {}
+        # Plans are held per graph, by node position: a float is a
+        # HostTask's duration, a tuple is a dataflow's (candidates, kind,
+        # uniform).  Dataflow plans are built once per *content*
+        # signature, so the identical encoder layers share one set of
+        # timings.
+        graph_plans: Dict[int, List[object]] = {
+            sub: [None] * len(graph) for sub, graph in graphs.items()}
         content_plans: Dict[Tuple, Tuple] = {}
-        pooled_members: Optional[List[Tuple[Timeline, int]]] = None
+        pooled_members: Optional[List[Tuple[int, int]]] = None
         if self.hardware.pooled:
             # Homogeneous baseline: every array carries both LUT kinds and
             # can execute any dataflow (Table 2's 64×64 GELU+Exp row).
             pooled_members = [m for group in arrays.values() for m in group]
         total_bytes = 0
         total_dispatches = 0
+        reservations = 0
         contention_seconds = 0.0
         kind_compute: Dict[str, float] = {}
         makespan = 0.0
@@ -346,27 +408,26 @@ class Orchestrator:
         # walks its own graph serially (Figure 8); at every step the thread
         # whose next dataflow becomes ready soonest dispatches next, which
         # is how the mutex-guarded I/O buffers hand out work in practice.
-        finishes: List[List[float]] = [[0.0] * len(graphs[sub])
-                                       for sub in sub_batches]
-        # Per-thread node tuples and lengths, hoisted out of the loop so
-        # the per-dispatch accesses are plain tuple/list indexing.
+        # Per-thread node tuples, plan lists and lengths, hoisted out of
+        # the loop so the per-dispatch accesses are plain indexing.
         thread_nodes = [graphs[sub].nodes for sub in sub_batches]
+        thread_plans = [graph_plans[sub] for sub in sub_batches]
         thread_node_counts = [len(nodes) for nodes in thread_nodes]
         pointers = [0] * thread_count
         heap = [(0.0, t) for t in range(thread_count)]
         heapq.heapify(heap)
         while heap:
-            # The popped key *is* the ready time: deps live in the same
-            # thread's graph and the thread walks it serially in index
-            # order, so every dep had its final finish time (and the
-            # thread its final clock) when the key was pushed.
-            ready, thread_index = heapq.heappop(heap)
+            # The heap key *is* the ready time: deps live in the same
+            # thread's graph, the thread walks it serially in index order
+            # and its clock never moves back, so every dep had finished
+            # by the time the thread's previous node ended.
+            ready, thread_index = heap[0]
             nodes = thread_nodes[thread_index]
             node_index = pointers[thread_index]
-            node = nodes[node_index]
-            finish = finishes[thread_index]
-            plan = node_plans.get(id(node))
+            plans = thread_plans[thread_index]
+            plan = plans[node_index]
             if plan is None:
+                node = nodes[node_index]
                 if isinstance(node, HostTask):
                     # float() normalizes sum()'s int 0 for op-less tasks:
                     # a float plan *is* the type tag for the host branch.
@@ -379,37 +440,106 @@ class Orchestrator:
                             node, pooled_members or arrays[node.array_type],
                             channels[node.array_type], per_dispatch)
                         content_plans[content] = plan
-                node_plans[id(node)] = plan
+                plans[node_index] = plan
             if type(plan) is float:
-                start, end, server = host_pool.reserve_named(ready, plan)
-                if log is not None:
-                    log.append((thread_index, node_index, ready, start, end,
-                                "host", "host", None,
-                                ((start, end, server),)))
+                segments = ((True, plan, 0.0),)
+                candidate = None
             else:
                 candidates, kind, uniform = plan
-                candidate = _earliest_finish(ready, candidates, uniform)
-                timeline, channel, _, _, timing, segments = candidate
-                marks = [] if log is not None else None
-                clock = ready
-                start = None
-                for is_host, hold, duration in segments:
-                    if is_host:
-                        seg_start, clock, server = host_pool.reserve_named(
-                            clock, hold)
-                        if marks is not None:
-                            marks.append((seg_start, clock, server))
-                        continue
-                    seg_start = reserve_pair2(clock, channel, hold,
-                                              timeline, duration)
-                    clock = seg_start + duration
+                # The array that finishes the dataflow first; strict `<`
+                # keeps the first of tied projections.  Uniform candidates
+                # share one duration, so the first array that can start
+                # right at `ready` is the minimum and ends the scan.
+                candidate = None
+                best_finish = 0.0
+                for option in candidates:
+                    array = option[0]
+                    duration = option[3]
+                    if ready >= last[array]:
+                        fit = ready
+                    else:
+                        fit = _fit(starts[array], ends[array], ready,
+                                   duration)
+                    if uniform and fit == ready:
+                        candidate = option
+                        break
+                    fit += duration
+                    if candidate is None or fit < best_finish:
+                        candidate = option
+                        best_finish = fit
+                array, channel, _, _, timing, segments = candidate
+            marks = [] if log is not None else None
+            clock = ready
+            start = None
+            for is_host, hold, duration in segments:
+                reservations += 1
+                if is_host:
+                    # The host slot that can start first; ties keep the
+                    # lowest index, and a slot free at `clock` ends the
+                    # scan.
+                    slot = -1
+                    seg_start = 0.0
+                    for option in slots:
+                        if clock >= last[option]:
+                            fit = clock
+                        else:
+                            fit = _fit(starts[option], ends[option], clock,
+                                       hold)
+                        if fit == clock:
+                            slot, seg_start = option, fit
+                            break
+                        if slot < 0 or fit < seg_start:
+                            slot, seg_start = option, fit
+                    clock = _reserve(starts, ends, last, busy, slot,
+                                     seg_start, hold)
                     if marks is not None:
-                        marks.append((seg_start, clock, None))
-                    if start is None:
-                        start = seg_start
+                        marks.append((seg_start, clock, slot))
+                    continue
+                # Channel and array are held from one instant: the least
+                # start at or after `clock` where both fit, reached by
+                # alternating fits.  Fits are monotone and idempotent, so
+                # the order of the fits does not change that point, and
+                # it is reached as soon as one fit keeps the start the
+                # other chose.  The array goes first: its long runs mostly
+                # carry the start past the channel's last end.
+                if clock >= last[array]:
+                    seg_start = clock
+                else:
+                    seg_start = _fit(starts[array], ends[array], clock,
+                                     duration)
+                for _ in range(10000):
+                    if seg_start >= last[channel]:
+                        break
+                    fit = _fit(starts[channel], ends[channel], seg_start,
+                               hold)
+                    if fit == seg_start:
+                        break
+                    seg_start = fit
+                    if fit >= last[array]:
+                        break
+                    seg_start = _fit(starts[array], ends[array], fit,
+                                     duration)
+                    if seg_start == fit:
+                        break
+                else:
+                    raise RuntimeError(
+                        "channel and array fits failed to converge")
+                reservations += 1
+                _reserve(starts, ends, last, busy, channel, seg_start, hold)
+                clock = _reserve(starts, ends, last, busy, array, seg_start,
+                                 duration)
+                if marks is not None:
+                    marks.append((seg_start, clock, None))
+                if start is None:
+                    start = seg_start
+            end = clock
+            if candidate is None:
+                if log is not None:
+                    log.append((thread_index, node_index, ready, marks[0][0],
+                                end, "host", "host", None, tuple(marks)))
+            else:
                 if start is None:
                     start = ready
-                end = clock
                 total_bytes += timing.total_stream_bytes
                 accel_segments = timing.accel_segments
                 total_dispatches += accel_segments
@@ -418,38 +548,33 @@ class Orchestrator:
                                       + timing.accel_compute_seconds)
                 if log is not None:
                     log.append((thread_index, node_index, ready, start, end,
-                                timeline.name, kind, candidate,
-                                tuple(marks)))
-            finish[node_index] = end
+                                names[array], kind, candidate, tuple(marks)))
             if end > makespan:
                 makespan = end
             next_index = node_index + 1
             pointers[thread_index] = next_index
             if next_index < thread_node_counts[thread_index]:
-                # max(dep finishes, thread clock); `end` is the clock, and
-                # it never loses a tie, matching the old max(...) exactly.
-                next_ready = end
-                for dep in nodes[next_index].deps:
-                    dep_finish = finish[dep]
-                    if dep_finish > next_ready:
-                        next_ready = dep_finish
-                heapq.heappush(heap, (next_ready, thread_index))
+                heapq.heapreplace(heap, (end, thread_index))
+            else:
+                heapq.heappop(heap)
 
         task_log = None
         if log is not None:
             task_log = _replay(
-                log, thread_nodes, sub_batches, record_tasks, tracer,
+                log, names, thread_nodes, sub_batches, record_tasks, tracer,
                 (metrics.histogram("sched/task_seconds")
                  if metrics is not None else None),
                 trace_pid, trace_offset)
 
         array_util = {}
         for array_type, members in arrays.items():
-            busy = sum(timeline.busy_seconds for timeline, _ in members)
-            array_util[array_type] = (busy / (makespan * len(members))
+            array_busy = sum(busy[array] for array, _ in members)
+            array_util[array_type] = (array_busy / (makespan * len(members))
                                       if members and makespan > 0 else 0.0)
-        channel_util = {t: channels[t].utilization(makespan)
-                        for t in ArrayType}
+        channel_util = {t: busy[channels[t]] / makespan if makespan > 0
+                        else 0.0 for t in ArrayType}
+        host_util = (sum(busy[slot] for slot in slots)
+                     / (makespan * len(slots)) if makespan > 0 else 0.0)
         result = ScheduleResult(
             makespan_seconds=makespan,
             batch=batch,
@@ -457,7 +582,7 @@ class Orchestrator:
             threads=thread_count,
             array_utilization=array_util,
             channel_utilization=channel_util,
-            host_utilization=host_pool.utilization(makespan),
+            host_utilization=host_util,
             total_stream_bytes=total_bytes,
             total_dispatches=total_dispatches,
             contention_seconds=contention_seconds,
@@ -480,10 +605,6 @@ class Orchestrator:
                 host_slots=self.host.slots,
                 bottleneck=result.bottleneck, **inventory)
         if metrics is not None:
-            reservations = (
-                sum(t.reservations for ms in arrays.values() for t, _ in ms)
-                + sum(t.reservations for t in channels.values())
-                + sum(s.reservations for s in host_pool.servers))
             metrics.counter("sched/reservations").inc(reservations)
             metrics.counter("sched/dispatches").inc(total_dispatches)
             metrics.counter("sched/stream_bytes").inc(total_bytes)
@@ -491,8 +612,7 @@ class Orchestrator:
                 contention_seconds)
             metrics.counter("sched/inferences").inc(batch)
             metrics.gauge("sched/makespan_seconds").set(makespan)
-            metrics.gauge("sched/host_utilization").set(
-                host_pool.utilization(makespan))
+            metrics.gauge("sched/host_utilization").set(host_util)
             for array_type in ArrayType:
                 metrics.gauge(
                     f"sched/array_occupancy/{array_type.value}").set(
@@ -505,8 +625,8 @@ class Orchestrator:
     # ------------------------------------------------------------------
 
     def _plan(self, dataflow: Dataflow,
-              members: List[Tuple[Timeline, int]],
-              channel: Timeline, per_dispatch: float) -> Tuple:
+              members: List[Tuple[int, int]],
+              channel: int, per_dispatch: float) -> Tuple:
         """Fold everything about placing ``dataflow`` that is invariant
         across dispatches into ``(candidates, kind label, uniform)``.
 
@@ -534,14 +654,13 @@ class Orchestrator:
                 if segment.resource == "host":
                     segments.append((True, segment.compute_seconds, 0.0))
                     continue
-                stream_seconds = (segment.stream_bytes / bandwidth
-                                  if bandwidth > 0 else 0.0)
+                stream_seconds = segment.stream_bytes / bandwidth
                 segments.append((
                     False, per_dispatch + stream_seconds,
                     max(segment.compute_seconds, stream_seconds)
                     + per_dispatch))
             folded[size] = (timing.accel_compute_seconds, timing,
                             tuple(segments))
-        candidates = tuple((timeline, channel, size) + folded[size]
-                           for timeline, size in members)
+        candidates = tuple((array, channel, size) + folded[size]
+                           for array, size in members)
         return candidates, dataflow.kind.value, len(folded) == 1

@@ -1,17 +1,19 @@
-"""Tests for the gap-aware resource timelines and pools."""
+"""Tests for the scheduler's placement kernel and its timeline oracles."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sched import Pool, Timeline
-from repro.sched.events import reserve_pair2
+from repro.sched.orchestrator import _fit, _reserve
 from tests.oracles.events import (
+    Pool,
+    Timeline,
     common_start,
     legacy_next_fit,
     pool_reserve,
     reserve,
     reserve_at,
+    reserve_pair2,
 )
 
 
@@ -24,6 +26,95 @@ def clone_timeline(timeline: Timeline) -> Timeline:
     clone._gapless = timeline._gapless
     clone._last_end = timeline._last_end
     return clone
+
+
+def kernel_state():
+    """One resource's kernel state: runs, last end and busy seconds."""
+    return [[]], [[]], [float("-inf")], [0.0]
+
+
+def kernel_reserve(state, earliest, duration):
+    """Place one request on one resource the way the kernel does."""
+    starts, ends, last, busy = state
+    if earliest >= last[0]:
+        start = earliest
+    else:
+        start = _fit(starts[0], ends[0], earliest, duration)
+    _reserve(starts, ends, last, busy, 0, start, duration)
+    return start
+
+
+def coalesced(timeline):
+    """The oracle's busy intervals with exactly touching ones merged."""
+    runs = []
+    for start, end in zip(timeline._starts, timeline._ends):
+        if runs and runs[-1][1] == start:
+            runs[-1][1] = end
+        else:
+            runs.append([start, end])
+    return runs
+
+
+class TestKernelParity:
+    """``_fit`` + the coalescing ``_reserve`` against the oracle
+    :class:`Timeline`: bit-identical starts, the same busy set and busy
+    seconds, and never more intervals."""
+
+    # Grid values make exact touches (and so merges) common.
+    times = st.one_of(st.integers(0, 40).map(float),
+                      st.floats(min_value=0, max_value=100))
+    durations = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+                          st.floats(min_value=0, max_value=10,
+                                    exclude_min=True))
+
+    @given(st.lists(st.tuples(times, durations), min_size=1, max_size=80))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle_timeline(self, requests):
+        state = kernel_state()
+        oracle = Timeline("t")
+        for earliest, duration in requests:
+            start = kernel_reserve(state, earliest, duration)
+            assert start == reserve(oracle, earliest, duration)[0]
+            starts, ends, last, busy = state
+            assert [list(run) for run in zip(starts[0], ends[0])] == \
+                coalesced(oracle)
+            assert len(starts[0]) <= len(oracle._starts)
+            assert last[0] == oracle._last_end
+            assert busy[0] == oracle.busy_seconds
+
+    def test_touching_reservations_merge(self):
+        state = kernel_state()
+        kernel_reserve(state, 0.0, 1.0)
+        kernel_reserve(state, 3.0, 1.0)      # runs [0, 1] and [3, 4]
+        kernel_reserve(state, 0.0, 2.0)      # fills [1, 3] exactly
+        assert state[0] == [[0.0]] and state[1] == [[4.0]]
+        assert state[3] == [4.0]
+
+    def test_zero_width_request_rule(self):
+        """A zero-width request starts at ``earliest`` unless that lies
+        strictly inside a busy run; then it starts at the run's end."""
+        state = kernel_state()
+        kernel_reserve(state, 0.0, 1.0)
+        kernel_reserve(state, 1.0, 1.0)      # one run [0, 2]
+        kernel_reserve(state, 3.0, 1.0)      # and [3, 4]
+        starts, ends, _, _ = state
+        assert _fit(starts[0], ends[0], 0.5, 0.0) == 2.0
+        assert _fit(starts[0], ends[0], 1.0, 0.0) == 2.0
+        assert _fit(starts[0], ends[0], 0.0, 0.0) == 0.0
+        assert _fit(starts[0], ends[0], 2.5, 0.0) == 2.5
+        assert _fit(starts[0], ends[0], 3.0, 0.0) == 3.0
+        assert _fit(starts[0], ends[0], 3.5, 0.0) == 4.0
+        # The oracle keeps [0, 1] and [1, 2] apart, and answers inside
+        # the first of them with its own end.
+        oracle = Timeline("t")
+        reserve(oracle, 0.0, 1.0)
+        reserve(oracle, 1.0, 1.0)
+        assert oracle.next_fit(0.5, 0.0) == 1.0
+
+    def test_zero_width_reservation_occupies_nothing(self):
+        state = kernel_state()
+        kernel_reserve(state, 1.0, 0.0)
+        assert state == ([[]], [[]], [float("-inf")], [0.0])
 
 
 class TestTimeline:

@@ -68,6 +68,25 @@ class TestScheduleBasics:
         with pytest.raises(ValueError):
             Orchestrator(best_perf()).run(CONFIG, batch=0, seq_len=64)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-6])
+    def test_bad_dispatch_overhead_rejected(self, value):
+        with pytest.raises(ValueError, match="dispatch_overhead"):
+            Orchestrator(best_perf(), dispatch_overhead=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+    def test_bad_contention_coefficient_rejected(self, value):
+        with pytest.raises(ValueError, match="contention_coefficient"):
+            Orchestrator(best_perf(), contention_coefficient=value)
+
+    def test_zero_overhead_and_contention_accepted(self):
+        # The sensitivity study sweeps the contention coefficient down
+        # to zero.
+        result = Orchestrator(best_perf(), contention_coefficient=0.0,
+                              dispatch_overhead=0.0).run(
+            CONFIG, batch=4, seq_len=64)
+        assert result.contention_seconds == 0.0
+        assert result.makespan_seconds > 0
+
 
 class TestThreadScaling:
     def test_more_threads_helps_up_to_saturation(self):
