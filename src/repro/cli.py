@@ -2,17 +2,21 @@
 
     python -m repro.cli simulate --batch 128 --seq-len 512
     python -m repro.cli compare --baseline a100
-    python -m repro.cli experiments --only "Figure 18"
-    python -m repro.cli dse --limit 40 --workers 2 --trace-out dse.json
+    python -m repro.cli experiments "Figure 18"
+    python -m repro.cli dse --limit 40 --workers 2 --observe dse
     python -m repro.cli binding
     python -m repro.cli embed MEYQKLVIV ACDEFGHIK
     python -m repro.cli zoo
     python -m repro.cli reliability --fault-rate 0.05 --seed 7
-    python -m repro.cli fleet --scenario rack_power_loss --trace-out fleet.json
-    python -m repro.cli monitor --scenario rack_power_loss
-    python -m repro.cli trace --seq-len 128 --batch 8 --out trace.json
+    python -m repro.cli fleet --scenario rack_power_loss --observe fleet
+    python -m repro.cli trace --seq-len 128 --batch 8 --observe run
     python -m repro.cli analyze --trace trace.json --format ascii
     python -m repro.cli analyze --trace now.json --against before.json
+
+``--observe DIR`` (dse, reliability, fleet, trace) writes what the run
+observed into DIR under fixed names: ``trace.json`` (Perfetto),
+``metrics.jsonl``, and for a monitored ``fleet`` run ``dashboard.txt``
+and ``alerts.txt``.
 """
 
 from __future__ import annotations
@@ -34,6 +38,61 @@ def _hardware_by_name(name: str) -> HardwareConfig:
             return config
     names = ", ".join(config.name for config in table4_configs())
     raise SystemExit(f"unknown hardware '{name}'; choose from: {names}")
+
+
+def _observe(args: argparse.Namespace, tracer=None, metrics=None,
+             monitor=None, **metadata) -> None:
+    """Write a run's observations into ``args.observe``, one line each.
+
+    Does nothing without ``--observe``.  ``trace.json`` gets the
+    tracer's spans with metric counters and monitor series as counter
+    tracks; ``metrics.jsonl`` the registry; ``dashboard.txt`` and
+    ``alerts.txt`` the monitor's panels.
+    """
+    if args.observe is None:
+        return
+    import os
+
+    from .telemetry import (
+        validate_chrome_trace,
+        write_chrome_trace,
+        write_metrics_jsonl,
+    )
+
+    os.makedirs(args.observe, exist_ok=True)
+
+    def path(name: str) -> str:
+        return os.path.join(args.observe, name)
+
+    if tracer is not None:
+        data = write_chrome_trace(
+            tracer, path("trace.json"),
+            metadata={"tool": f"repro.cli {args.command}",
+                      "version": __version__, **metadata},
+            metrics=metrics,
+            series=monitor.store if monitor is not None else None)
+        counts = validate_chrome_trace(data)
+        print(f"trace:     {counts['spans']} spans, "
+              f"{counts['instants']} instants, {counts['counters']} "
+              f"counters -> {path('trace.json')} "
+              f"(open at https://ui.perfetto.dev)")
+    if metrics is not None:
+        write_metrics_jsonl(metrics, path("metrics.jsonl"))
+        print(f"metrics:   {len(metrics)} series -> {path('metrics.jsonl')}")
+    if monitor is not None:
+        from .monitor import format_alert_report, render_dashboard
+
+        names = [name for name in monitor.store.names()
+                 if name.startswith(f"{monitor.name}/")]
+        with open(path("dashboard.txt"), "w", encoding="utf-8") as handle:
+            handle.write(render_dashboard(monitor, series_names=names)
+                         + "\n")
+        print(f"dashboard: {len(names)} series -> {path('dashboard.txt')}")
+        report = monitor.report()
+        with open(path("alerts.txt"), "w", encoding="utf-8") as handle:
+            handle.write(format_alert_report(report) + "\n")
+        print(f"alerts:    {len(report.alerts)} alert(s), "
+              f"{len(report.pages)} page(s) -> {path('alerts.txt')}")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -64,8 +123,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
-    from .experiments.runner import run_all
+    from .experiments.runner import run_all, select
 
+    try:
+        select(args.only or None)
+    except ValueError as error:
+        raise SystemExit(str(error)) from error
     run_all(only=args.only or None, workers=args.workers)
     return 0
 
@@ -89,9 +152,9 @@ def cmd_dse(args: argparse.Namespace) -> int:
     from .dse.explorer import DesignSpaceExplorer
     from .dse.space import DEFAULT_PE_BUDGET
     from .parallel import SweepExecutor
-    from .telemetry import Tracer, write_chrome_trace
+    from .telemetry import Tracer
 
-    tracer = Tracer() if args.trace_out else None
+    tracer = Tracer() if args.observe else None
     executor = SweepExecutor(SweepExecutor.resolve_workers(args.workers))
     explorer = DesignSpaceExplorer(batch=args.batch, seq_len=args.seq_len)
     started = time.perf_counter()
@@ -104,14 +167,8 @@ def cmd_dse(args: argparse.Namespace) -> int:
           f"({executor.workers} worker(s), mode={executor.last_mode})")
     for name, snap in sorted(executor.last_cache_stats.items()):
         print(f"cache[{name}]: {snap.hits} hits, {snap.misses} misses")
-    if args.trace_out:
-        data = write_chrome_trace(
-            tracer, args.trace_out,
-            metadata={"tool": "repro.cli dse", "version": __version__,
-                      "workers": executor.workers,
-                      "mode": executor.last_mode})
-        print(f"trace: {len(data['traceEvents'])} events -> "
-              f"{args.trace_out}")
+    _observe(args, tracer=tracer, workers=executor.workers,
+             mode=executor.last_mode)
     return 0
 
 
@@ -138,17 +195,6 @@ def cmd_embed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_metrics_out(metrics, path: str) -> None:
-    """Dump a registry to ``path``; the suffix picks CSV vs JSONL."""
-    from .telemetry import write_metrics_csv, write_metrics_jsonl
-
-    if path.endswith(".csv"):
-        write_metrics_csv(metrics, path)
-    else:
-        write_metrics_jsonl(metrics, path)
-    print(f"metrics:   {len(metrics)} series -> {path}")
-
-
 def cmd_reliability(args: argparse.Namespace) -> int:
     from .experiments import fault_campaign
     from .model.config import protein_bert_tiny
@@ -156,13 +202,12 @@ def cmd_reliability(args: argparse.Namespace) -> int:
     from .system.multi import ProSESystem
     from .telemetry import MetricsRegistry
 
-    metrics = MetricsRegistry("reliability") if args.metrics_out else None
+    metrics = MetricsRegistry("reliability") if args.observe else None
     if args.sweep:
         result = fault_campaign.run(seed=args.seed, workers=args.workers,
                                     metrics=metrics)
         print(fault_campaign.format_result(result))
-        if args.metrics_out:
-            _write_metrics_out(metrics, args.metrics_out)
+        _observe(args, metrics=metrics)
         return 0
 
     rate = args.fault_rate
@@ -187,8 +232,7 @@ def cmd_reliability(args: argparse.Namespace) -> int:
     print(f"  survivors: {scenario.survivors}, energy "
           f"{scenario.energy_joules:.3f} J "
           f"(fault-free {scenario.fault_free_energy_joules:.3f} J)")
-    if args.metrics_out:
-        _write_metrics_out(metrics, args.metrics_out)
+    _observe(args, metrics=metrics)
     return 0
 
 
@@ -201,19 +245,18 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         build_scenario,
     )
     from .model.config import protein_bert_base, protein_bert_tiny
+    from .monitor import fleet_monitor
     from .reliability import (
         DegradationPolicy,
         FaultModel,
         FaultRates,
         derive_task_seed,
     )
-    from .telemetry import (
-        MetricsRegistry,
-        Tracer,
-        validate_chrome_trace,
-        write_chrome_trace,
-    )
+    from .telemetry import MetricsRegistry, Tracer
 
+    if args.observe and (args.list or args.scenario == "all"):
+        raise SystemExit("--observe needs one scenario run; it cannot "
+                         "combine with --list or --scenario all")
     if args.list:
         topology = build_fleet(racks=args.racks,
                                hosts_per_rack=args.hosts_per_rack,
@@ -250,10 +293,11 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             min_capacity_fraction=args.min_capacity,
             circuit_breaker_failures=args.breaker_failures),
         seq_len=args.seq_len, reference_batch=args.reference_batch)
-    tracer = Tracer() if args.trace_out else None
+    tracer = Tracer() if args.observe else None
     metrics = MetricsRegistry()
+    monitor = fleet_monitor() if args.observe else None
     report = simulator.run(batch=args.batch, scenario=scenario,
-                           tracer=tracer, metrics=metrics)
+                           tracer=tracer, metrics=metrics, monitor=monitor)
 
     print(f"fleet:     {report.topology}")
     if scenario is not None:
@@ -282,114 +326,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                   f"finish {outcome.finish_seconds * 1e3:8.3f} ms  "
                   f"{outcome.final_state}"
                   f"{'  [breaker open]' if outcome.breaker_open else ''}")
-    if args.trace_out:
-        data = write_chrome_trace(
-            tracer, args.trace_out,
-            metadata={"tool": "repro.cli fleet", "version": __version__,
-                      "scenario": report.scenario, "batch": report.batch,
-                      "seed": args.seed},
-            metrics=metrics)
-        counts = validate_chrome_trace(data)
-        print(f"trace:     {counts['spans']} spans, "
-              f"{counts['instants']} instants, "
-              f"{counts['counters']} counters, "
-              f"{counts['processes']} processes -> {args.trace_out} "
-              f"(open at https://ui.perfetto.dev)")
-    if args.metrics_out:
-        _write_metrics_out(metrics, args.metrics_out)
-    return 0
-
-
-def cmd_monitor(args: argparse.Namespace) -> int:
-    from .fleet import (
-        SCENARIO_BUILDERS,
-        FleetSimulator,
-        build_fleet,
-        build_scenario,
-    )
-    from .model.config import protein_bert_base, protein_bert_tiny
-    from .monitor import fleet_monitor, format_alert_report, render_dashboard
-    from .reliability import (
-        FaultModel,
-        FaultRates,
-        derive_task_seed,
-    )
-    from .telemetry import Tracer, validate_chrome_trace, write_chrome_trace
-
-    config = protein_bert_tiny() if args.tiny else protein_bert_base()
-    topology = build_fleet(racks=args.racks,
-                           hosts_per_rack=args.hosts_per_rack,
-                           instances_per_host=args.instances_per_host,
-                           heterogeneous=args.heterogeneous)
-
-    def _run(name: str):
-        fault_model = FaultModel(
-            FaultRates(link_transient=args.link_transient_rate),
-            seed=derive_task_seed(args.seed, name))
-        simulator = FleetSimulator(topology, model_config=config,
-                                   fault_model=fault_model,
-                                   seq_len=args.seq_len)
-        scenario = (None if name == "none"
-                    else build_scenario(name, topology))
-        monitor = fleet_monitor(samples=args.samples)
-        tracer = Tracer() if args.trace_out else None
-        report = simulator.run(batch=args.batch, scenario=scenario,
-                               tracer=tracer, monitor=monitor)
-        return report, monitor, tracer
-
-    def _ms(value) -> str:
-        return f"{value * 1e3:9.3f}" if value is not None else f"{'-':>9s}"
-
-    if args.scenario == "all":
-        print(f"{'scenario':<18s} {'fault ms':>9s} {'detect ms':>9s} "
-              f"{'page ms':>9s} {'Δpage ms':>9s} {'alerts':>6s} "
-              f"{'pages':>5s} {'burn':>7s} {'budget':>7s}")
-        for name in SCENARIO_BUILDERS:
-            report, _monitor, _tracer = _run(name)
-            outcome = report.slo
-            print(f"{name:<18s} {_ms(outcome.fault_seconds)} "
-                  f"{_ms(outcome.detection_seconds)} "
-                  f"{_ms(outcome.first_page_seconds)} "
-                  f"{_ms(outcome.page_delay_seconds)} "
-                  f"{outcome.alerts:6d} {outcome.pages:5d} "
-                  f"{outcome.worst_burn_rate:7.1f} "
-                  f"{outcome.budget_remaining:6.1%}")
-        return 0
-
-    report, monitor, tracer = _run(args.scenario)
-    print(f"fleet:     {report.topology}")
-    print(f"scenario:  {report.scenario}")
-    print(f"workload:  {report.batch} inferences, seq_len {args.seq_len}, "
-          f"seed {args.seed}")
-    print(f"makespan:  {report.makespan_seconds * 1e3:.3f} ms "
-          f"(availability {report.availability:.4f})")
-    print(f"slo:       {report.slo.summary()}")
-    print()
-    dashboard = render_dashboard(
-        monitor, width=args.width,
-        series_names=[name for name in monitor.store.names()
-                      if name.startswith("fleet/")])
-    print(dashboard)
-    if args.dashboard_out:
-        with open(args.dashboard_out, "w", encoding="utf-8") as handle:
-            handle.write(dashboard + "\n")
-        print(f"dashboard -> {args.dashboard_out}")
-    if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as handle:
-            handle.write(format_alert_report(monitor.report()) + "\n")
-        print(f"alert report -> {args.report_out}")
-    if args.trace_out:
-        data = write_chrome_trace(
-            tracer, args.trace_out,
-            metadata={"tool": "repro.cli monitor",
-                      "version": __version__,
-                      "scenario": report.scenario, "batch": report.batch,
-                      "seed": args.seed},
-            series=monitor.store)
-        counts = validate_chrome_trace(data)
-        print(f"trace:     {counts['spans']} spans, "
-              f"{counts['counters']} counter samples -> {args.trace_out} "
-              f"(open at https://ui.perfetto.dev)")
+    _observe(args, tracer=tracer, metrics=metrics, monitor=monitor,
+             scenario=report.scenario, batch=report.batch, seed=args.seed)
     return 0
 
 
@@ -459,15 +397,7 @@ def cmd_zoo(args: argparse.Namespace) -> int:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     from .model.config import protein_bert_base, protein_bert_tiny
-    from .telemetry import (
-        MetricsRegistry,
-        Tracer,
-        render_tracer,
-        validate_chrome_trace,
-        write_chrome_trace,
-        write_metrics_csv,
-        write_metrics_jsonl,
-    )
+    from .telemetry import MetricsRegistry, Tracer, render_tracer
 
     tracer = Tracer()
     metrics = MetricsRegistry()
@@ -524,20 +454,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
         tiles = metrics.get("functional/tiles")
         print(f"functional: {int(tiles.value)} GEMM tiles")
 
-    data = write_chrome_trace(
-        tracer, args.out,
-        metadata={"tool": "repro.cli trace", "version": __version__,
-                  "workloads": list(workloads), "batch": args.batch,
-                  "seq_len": args.seq_len},
-        metrics=metrics)
-    counts = validate_chrome_trace(data)
-    write_metrics_csv(metrics, args.metrics_csv)
-    write_metrics_jsonl(metrics, args.metrics_jsonl)
-    print(f"trace: {counts['spans']} spans, {counts['instants']} instants, "
-          f"{counts['processes']} processes -> {args.out} "
-          f"(open at https://ui.perfetto.dev)")
-    print(f"metrics: {len(metrics)} series -> {args.metrics_csv}, "
-          f"{args.metrics_jsonl}")
+    _observe(args, tracer=tracer, metrics=metrics,
+             workloads=list(workloads), batch=args.batch,
+             seq_len=args.seq_len)
     if args.ascii:
         print()
         print(render_tracer(tracer, width=args.width))
@@ -587,8 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
     dse.add_argument("--workers", type=int, default=None,
                      help="evaluate configurations over N processes "
                           "(default $REPRO_SWEEP_WORKERS or 1)")
-    dse.add_argument("--trace-out", default=None,
-                     help="write a Perfetto trace of per-worker spans")
+    dse.add_argument("--observe", default=None, metavar="DIR",
+                     help="write a Perfetto trace of per-worker spans "
+                          "to DIR/trace.json")
     dse.set_defaults(handler=cmd_dse)
 
     binding = sub.add_parser("binding",
@@ -620,11 +540,10 @@ def build_parser() -> argparse.ArgumentParser:
                              help="fan --sweep rate points out over N "
                                   "processes (default $REPRO_SWEEP_WORKERS "
                                   "or 1)")
-    reliability.add_argument("--metrics-out", default=None,
-                             metavar="PATH",
+    reliability.add_argument("--observe", default=None, metavar="DIR",
                              help="dump serving metrics per rate point "
-                                  "(suffix picks .csv or .jsonl; implies "
-                                  "serial instrumented runs)")
+                                  "to DIR/metrics.jsonl (implies serial "
+                                  "instrumented runs)")
     reliability.set_defaults(handler=cmd_reliability)
 
     fleet = sub.add_parser(
@@ -662,52 +581,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "quarantines an instance (0 disables)")
     fleet.add_argument("--per-instance", action="store_true",
                        help="print the per-instance outcome table")
-    fleet.add_argument("--trace-out", default=None,
-                       help="write the recovery timeline as a Perfetto "
-                            "trace")
-    fleet.add_argument("--metrics-out", default=None, metavar="PATH",
-                       help="dump fleet metrics (suffix picks .csv or "
-                            ".jsonl)")
+    fleet.add_argument("--observe", default=None, metavar="DIR",
+                       help="attach a live monitor; write the recovery "
+                            "timeline, metrics, dashboard and alert "
+                            "report into DIR")
     fleet.add_argument("--workers", type=int, default=None,
                        help="fan --scenario all out over N processes "
                             "(default $REPRO_SWEEP_WORKERS or 1)")
     fleet.set_defaults(handler=cmd_fleet)
-
-    monitor = sub.add_parser(
-        "monitor",
-        help="live monitoring: SLO burn-rate alerts and an ASCII "
-             "dashboard over a chaos scenario")
-    monitor.add_argument("--scenario", default="rack_power_loss",
-                         help="chaos scenario name, 'none' (clean run), "
-                              "or 'all' (alert-timeline table)")
-    monitor.add_argument("--racks", type=int, default=2)
-    monitor.add_argument("--hosts-per-rack", type=int, default=2)
-    monitor.add_argument("--instances-per-host", type=int, default=4)
-    monitor.add_argument("--heterogeneous", action="store_true",
-                         help="mix calibrated A100/TPU baselines into "
-                              "the fleet")
-    monitor.add_argument("--batch", type=int, default=256)
-    monitor.add_argument("--seq-len", type=int, default=128)
-    monitor.add_argument("--seed", type=int, default=2022)
-    monitor.add_argument("--tiny", action="store_true",
-                         help="use the tiny model config (fast smoke "
-                              "runs)")
-    monitor.add_argument("--link-transient-rate", type=float, default=0.0,
-                         help="background fabric transient probability "
-                              "per dispatch")
-    monitor.add_argument("--samples", type=int, default=128,
-                         help="monitor sample ticks across the nominal "
-                              "horizon")
-    monitor.add_argument("--width", type=int, default=48,
-                         help="sparkline width in characters")
-    monitor.add_argument("--dashboard-out", default=None, metavar="PATH",
-                         help="also write the dashboard to a file")
-    monitor.add_argument("--report-out", default=None, metavar="PATH",
-                         help="write the alert report to a file")
-    monitor.add_argument("--trace-out", default=None, metavar="PATH",
-                         help="write a Perfetto trace with monitor "
-                              "counter tracks")
-    monitor.set_defaults(handler=cmd_monitor)
 
     trace = sub.add_parser(
         "trace",
@@ -726,10 +607,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--sequences", type=int, default=32,
                        help="library size for the serving workload")
     trace.add_argument("--seed", type=int, default=2022)
-    trace.add_argument("--out", default="trace.json",
-                       help="Chrome-trace JSON output path")
-    trace.add_argument("--metrics-csv", default="metrics.csv")
-    trace.add_argument("--metrics-jsonl", default="metrics.jsonl")
+    trace.add_argument("--observe", default=".", metavar="DIR",
+                       help="directory for trace.json and metrics.jsonl "
+                            "(default: the current directory)")
     trace.add_argument("--ascii", action="store_true",
                        help="also print an ASCII timeline")
     trace.add_argument("--width", type=int, default=100,
@@ -786,7 +666,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command is None:
         _print_overview(parser)
         return 0
-    for flag in ("workers", "limit"):
+    for flag in ("workers", "limit", "budget", "width"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             raise SystemExit(f"--{flag} must be at least 1, got {value}")

@@ -98,12 +98,28 @@ def _execute_experiment(position: int) -> str:
             f"{format_fn(result)}\n")
 
 
+def select(only: Optional[List[str]] = None) -> List[int]:
+    """Table positions of the named experiments (all if ``only`` is None).
+
+    Raises:
+        ValueError: naming the first unknown id and listing the valid ones.
+    """
+    ids = [exp_id for exp_id, *_rest in EXPERIMENTS]
+    unknown = [name for name in only or () if name not in ids]
+    if unknown:
+        raise ValueError(f"unknown experiment '{unknown[0]}'; choose from: "
+                         f"{', '.join(ids)}")
+    return [index for index, exp_id in enumerate(ids)
+            if only is None or exp_id in only]
+
+
 def run_all(only: Optional[List[str]] = None, verbose: bool = True,
             workers: Optional[int] = None) -> str:
     """Execute every experiment (or the named subset) and return the report.
 
     Args:
         only: experiment ids to run (e.g. ``["Figure 18"]``); all if None.
+            An unknown id raises ``ValueError`` before anything runs.
         verbose: print each block as it completes.
         workers: fan the experiments out over N processes; ``None`` reads
             ``REPRO_SWEEP_WORKERS`` (default 1, the serial path).  Blocks
@@ -111,8 +127,7 @@ def run_all(only: Optional[List[str]] = None, verbose: bool = True,
     """
     from ..parallel.executor import SweepExecutor
 
-    positions = [index for index, (exp_id, *_rest) in enumerate(EXPERIMENTS)
-                 if only is None or exp_id in only]
+    positions = select(only)
     resolved = SweepExecutor.resolve_workers(workers)
     if resolved == 1:
         blocks: List[str] = []

@@ -8,7 +8,7 @@ Three pieces:
 * :class:`MetricsRegistry` — counters, gauges, and fixed-bucket
   histograms that merge hierarchically across instances and campaigns;
 * exporters — Chrome-trace/Perfetto JSON (open at ``ui.perfetto.dev``),
-  flat CSV/JSONL metric dumps, and an ASCII timeline renderer;
+  a JSONL metrics dump, and an ASCII timeline renderer;
 * :func:`profile` — cProfile-backed hotspot capture that attributes
   per-function self time onto the active span stack and exports next to
   the spans (see :mod:`repro.telemetry.profiling`).
@@ -39,7 +39,6 @@ from .export import (
     to_chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
-    write_metrics_csv,
     write_metrics_jsonl,
 )
 from .metrics import (
@@ -102,6 +101,5 @@ __all__ = [
     "validate_chrome_trace",
     "validate_rollup",
     "write_chrome_trace",
-    "write_metrics_csv",
     "write_metrics_jsonl",
 ]

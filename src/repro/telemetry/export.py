@@ -1,4 +1,4 @@
-"""Exporters: Chrome-trace/Perfetto JSON, CSV/JSONL metric dumps.
+"""Exporters: Chrome-trace/Perfetto JSON and the JSONL metrics dump.
 
 The trace export follows the Trace Event Format's JSON-object flavour
 (the one ``ui.perfetto.dev`` and ``chrome://tracing`` both load): a
@@ -24,7 +24,6 @@ render as graphs directly above the spans that caused them.
 
 from __future__ import annotations
 
-import csv
 import json
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -283,22 +282,7 @@ def validate_chrome_trace(data: Dict[str, object]) -> Dict[str, int]:
     return counts
 
 
-# -- metrics dumps ------------------------------------------------------
-
-#: Column order for the flat CSV metric dump.
-_METRIC_FIELDS = ("name", "type", "value", "count", "sum", "min", "max",
-                  "p50", "p95", "p99")
-
-
-def write_metrics_csv(registry: MetricsRegistry, path: str) -> None:
-    """Flat CSV dump: one row per metric, histogram percentiles inline."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=_METRIC_FIELDS,
-                                restval="")
-        writer.writeheader()
-        for row in registry.rows():
-            writer.writerow(row)
-
+# -- metrics dump -------------------------------------------------------
 
 def write_metrics_jsonl(registry: MetricsRegistry, path: str) -> None:
     """JSONL dump: one JSON object per metric per line."""

@@ -343,9 +343,7 @@ def schedule_trace(tmp_path_factory):
     out = tmp_path_factory.mktemp("trace")
     assert main(["trace", "--workload", "schedule",
                  "--batch", str(BATCH), "--seq-len", str(SEQ_LEN),
-                 "--out", str(out / "trace.json"),
-                 "--metrics-csv", str(out / "metrics.csv"),
-                 "--metrics-jsonl", str(out / "metrics.jsonl")]) == 0
+                 "--observe", str(out)]) == 0
     return str(out / "trace.json")
 
 

@@ -90,6 +90,19 @@ class TestCliExperiments:
         out = capsys.readouterr().out
         assert "DSE configuration space" in out
 
+    def test_unknown_experiment_rejected(self, capsys):
+        from repro.experiments.runner import run_all
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["experiments", "Table 3", "Figure 99"])
+        text = str(exit_info.value.code)
+        assert text.startswith("unknown experiment 'Figure 99'; choose "
+                               "from: Figure 1, ")
+        assert "Monitoring" in text and "\n" not in text
+        assert capsys.readouterr().out == ""
+        with pytest.raises(ValueError, match="Figure 99"):
+            run_all(only=["Figure 99"], verbose=False)
+
     def test_compare_single_baseline(self, capsys):
         assert main(["compare", "--baseline", "tpuv3", "--batch", "16",
                      "--seq-len", "128"]) == 0

@@ -143,6 +143,9 @@ class TestCli:
         ["dse", "--limit", "0"],
         ["reliability", "--sweep", "--workers", "0"],
         ["fleet", "--scenario", "all", "--workers", "0"],
+        ["dse", "--budget", "0"],
+        ["dse", "--budget", "-5"],
+        ["trace", "--ascii", "--width", "0"],
     ])
     def test_nonpositive_counts_rejected(self, argv):
         flag, value = argv[-2:]
@@ -162,16 +165,71 @@ class TestCli:
 
         from repro.telemetry import validate_chrome_trace
 
-        out_path = tmp_path / "trace.json"
         assert main([
             "trace", "--workload", "schedule", "--batch", "2",
-            "--seq-len", "64", "--out", str(out_path),
-            "--metrics-csv", str(tmp_path / "metrics.csv"),
-            "--metrics-jsonl", str(tmp_path / "metrics.jsonl"),
+            "--seq-len", "64", "--observe", str(tmp_path),
         ]) == 0
-        data = json.loads(out_path.read_text())
+        data = json.loads((tmp_path / "trace.json").read_text())
         counts = validate_chrome_trace(data)
         assert counts["spans"] > 0
-        assert (tmp_path / "metrics.csv").exists()
         assert (tmp_path / "metrics.jsonl").exists()
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "metrics.jsonl", "trace.json"]
         assert "trace" in capsys.readouterr().out
+
+
+#: A small chaos run: the tiny model on 2 racks x 2 hosts x 2 instances.
+FLEET_ARGV = ["fleet", "--scenario", "rack_power_loss", "--tiny",
+              "--batch", "64", "--instances-per-host", "2"]
+
+
+class TestFleetCli:
+    @pytest.fixture(scope="class")
+    def observed(self, tmp_path_factory):
+        """Stdout of the run with and without ``--observe``, plus DIR."""
+        import contextlib
+        import io
+
+        directory = tmp_path_factory.mktemp("fleet") / "observe"
+        outputs = []
+        for extra in ([], ["--observe", str(directory)]):
+            buffer = io.StringIO()
+            with contextlib.redirect_stdout(buffer):
+                assert main(FLEET_ARGV + extra) == 0
+            outputs.append(buffer.getvalue().splitlines())
+        return outputs[0], outputs[1], directory
+
+    def test_observe_writes_all_four_files(self, observed):
+        import json
+
+        from repro.telemetry import validate_chrome_trace
+
+        _plain, lines, directory = observed
+        names = ("trace.json", "metrics.jsonl", "dashboard.txt",
+                 "alerts.txt")
+        assert sorted(path.name for path in directory.iterdir()) == \
+            sorted(names)
+        counts = validate_chrome_trace(
+            json.loads((directory / "trace.json").read_text()))
+        assert counts["spans"] > 0 and counts["counters"] > 0
+        rows = [json.loads(line) for line in
+                (directory / "metrics.jsonl").read_text().splitlines()]
+        assert rows and all("name" in row for row in rows)
+        assert (directory / "dashboard.txt").read_text().strip()
+        assert (directory / "alerts.txt").read_text().strip()
+        for name in names:
+            assert sum(str(directory / name) in line for line in lines) == 1
+
+    def test_report_is_unchanged_by_observe(self, observed):
+        plain, lines, _directory = observed
+        assert lines[:len(plain)] == plain
+        assert len(lines) == len(plain) + 4
+
+    @pytest.mark.parametrize("extra", [["--scenario", "all"], ["--list"]],
+                             ids=["scenario-all", "list"])
+    def test_observe_needs_one_scenario_run(self, tmp_path, extra):
+        with pytest.raises(SystemExit) as exit_info:
+            main(FLEET_ARGV + extra + ["--observe", str(tmp_path / "d")])
+        text = str(exit_info.value.code)
+        assert text.startswith("--observe") and "\n" not in text
+        assert not (tmp_path / "d").exists()
