@@ -22,6 +22,7 @@ from . import (
     figure18,
     figure19,
     figure20,
+    headline,
     numerics,
     sensitivity,
     table02,
@@ -48,6 +49,7 @@ __all__ = [
     "figure18",
     "figure19",
     "figure20",
+    "headline",
     "numerics",
     "run_all",
     "sensitivity",

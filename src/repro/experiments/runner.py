@@ -30,6 +30,7 @@ from . import (
     figure18,
     figure19,
     figure20,
+    headline,
     table02,
     table03,
     table04,
@@ -73,6 +74,8 @@ EXPERIMENTS: Tuple[Tuple[str, str, Callable, Callable], ...] = (
      extensions.run, extensions.format_result),
     ("Numerics", "bf16 + LUT datapath end-to-end accuracy validation",
      numerics.run, numerics.format_result),
+    ("Headline", "Abstract claims: speedup and perf/W vs A100/TPUv3/TPUv2",
+     headline.run, headline.format_result),
     ("Sensitivity", "Robustness of conclusions to modeling knobs",
      sensitivity.run, sensitivity.format_result),
     ("Reliability", "Fault-injection availability/goodput campaign",

@@ -3,8 +3,10 @@
 Each module here is an oracle the product code is checked against: the
 cycle-by-cycle PE grid and the differential harness (the analogue of the
 paper's Verilog functional simulation, Figure 15), the grouped two-level
-LUT walk the dense gather was flattened from, and the resource timelines
-the scheduler's placement kernel was flattened from.  None of it runs in
+LUT walk the dense gather was flattened from, the resource timelines
+the scheduler's placement kernel was flattened from, and the structural
+hardware generator (the Chisel-flow analogue) whose component roll-up
+cross-checks the Table 2 synthesis anchors.  None of it runs in
 a simulation, experiment or CLI command, so none of it ships in
 ``repro``.
 """

@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from ..dataflow.patterns import ArrayType
-from .lut import EXP_SPEC, GELU_SPEC
-from .streaming import DEFAULT_DEPTH
+from repro.arch.lut import EXP_SPEC, GELU_SPEC
+from repro.arch.streaming import DEFAULT_DEPTH
+from repro.dataflow.patterns import ArrayType
+from repro.physical.synthesis import characteristics
 
 #: Per-component 7 nm unit costs, fit from the Table 2 anchors: a bf16
 #: multiplier + fp32 adder MAC datapath dominates; registers and muxes
@@ -130,8 +131,6 @@ def crosscheck_against_table2() -> Dict[Tuple[int, str], Tuple[float, float]]:
         ratio of 1.0 means the structural roll-up reproduces the
         synthesized value exactly.
     """
-    from ..physical.synthesis import characteristics
-
     ratios = {}
     for size in (16, 32, 64):
         for array_type in (ArrayType.M, ArrayType.G, ArrayType.E):

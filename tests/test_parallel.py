@@ -228,6 +228,16 @@ class TestSweepParity:
                 == parallel.most_power_efficient)
         assert serial.most_area_efficient == parallel.most_area_efficient
 
+    def test_workers_inherit_warm_schedule_cache(self, explorer):
+        # A serial sweep warms the parent's in-memory schedule cache;
+        # forked workers inherit it, so the same space costs no schedule.
+        serial = explorer.sweep(limit=12, workers=1)
+        executor = SweepExecutor(workers=2)
+        warm = explorer.sweep(limit=12, executor=executor)
+        stats = executor.last_cache_stats["schedule"]
+        assert (stats.hits, stats.misses) == (12, 0)
+        assert warm == serial
+
     def test_empty_space_still_rejected(self, explorer):
         with pytest.raises(ValueError):
             explorer.sweep(limit=0)

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.arch.generator import (
-    crosscheck_against_table2,
-    elaborate,
-    elaboration_report,
-)
 from repro.cli import build_parser, main
 from repro.core import InferenceSession
 from repro.dataflow import ArrayType
 from repro.model import ProteinBert, protein_bert_tiny
 from repro.proteins import SequenceGenerator
+from tests.oracles.generator import (
+    crosscheck_against_table2,
+    elaborate,
+    elaboration_report,
+)
 
 
 class TestInferenceSession:
