@@ -234,6 +234,7 @@ class TestSweepParity:
         serial = explorer.sweep(limit=12, workers=1)
         executor = SweepExecutor(workers=2)
         warm = explorer.sweep(limit=12, executor=executor)
+        assert executor.last_mode == "process"
         stats = executor.last_cache_stats["schedule"]
         assert (stats.hits, stats.misses) == (12, 0)
         assert warm == serial
