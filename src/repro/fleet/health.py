@@ -27,6 +27,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..reliability.policy import HeartbeatConfig
 from ..telemetry import Tracer
 
 
@@ -48,51 +49,6 @@ _ALLOWED: Dict[HealthState, Tuple[HealthState, ...]] = {
     HealthState.DEAD: (HealthState.RECOVERING,),
     HealthState.RECOVERING: (HealthState.HEALTHY, HealthState.DEAD),
 }
-
-
-@dataclass(frozen=True)
-class HeartbeatConfig:
-    """Heartbeat cadence and capacity discounts, in nominal fractions.
-
-    Times are fractions of the *nominal fleet makespan* so one config
-    scales from a millisecond tiny-model smoke run to a full
-    Protein-BERT-base campaign without retuning.
-
-    Attributes:
-        interval_fraction: heartbeat period as a fraction of the
-            nominal makespan.
-        miss_threshold: consecutive missed heartbeats before an
-            instance is declared dead.
-        warmup_fraction: time a recovering instance spends warming up
-            (cache refill, model reload) before it is healthy again.
-        recovering_capacity: capacity factor during warm-up.
-        degraded_capacity: default factor for a degraded instance when
-            the degradation event names no explicit slowdown.
-    """
-
-    interval_fraction: float = 0.02
-    miss_threshold: int = 3
-    warmup_fraction: float = 0.05
-    recovering_capacity: float = 0.5
-    degraded_capacity: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.interval_fraction < 0 or self.warmup_fraction < 0:
-            raise ValueError("heartbeat fractions must be non-negative")
-        if self.miss_threshold < 1:
-            raise ValueError("miss_threshold must be at least 1")
-        for name in ("recovering_capacity", "degraded_capacity"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {value}")
-
-    def detection_seconds(self, nominal_makespan: float) -> float:
-        """Death-to-detection latency: the missed heartbeat window."""
-        return (self.interval_fraction * nominal_makespan
-                * self.miss_threshold)
-
-    def warmup_seconds(self, nominal_makespan: float) -> float:
-        return self.warmup_fraction * nominal_makespan
 
 
 @dataclass(frozen=True)

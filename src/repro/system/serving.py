@@ -22,7 +22,7 @@ from ..physical.power import power_report
 from ..proteins.workloads import Workload, bucket_batches
 from ..reliability.faults import FaultModel
 from ..reliability.policy import (
-    DegradationPolicy,
+    HeartbeatConfig,
     RetryPolicy,
     validate_policy_interplay,
 )
@@ -90,11 +90,10 @@ class CampaignSimulator:
             the resulting :class:`~repro.reliability.ReliabilityReport`
             is attached to the campaign report.
         retry_policy: backoff/deadline knobs; defaults apply when a
-            fault model is given without a policy.
-        degradation_policy: detection-window knobs checked against the
-            retry policy (see
-            :func:`~repro.reliability.validate_policy_interplay`) before
-            any faulty batch runs; defaults when omitted.
+            fault model is given without a policy.  Before any faulty
+            batch runs they are checked against the default heartbeat
+            window (see
+            :func:`~repro.reliability.validate_policy_interplay`).
     """
 
     def __init__(self, model_config: Optional[BertConfig] = None,
@@ -102,16 +101,13 @@ class CampaignSimulator:
                  buckets: Sequence[int] = DEFAULT_BUCKETS,
                  max_batch: int = 64,
                  fault_model: Optional[FaultModel] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
-                 degradation_policy: Optional[DegradationPolicy] = None
-                 ) -> None:
+                 retry_policy: Optional[RetryPolicy] = None) -> None:
         self.model_config = model_config or protein_bert_base()
         self.hardware = hardware or best_perf()
         self.buckets = tuple(buckets)
         self.max_batch = max_batch
         self.fault_model = fault_model
         self.retry_policy = retry_policy or RetryPolicy()
-        self.degradation_policy = degradation_policy or DegradationPolicy()
         self._prose_power = power_report(self.hardware).system_power_w
 
     def _batches(self, workload: Workload) -> List[Tuple[int, int]]:
@@ -170,6 +166,7 @@ class CampaignSimulator:
         retries = stragglers = failures = dropped = 0
         faulty = self.fault_model is not None and self.fault_model.active
         policy = self.retry_policy
+        heartbeat = HeartbeatConfig()
         batches = self._batches(workload)
         if monitor is not None and batches:
             # The horizon is the fault-free campaign: every schedule here
@@ -185,8 +182,7 @@ class CampaignSimulator:
                 # progress at this batch's time scale (e.g. a straggler
                 # deadline shorter than the first backoff step), instead
                 # of silently retrying forever below.
-                validate_policy_interplay(policy, self.degradation_policy,
-                                          nominal)
+                validate_policy_interplay(policy, heartbeat, nominal)
             padded_tokens += length * batch
             batch_start = total_seconds
             batch_name = f"batch{index}[len={length} n={batch}]"
