@@ -197,9 +197,9 @@ def cmd_embed(args: argparse.Namespace) -> int:
 
 def cmd_reliability(args: argparse.Namespace) -> int:
     from .experiments import fault_campaign
+    from .fleet import FleetSimulator, build_fleet
     from .model.config import protein_bert_tiny
     from .reliability import FaultModel, FaultRates
-    from .system.multi import ProSESystem
     from .telemetry import MetricsRegistry
 
     metrics = MetricsRegistry("reliability") if args.observe else None
@@ -222,16 +222,15 @@ def cmd_reliability(args: argparse.Namespace) -> int:
     fault_model = FaultModel(
         FaultRates(instance_failure=rate, link_transient=rate / 10.0),
         seed=args.seed)
-    scenario = ProSESystem(instances=args.instances).simulate_with_faults(
-        config, batch=args.batch, seq_len=args.seq_len,
-        fault_model=fault_model)
-    reliability = scenario.reliability
+    topology = build_fleet(racks=1, hosts_per_rack=1,
+                           instances_per_host=args.instances)
+    scenario = FleetSimulator(
+        topology, model_config=config, fault_model=fault_model,
+        seq_len=args.seq_len,
+        reference_batch=args.batch // args.instances).run(batch=args.batch)
     print(f"{args.instances}-instance system @ instance-failure rate "
           f"{rate:g}:")
-    print(f"  {reliability.summary()}")
-    print(f"  survivors: {scenario.survivors}, energy "
-          f"{scenario.energy_joules:.3f} J "
-          f"(fault-free {scenario.fault_free_energy_joules:.3f} J)")
+    print(f"  {scenario.summary()}")
     _observe(args, metrics=metrics)
     return 0
 

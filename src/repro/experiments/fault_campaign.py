@@ -5,8 +5,10 @@ drug-discovery campaigns) only holds up if the system tolerates faults.
 This experiment sweeps a seeded fault rate across the serving layer —
 each rate applied simultaneously to batch failures, stragglers, and
 link transients — and reports the availability/goodput curve, then
-exercises the multi-instance recovery path by killing one of the four
-instances mid-batch and re-accounting the resharded completion.
+exercises the multi-instance recovery path: the paper's four instances
+behind one host run as a 1-rack, 1-host, 4-instance fleet, one instance
+dies mid-batch, and the heartbeat monitor's detection triggers a
+re-shard of its lost work onto the survivors.
 
 Everything is deterministic for a given seed, so the emitted curve is a
 regression artifact like any paper figure.
@@ -17,18 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from ..fleet import FleetReport, FleetSimulator, build_fleet
 from ..model.config import BertConfig, protein_bert_tiny
 from ..parallel.executor import SweepExecutor
 from ..proteins.workloads import Workload, screening_campaign
 from ..reliability import (
-    DegradationPolicy,
     FaultModel,
     FaultRates,
     ReliabilityReport,
     RetryPolicy,
     derive_task_seed,
 )
-from ..system.multi import ProSESystem, ReliableSystemReport
 from ..system.serving import CampaignSimulator
 from ..telemetry import MetricsRegistry
 
@@ -42,11 +43,16 @@ DEFAULT_RETRY_POLICY = RetryPolicy(backoff_base_seconds=0.002,
 
 @dataclass(frozen=True)
 class FaultCampaignResult:
-    """Availability/goodput curve plus the instance-failure scenario."""
+    """Availability/goodput curve plus the instance-failure scenario.
+
+    ``fault_free_energy_joules`` is what the failure scenario's batch
+    costs on the same fleet with no failure.
+    """
 
     fault_rates: Tuple[float, ...]
     serving_reports: Tuple[ReliabilityReport, ...]
-    failure_scenario: ReliableSystemReport
+    failure_scenario: FleetReport
+    fault_free_energy_joules: float
     seed: int
 
 
@@ -112,15 +118,25 @@ def run(fault_rates: Tuple[float, ...] = DEFAULT_FAULT_RATES,
                                        label="fault-campaign")
 
     # Deterministically kill instance 1 of 4 mid-batch: the recovery
-    # path reshards its inferences across the three survivors.
-    failure_model = FaultModel(seed=seed, targeted_instance_failures=(1,))
-    scenario = ProSESystem(instances=4).simulate_with_faults(
-        config, batch=32, seq_len=128, fault_model=failure_model,
-        policy=DegradationPolicy())
-    return FaultCampaignResult(fault_rates=tuple(fault_rates),
-                               serving_reports=tuple(serving_reports),
-                               failure_scenario=scenario,
-                               seed=seed)
+    # path re-shards its lost inferences across the three survivors.
+    # Each instance calibrates on its own shard's schedule.
+    topology = build_fleet(racks=1, hosts_per_rack=1, instances_per_host=4)
+    batch = 32
+
+    def fleet(fault_model: FaultModel) -> FleetSimulator:
+        return FleetSimulator(topology, model_config=config,
+                              fault_model=fault_model, seq_len=128,
+                              reference_batch=batch // 4)
+
+    scenario = fleet(FaultModel(seed=seed, targeted_instance_failures=(1,))
+                     ).run(batch=batch)
+    fault_free = fleet(FaultModel()).run(batch=batch)
+    return FaultCampaignResult(
+        fault_rates=tuple(fault_rates),
+        serving_reports=tuple(serving_reports),
+        failure_scenario=scenario,
+        fault_free_energy_joules=fault_free.energy_joules,
+        seed=seed)
 
 
 def format_result(result: FaultCampaignResult) -> str:
@@ -133,17 +149,20 @@ def format_result(result: FaultCampaignResult) -> str:
                      f"{report.dropped:7d} "
                      f"{report.wasted_seconds * 1e3:9.2f}")
     scenario = result.failure_scenario
-    reliability = scenario.reliability
+    survivors = sum(1 for outcome in scenario.per_instance
+                    if outcome.final_state != "dead")
+    extra = scenario.energy_joules - result.fault_free_energy_joules
     lines.append("")
     lines.append(
-        f"instance-failure scenario (1 of {scenario.instances} killed): "
-        f"batch {scenario.batch} completed on {scenario.survivors} "
-        f"survivors via {len(scenario.recovery)} recovery shards")
+        f"instance-failure scenario ({scenario.failures} of "
+        f"{len(scenario.per_instance)} killed): batch {scenario.batch}, "
+        f"{scenario.completed:.1f} completed on {survivors} survivors via "
+        f"{scenario.reshards} re-shards")
     lines.append(
-        f"  availability {reliability.availability:.4f}, "
-        f"goodput {reliability.goodput:.1f} inf/s, "
-        f"retries {reliability.retries}, "
-        f"recovery energy {scenario.energy_joules:.2f} J vs "
-        f"fault-free {scenario.fault_free_energy_joules:.2f} J "
-        f"(+{scenario.energy_joules - scenario.fault_free_energy_joules:.2f} J)")
+        f"  availability {scenario.availability:.4f}, "
+        f"goodput {scenario.goodput:.1f} inf/s, "
+        f"recovery {scenario.recovery_seconds * 1e3:.3f} ms, "
+        f"energy {scenario.energy_joules * 1e3:.2f} mJ vs "
+        f"fault-free {result.fault_free_energy_joules * 1e3:.2f} mJ "
+        f"(+{extra * 1e3:.2f} mJ)")
     return "\n".join(lines)

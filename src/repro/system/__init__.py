@@ -9,7 +9,6 @@ from .serving import (
 from .multi import (
     DEFAULT_INSTANCES,
     ProSESystem,
-    ReliableSystemReport,
     SystemReport,
     format_scaling,
     scaling_study,
@@ -22,7 +21,6 @@ __all__ = [
     "DEFAULT_INSTANCES",
     "format_campaign",
     "ProSESystem",
-    "ReliableSystemReport",
     "SystemReport",
     "format_scaling",
     "scaling_study",

@@ -8,7 +8,8 @@ per system."
 The system model shards an inference batch across instances (each with
 its own dedicated link), shares one host CPU for the softmax finishes and
 layer norms, and accounts power once for the host and per-instance for
-the accelerators.
+the accelerators.  Failures of this system are modeled by
+:mod:`repro.fleet` on a 1-rack, 1-host fleet of the same instances.
 """
 
 from __future__ import annotations
@@ -17,12 +18,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..arch.config import HardwareConfig, best_perf
-from ..arch.interconnect import DISPATCH_OVERHEAD_SECONDS
 from ..model.config import BertConfig, protein_bert_base
 from ..physical.power import power_report
-from ..reliability.faults import FaultModel
-from ..reliability.policy import DegradationPolicy
-from ..reliability.report import ReliabilityReport
 from ..sched.host import HOST_POWER_WATTS, HostModel
 from ..sched.orchestrator import Orchestrator, ScheduleResult
 from ..telemetry import MetricsRegistry, Tracer
@@ -69,50 +66,6 @@ class SystemReport:
 
     # power injected at construction (frozen dataclass workaround)
     _accelerator_power: float = 0.0
-
-
-@dataclass(frozen=True)
-class ReliableSystemReport:
-    """A fault-injected multi-instance run, with recovery re-accounted.
-
-    When the fault model is inert every field reproduces the fault-free
-    :class:`SystemReport` numbers bit-identically; under faults the
-    makespan stretches by detection windows, link retransmissions, and
-    resharded recovery work, and the energy account charges survivors
-    for the full degraded wall-clock.
-
-    Attributes:
-        base: the initial (pre-fault) per-shard simulation.
-        recovery: recovery shard results run on survivors (empty when
-            no instance failed).
-        makespan_seconds: degraded end-to-end wall-clock.
-        energy_joules: energy including all recovery work.
-        fault_free_energy_joules: what the same batch costs with no
-            faults — the reference for the waste account.
-        survivors: instances still healthy at completion.
-        reliability: availability/goodput/retry accounting.
-    """
-
-    base: SystemReport
-    recovery: Tuple[ScheduleResult, ...]
-    makespan_seconds: float
-    energy_joules: float
-    fault_free_energy_joules: float
-    survivors: int
-    reliability: ReliabilityReport
-
-    @property
-    def batch(self) -> int:
-        return self.base.batch
-
-    @property
-    def instances(self) -> int:
-        return self.base.instances
-
-    @property
-    def throughput(self) -> float:
-        """Completed inferences per second of degraded wall-clock."""
-        return self.batch / self.makespan_seconds
 
 
 class ProSESystem:
@@ -193,212 +146,6 @@ class ProSESystem:
         return SystemReport(instances=self.instances,
                             per_instance=tuple(results), batch=batch,
                             _accelerator_power=accel_power)
-
-    def simulate_with_faults(self, config: Optional[BertConfig] = None,
-                             batch: int = 512, seq_len: int = 512,
-                             fault_model: Optional[FaultModel] = None,
-                             policy: Optional[DegradationPolicy] = None,
-                             tracer: Optional[Tracer] = None,
-                             metrics: Optional[MetricsRegistry] = None
-                             ) -> ReliableSystemReport:
-        """Simulate under injected faults with degradation-aware recovery.
-
-        Three fault classes apply, all drawn from the seeded model:
-
-        * **transient link errors** — each affected dispatch retransmits
-          its payload (average bytes/dispatch over the link) plus the
-          dispatch overhead, delaying that shard;
-        * **instance failures** — a failed instance dies partway through
-          its shard; after the heartbeat window the host reshards the
-          lost inferences across survivors, which run them as an extra
-          appended shard (the full batch still completes);
-        * **outage** — with fewer than ``policy.min_survivors`` healthy
-          instances the host restarts everything and reruns the batch.
-
-        Energy is re-accounted over the degraded timeline: failed
-        instances draw accelerator power until their failure instant,
-        survivors and the host for the whole stretched makespan.  With
-        an inert fault model every returned number is bit-identical to
-        :meth:`simulate`.
-        """
-        config = config or protein_bert_base()
-        policy = policy or DegradationPolicy()
-        fault_model = fault_model or FaultModel()
-        base = self.simulate(config, batch=batch, seq_len=seq_len,
-                             tracer=tracer, metrics=metrics)
-        accel_each = power_report(self.hardware).accelerator_power_w
-        base_makespan = base.makespan_seconds
-        fault_free_energy = base_makespan * (
-            accel_each * self.instances + HOST_POWER_WATTS)
-
-        # Per-instance completion including link retransmissions.
-        completions: List[float] = []
-        retries = 0
-        wasted = 0.0
-        for index, result in enumerate(base.per_instance):
-            errors = fault_model.link_transients(result.total_dispatches)
-            completion = result.makespan_seconds
-            if errors:
-                bytes_per_dispatch = (
-                    result.total_stream_bytes / result.total_dispatches
-                    if result.total_dispatches else 0.0)
-                per_retry = (bytes_per_dispatch
-                             / self.hardware.link.total_bandwidth
-                             + DISPATCH_OVERHEAD_SECONDS)
-                retries += errors
-                wasted += errors * per_retry
-                completion += errors * per_retry
-                if tracer is not None:
-                    tracer.instant(
-                        "link_retransmissions", result.makespan_seconds,
-                        pid=f"instance{index}", tid="system",
-                        category="fault", errors=errors,
-                        added_seconds=errors * per_retry)
-            completions.append(completion)
-
-        failed = fault_model.failed_instances(self.instances)
-        failures = len(failed)
-        survivors = self.instances - failures
-        active_seconds = list(completions)
-        recovery: List[ScheduleResult] = []
-
-        if failed and survivors >= policy.min_survivors:
-            # Each failed instance dies partway through its shard; the
-            # host notices after a heartbeat window, then reshards the
-            # lost inferences across the survivors.
-            fail_times = []
-            lost = 0
-            for index in failed:
-                fail_at = (fault_model.failure_fraction()
-                           * completions[index])
-                fail_times.append(fail_at)
-                wasted += fail_at
-                active_seconds[index] = fail_at
-                lost += base.per_instance[index].batch
-                if tracer is not None:
-                    tracer.instant(
-                        "instance_failure", fail_at,
-                        pid=f"instance{index}", tid="system",
-                        category="fault",
-                        lost_batch=base.per_instance[index].batch)
-            detect_at = max(fail_times) + policy.detection_seconds(
-                max(completions[index] for index in failed))
-            if tracer is not None:
-                tracer.instant("failure_detected", detect_at,
-                               pid="system", tid="events",
-                               category="fault", failed=len(failed))
-            surviving = [i for i in range(self.instances)
-                         if i not in failed]
-            share, extra = divmod(lost, len(surviving))
-            orchestrator = Orchestrator(self.hardware,
-                                        host=self._shard_host)
-            makespan = 0.0
-            for position, index in enumerate(surviving):
-                extra_batch = share + (1 if position < extra else 0)
-                finish = completions[index]
-                if extra_batch > 0:
-                    resume_at = max(completions[index], detect_at)
-                    wasted += max(detect_at - completions[index], 0.0)
-                    pid = f"instance{index}"
-                    recovery_metrics = (
-                        MetricsRegistry(name=f"{pid}/recovery")
-                        if metrics is not None else None)
-                    extra_result = orchestrator.run(
-                        config, batch=extra_batch, seq_len=seq_len,
-                        tracer=tracer, metrics=recovery_metrics,
-                        trace_pid=pid, trace_offset=resume_at)
-                    recovery.append(extra_result)
-                    finish = resume_at + extra_result.makespan_seconds
-                    if tracer is not None:
-                        tracer.add_span(
-                            "recovery_shard", resume_at, finish, pid=pid,
-                            tid="recovery", category="recovery",
-                            extra_batch=extra_batch)
-                    if metrics is not None and recovery_metrics is not None:
-                        metrics.merge(recovery_metrics,
-                                      prefix=f"{pid}/recovery")
-                        metrics.merge(recovery_metrics)
-                active_seconds[index] = finish
-                makespan = max(makespan, finish)
-            total_makespan = makespan
-            retries += failures
-        elif failed:
-            # Outage: everything died.  The host restarts the system
-            # after the last heartbeat window and reruns the batch.
-            fail_times = []
-            for index in failed:
-                fail_at = (fault_model.failure_fraction()
-                           * completions[index])
-                fail_times.append(fail_at)
-                wasted += fail_at
-                if tracer is not None:
-                    tracer.instant(
-                        "instance_failure", fail_at,
-                        pid=f"instance{index}", tid="system",
-                        category="fault",
-                        lost_batch=base.per_instance[index].batch)
-            detect_at = max(fail_times) + policy.detection_seconds(
-                max(completions))
-            total_makespan = detect_at + max(completions)
-            active_seconds = [fail_times[i] + completions[i]
-                              for i in range(self.instances)]
-            recovery = list(base.per_instance)
-            retries += self.instances
-            survivors = self.instances  # restarted
-            if tracer is not None:
-                tracer.instant("outage_restart", detect_at, pid="system",
-                               tid="events", category="fault",
-                               failed=self.instances)
-                for index in range(self.instances):
-                    tracer.add_span(
-                        "outage_rerun", detect_at,
-                        detect_at + completions[index],
-                        pid=f"instance{index}", tid="recovery",
-                        category="recovery",
-                        batch=base.per_instance[index].batch)
-        else:
-            total_makespan = max(completions)
-
-        if failed:
-            energy = (HOST_POWER_WATTS * total_makespan
-                      + accel_each * sum(active_seconds))
-        else:
-            # All instances powered for the common wall-clock, exactly
-            # the fault-free account (bit-identical at rate zero).
-            energy = total_makespan * (accel_each * self.instances
-                                       + HOST_POWER_WATTS)
-
-        stats = fault_model.stats
-        if metrics is not None:
-            metrics.counter("reliability/retries").inc(retries)
-            metrics.counter("reliability/instance_failures").inc(failures)
-            metrics.counter("reliability/wasted_seconds").inc(wasted)
-            metrics.counter("reliability/abft_detections").inc(
-                stats.detected)
-            metrics.counter("reliability/faults_injected").inc(
-                stats.injected)
-            metrics.counter("reliability/faults_silent").inc(stats.silent)
-            metrics.gauge("reliability/availability").set(
-                base_makespan / total_makespan)
-            metrics.gauge("reliability/goodput").set(batch / total_makespan)
-        reliability = ReliabilityReport(
-            availability=base_makespan / total_makespan,
-            goodput=batch / total_makespan,
-            retries=retries,
-            failures=failures,
-            wasted_seconds=wasted,
-            wasted_joules=max(energy - fault_free_energy, 0.0),
-            faults_injected=stats.injected,
-            faults_detected=stats.detected,
-            faults_silent=stats.silent)
-        return ReliableSystemReport(
-            base=base,
-            recovery=tuple(recovery),
-            makespan_seconds=total_makespan,
-            energy_joules=energy,
-            fault_free_energy_joules=fault_free_energy,
-            survivors=survivors,
-            reliability=reliability)
 
 
 def scaling_study(config: Optional[BertConfig] = None,

@@ -16,6 +16,7 @@ import pytest
 from repro.arch import best_perf
 from repro.arch.accelerated_model import AcceleratedProteinBert
 from repro.dataflow import ArrayType
+from repro.fleet import FleetSimulator, build_fleet
 from repro.model import ProteinBert, protein_bert_tiny
 from repro.proteins.workloads import uniprot_like_workload
 from repro.reliability import FaultModel, FaultRates, RetryPolicy
@@ -195,18 +196,23 @@ class TestSystemTracing:
         validate_chrome_trace(to_chrome_trace(tracer))
 
     def test_faulty_simulate_bit_identical_with_tracer(self):
-        system = ProSESystem(best_perf(), instances=2)
+        # The two-instance system under faults, on the fleet model.
+        topology = build_fleet(racks=1, hosts_per_rack=1,
+                               instances_per_host=2)
         rates = FaultRates(instance_failure=0.9, link_transient=0.05)
-        plain = system.simulate_with_faults(
-            CONFIG, batch=4, seq_len=64,
-            fault_model=FaultModel(rates, seed=7))
+
+        def run(**observers):
+            return FleetSimulator(
+                topology, model_config=CONFIG, seq_len=64,
+                reference_batch=2, fault_model=FaultModel(rates, seed=7)
+            ).run(batch=4, **observers)
+
+        plain = run()
         tracer = Tracer()
-        traced = system.simulate_with_faults(
-            CONFIG, batch=4, seq_len=64,
-            fault_model=FaultModel(rates, seed=7),
-            tracer=tracer, metrics=MetricsRegistry())
-        assert plain.makespan_seconds == traced.makespan_seconds
-        assert plain.reliability == traced.reliability
+        traced = run(tracer=tracer, metrics=MetricsRegistry())
+        assert plain.failures > 0
+        assert plain == traced
+        assert tracer.spans_on(category="fault")
         validate_chrome_trace(to_chrome_trace(tracer))
 
 
