@@ -196,8 +196,7 @@ def _reserve(starts: List[List[float]], ends: List[List[float]],
 def _replay(log: List[LogRow], names: List[str], thread_nodes: List[Tuple],
             sub_batches: List[int], record_tasks: bool,
             tracer: Optional[Tracer], histogram: Optional[Histogram],
-            trace_pid: str, trace_offset: float
-            ) -> Optional[Tuple[TaskRecord, ...]]:
+            trace_pid: str) -> Optional[Tuple[TaskRecord, ...]]:
     """Derive task records, spans and task latencies from a placement log.
 
     Rows are visited in dispatch order, and ``names`` maps a resource
@@ -217,7 +216,7 @@ def _replay(log: List[LogRow], names: List[str], thread_nodes: List[Tuple],
             sub = sub_batches[thread]
             if candidate is None:
                 tracer.add_span(
-                    node.name, trace_offset + start, trace_offset + end,
+                    node.name, start, end,
                     pid=trace_pid, tid=names[marks[0][2]], category="host",
                     ops=len(node.ops), flops=node.flops)
             else:
@@ -229,26 +228,25 @@ def _replay(log: List[LogRow], names: List[str], thread_nodes: List[Tuple],
                     if slot is not None:
                         tracer.add_span(
                             f"{node.name}:host{segment_index}",
-                            trace_offset + seg_start, trace_offset + seg_end,
+                            seg_start, seg_end,
                             pid=trace_pid, tid=names[slot], category="host",
                             sub_batch=sub, node=index)
                         continue
                     tracer.add_span(
                         f"{node.name}:xfer{segment_index}",
-                        trace_offset + seg_start,
-                        trace_offset + seg_start + hold,
+                        seg_start, seg_start + hold,
                         pid=trace_pid, tid=names[channel], category="stream",
                         bytes=segment.stream_bytes, sub_batch=sub,
                         node=index, array_type=array_type)
                     tracer.add_span(
                         f"{node.name}:seg{segment_index}",
-                        trace_offset + seg_start, trace_offset + seg_end,
+                        seg_start, seg_end,
                         pid=trace_pid, tid=names[array], category="exec",
                         compute_seconds=segment.compute_seconds,
                         array_size=size, sub_batch=sub, node=index,
                         array_type=array_type)
             tracer.add_span(
-                node.name, trace_offset + start, trace_offset + end,
+                node.name, start, end,
                 pid=trace_pid, tid=f"thread{thread:02d}", category="task",
                 kind=kind, resource=resource, sub_batch=sub, ready=ready,
                 node=index)
@@ -297,8 +295,7 @@ class Orchestrator:
             graph_builder=None,
             tracer: Optional[Tracer] = None,
             metrics: Optional[MetricsRegistry] = None,
-            trace_pid: str = "instance0",
-            trace_offset: float = 0.0) -> ScheduleResult:
+            trace_pid: str = "instance0") -> ScheduleResult:
         """Simulate one batched inference.
 
         One placement loop schedules every task.  When anything observes
@@ -327,9 +324,6 @@ class Orchestrator:
                 occupancy gauges.
             trace_pid: Perfetto process label for emitted spans (the
                 multi-instance system passes ``instanceN``).
-            trace_offset: seconds added to every emitted timestamp, so
-                a run can be placed on an enclosing clock (recovery
-                shards, campaign batches).
 
         Returns:
             A :class:`ScheduleResult` with makespan and utilizations.
@@ -564,7 +558,7 @@ class Orchestrator:
                 log, names, thread_nodes, sub_batches, record_tasks, tracer,
                 (metrics.histogram("sched/task_seconds")
                  if metrics is not None else None),
-                trace_pid, trace_offset)
+                trace_pid)
 
         array_util = {}
         for array_type, members in arrays.items():
@@ -597,7 +591,7 @@ class Orchestrator:
             inventory = {f"arrays_{t.value.lower()}": len(arrays[t])
                          for t in ArrayType}
             tracer.add_span(
-                "orchestrator.run", trace_offset, trace_offset + makespan,
+                "orchestrator.run", 0.0, makespan,
                 pid=trace_pid, tid="schedule", category="run",
                 batch=batch, seq_len=seq_len, threads=thread_count,
                 policy="earliest_finish", dispatches=total_dispatches,
