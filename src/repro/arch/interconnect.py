@@ -25,9 +25,6 @@ NVLINK_RAW_BANDWIDTH: Dict[str, float] = {
 #: Lane counts per generation (six 45/90 GB/s lanes at 90% efficiency).
 NVLINK_LANES = 6
 
-#: One-way transfer latency (conservative NVLink small-transfer latency).
-LINK_LATENCY_SECONDS = 1.3e-6
-
 #: Fixed software dispatch cost per host-accelerator transfer (driver,
 #: doorbell, and the mutex-guarded I/O buffer handoff).
 DISPATCH_OVERHEAD_SECONDS = 2.0e-6
@@ -41,13 +38,11 @@ class LinkConfig:
         name: label used in result tables ("NVLink 2.0 @ 90%", ...).
         total_bandwidth: achievable bytes/second across all lanes.
         lanes: number of independently assignable lanes.
-        latency: one-way latency in seconds.
     """
 
     name: str
     total_bandwidth: float
     lanes: int = NVLINK_LANES
-    latency: float = LINK_LATENCY_SECONDS
 
     def __post_init__(self) -> None:
         if self.total_bandwidth <= 0 or self.lanes <= 0:
@@ -80,7 +75,7 @@ def nvlink(generation: int, efficiency: float = 0.9) -> LinkConfig:
 
 def infinite_link() -> LinkConfig:
     """The evaluation's 'Infinite' bandwidth point."""
-    return LinkConfig(name="Infinite", total_bandwidth=1e18, latency=0.0)
+    return LinkConfig(name="Infinite", total_bandwidth=1e18)
 
 
 def custom_link(bandwidth_gbps: float) -> LinkConfig:
