@@ -1,4 +1,4 @@
-"""Physical model: synthesis anchors, SRAM, scaling, power/area."""
+"""Physical model: synthesis anchors, input buffers, scaling, power/area."""
 
 from .energy import (
     IDLE_POWER_FRACTION,
@@ -25,7 +25,7 @@ from .scaling import (
     scale_frequency,
     scale_power,
 )
-from .sram import SramMacro, input_buffer_bits, synthesize_sram
+from .sram import input_buffer_bits
 from .synthesis import (
     A100_DIE_AREA_MM2,
     A100_TDP_WATTS,
@@ -49,7 +49,6 @@ __all__ = [
     "POWER_FACTORS",
     "PowerReport",
     "ScalingResult",
-    "SramMacro",
     "TABLE2_ROWS",
     "accelerator_power_watts",
     "area_mm2",
@@ -62,7 +61,6 @@ __all__ = [
     "scale_delay",
     "scale_frequency",
     "scale_power",
-    "synthesize_sram",
     "system_power_watts",
     "table2",
     "validate_clock_feasibility",

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from ..arch.config import HardwareConfig
 from ..arch.interconnect import DISPATCH_OVERHEAD_SECONDS
 from ..arch.timing import dataflow_signature, time_dataflow
-from ..dataflow.graph import DataflowGraph, HostTask
+from ..dataflow.graph import DataflowGraph, HostTask, Node
 from ..dataflow.patterns import ArrayType, Dataflow
 from ..model.config import BertConfig
 from ..telemetry import Histogram, MetricsRegistry, Tracer
@@ -193,70 +193,117 @@ def _reserve(starts: List[List[float]], ends: List[List[float]],
     return end
 
 
-def _replay(log: List[LogRow], names: List[str], thread_nodes: List[Tuple],
-            sub_batches: List[int], record_tasks: bool,
-            tracer: Optional[Tracer], histogram: Optional[Histogram],
-            trace_pid: str) -> Optional[Tuple[TaskRecord, ...]]:
-    """Derive task records, spans and task latencies from a placement log.
+def _replay(log: List[LogRow], thread_nodes: List[Tuple],
+            record_tasks: bool, histogram: Optional[Histogram]
+            ) -> Optional[Tuple[TaskRecord, ...]]:
+    """Derive task records and task latencies from a placement log.
+
+    Returns:
+        The task records when ``record_tasks`` is set, else ``None``.
+    """
+    if histogram is not None:
+        histogram.observe_many([row[4] - row[3] for row in log])
+    if not record_tasks:
+        return None
+    return tuple(
+        TaskRecord(thread=thread, name=thread_nodes[thread][index].name,
+                   kind=kind, ready=ready, start=start, end=end,
+                   resource=resource)
+        for thread, index, ready, start, end, resource, kind, _, _ in log)
+
+
+def _trace(tracer: Tracer, log: List[LogRow], names: List[str],
+           thread_nodes: List[Tuple], sub_batches: List[int],
+           trace_pid: str, makespan: float,
+           run_args: Dict[str, object]) -> None:
+    """Fill the tracer's span columns from a placement log, in one call.
 
     Rows are visited in dispatch order, and ``names`` maps a resource
     index to its track name.  Each task's reservations become spans
     before the task's own span: host-side segments on the chosen host
     slot's track (category ``host``), channel holds on the link track
-    (``stream``), array holds on the array's track (``exec``).
+    (``stream``), array holds on the array's track (``exec``).  The
+    ``orchestrator.run`` span over ``[0, makespan]`` comes last.
 
-    Returns:
-        The task records when ``record_tasks`` is set, else ``None``.
+    A task's span names, categories and reservation args are fixed by
+    its node, sub-batch and array size, so they are built once per such
+    triple (:func:`_template`); only times, tracks and the task's own
+    args are per row.
     """
-    records: Optional[List[TaskRecord]] = [] if record_tasks else None
+    tracks = [tracer.track(trace_pid, name) for name in names]
+    thread_tracks = [tracer.track(trace_pid, f"thread{thread:02d}")
+                     for thread in range(len(sub_batches))]
+    templates: Dict[Tuple[int, int, int], Tuple] = {}
+    columns: Tuple[List, ...] = ([], [], [], [], [], [])
+    span_names, starts, ends, span_tracks, categories, span_args = columns
+    start_at, end_at, on_track = starts.append, ends.append, span_tracks.append
     for (thread, index, ready, start, end, resource, kind, candidate,
          marks) in log:
-        node = thread_nodes[thread][index]
-        if tracer is not None:
-            sub = sub_batches[thread]
-            if candidate is None:
-                tracer.add_span(
-                    node.name, start, end,
-                    pid=trace_pid, tid=names[marks[0][2]], category="host",
-                    ops=len(node.ops), flops=node.flops)
-            else:
-                array, channel, size, _, timing, segments = candidate
-                array_type = node.array_type.value
-                for segment_index, (segment, (_, hold, _),
-                                    (seg_start, seg_end, slot)) in \
-                        enumerate(zip(timing.segments, segments, marks)):
-                    if slot is not None:
-                        tracer.add_span(
-                            f"{node.name}:host{segment_index}",
-                            seg_start, seg_end,
-                            pid=trace_pid, tid=names[slot], category="host",
-                            sub_batch=sub, node=index)
-                        continue
-                    tracer.add_span(
-                        f"{node.name}:xfer{segment_index}",
-                        seg_start, seg_start + hold,
-                        pid=trace_pid, tid=names[channel], category="stream",
-                        bytes=segment.stream_bytes, sub_batch=sub,
-                        node=index, array_type=array_type)
-                    tracer.add_span(
-                        f"{node.name}:seg{segment_index}",
-                        seg_start, seg_end,
-                        pid=trace_pid, tid=names[array], category="exec",
-                        compute_seconds=segment.compute_seconds,
-                        array_size=size, sub_batch=sub, node=index,
-                        array_type=array_type)
-            tracer.add_span(
-                node.name, start, end,
-                pid=trace_pid, tid=f"thread{thread:02d}", category="task",
-                kind=kind, resource=resource, sub_batch=sub, ready=ready,
-                node=index)
-        if histogram is not None:
-            histogram.observe(end - start)
-        if records is not None:
-            records.append(TaskRecord(
-                thread=thread, name=node.name, kind=kind, ready=ready,
-                start=start, end=end, resource=resource))
-    return tuple(records) if records is not None else None
+        sub = sub_batches[thread]
+        size = candidate[2] if candidate is not None else 0
+        template = templates.get((sub, index, size))
+        if template is None:
+            template = templates[(sub, index, size)] = _template(
+                thread_nodes[thread][index], sub, index, candidate)
+        task_names, task_categories, segment_args, holds = template
+        span_names.extend(task_names)
+        categories.extend(task_categories)
+        span_args.extend(segment_args)
+        span_args.append({"kind": kind, "resource": resource,
+                          "sub_batch": sub, "ready": ready, "node": index})
+        for (seg_start, seg_end, slot), hold in zip(marks, holds):
+            if slot is not None:
+                start_at(seg_start)
+                end_at(seg_end)
+                on_track(tracks[slot])
+                continue
+            start_at(seg_start)
+            end_at(seg_start + hold)
+            on_track(tracks[candidate[1]])
+            start_at(seg_start)
+            end_at(seg_end)
+            on_track(tracks[candidate[0]])
+        start_at(start)
+        end_at(end)
+        on_track(thread_tracks[thread])
+    for column, value in zip(columns, (
+            "orchestrator.run", 0.0, makespan,
+            tracer.track(trace_pid, "schedule"), "run", run_args)):
+        column.append(value)
+    tracer.add_spans(*columns)
+
+
+def _template(node: Node, sub: int, index: int,
+              candidate: Optional[Candidate]) -> Tuple:
+    """``(names, categories, reservation args, channel holds)`` of one
+    task's spans: one host span for a host task, else per segment of the
+    dataflow placed by ``candidate`` one host span (hold ``None``) or a
+    stream and an exec span, then the task span (whose args vary)."""
+    if candidate is None:
+        return ((node.name, node.name), ("host", "task"),
+                ({"ops": len(node.ops), "flops": node.flops},), (None,))
+    _, _, size, _, timing, segments = candidate
+    array_type = node.array_type.value
+    names, categories, args, holds = [], [], [], []
+    for segment_index, (segment, (is_host, hold, _)) in enumerate(
+            zip(timing.segments, segments)):
+        if is_host:
+            names.append(f"{node.name}:host{segment_index}")
+            categories.append("host")
+            args.append({"sub_batch": sub, "node": index})
+            holds.append(None)
+            continue
+        names += [f"{node.name}:xfer{segment_index}",
+                  f"{node.name}:seg{segment_index}"]
+        categories += ["stream", "exec"]
+        args += [{"bytes": segment.stream_bytes, "sub_batch": sub,
+                  "node": index, "array_type": array_type},
+                 {"compute_seconds": segment.compute_seconds,
+                  "array_size": size, "sub_batch": sub, "node": index,
+                  "array_type": array_type}]
+        holds.append(hold)
+    return (tuple(names) + (node.name,), tuple(categories) + ("task",),
+            tuple(args), tuple(holds))
 
 
 class Orchestrator:
@@ -553,12 +600,11 @@ class Orchestrator:
                 heapq.heappop(heap)
 
         task_log = None
-        if log is not None:
+        if record_tasks or metrics is not None:
             task_log = _replay(
-                log, names, thread_nodes, sub_batches, record_tasks, tracer,
+                log, thread_nodes, record_tasks,
                 (metrics.histogram("sched/task_seconds")
-                 if metrics is not None else None),
-                trace_pid)
+                 if metrics is not None else None))
 
         array_util = {}
         for array_type, members in arrays.items():
@@ -590,14 +636,12 @@ class Orchestrator:
             # bottleneck attribution (repro.telemetry.analyze).
             inventory = {f"arrays_{t.value.lower()}": len(arrays[t])
                          for t in ArrayType}
-            tracer.add_span(
-                "orchestrator.run", 0.0, makespan,
-                pid=trace_pid, tid="schedule", category="run",
-                batch=batch, seq_len=seq_len, threads=thread_count,
-                policy="earliest_finish", dispatches=total_dispatches,
-                stream_bytes=total_bytes,
-                host_slots=self.host.slots,
-                bottleneck=result.bottleneck, **inventory)
+            _trace(tracer, log, names, thread_nodes, sub_batches, trace_pid,
+                   makespan, dict(
+                       batch=batch, seq_len=seq_len, threads=thread_count,
+                       policy="earliest_finish", dispatches=total_dispatches,
+                       stream_bytes=total_bytes, host_slots=self.host.slots,
+                       bottleneck=result.bottleneck, **inventory))
         if metrics is not None:
             metrics.counter("sched/reservations").inc(reservations)
             metrics.counter("sched/dispatches").inc(total_dispatches)

@@ -2,8 +2,13 @@
 
 The recording layers (:class:`~repro.telemetry.spans.Tracer`, the
 metrics registry, the SLO monitor) can say *what* happened; this module says
-*why a number is what it is*.  Three analyses over one sorted list of a
-finished trace's spans (a live :class:`Tracer` or Chrome-trace JSON):
+*why a number is what it is*.  Three analyses over a finished trace (a
+live :class:`Tracer` or Chrome-trace JSON), read as span columns
+(:meth:`Tracer.sim_columns`): one sort of a list of row indices orders
+the rows as :meth:`Tracer.finished_spans` orders its spans, and every
+pass walks that order, so each float sum adds its terms in the same
+order whether the spans were recorded in bulk or one at a time.  No
+:class:`Span` is built per row:
 
 * **critical path** — starting from the end of the root span, repeatedly
   hop to the span whose completion unblocked the current instant (the
@@ -31,9 +36,10 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from operator import sub
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .spans import SIM_CLOCK, Span, Tracer
+from .spans import SIM_CLOCK, Span, SpanColumns, Tracer
 
 #: Slack (seconds) for "ends at the cursor" checks; sim spans share the
 #: exact floats of the schedule, so this only absorbs last-ulp noise.
@@ -60,6 +66,9 @@ CATEGORY_CLASSES = {
 #: Root-candidate categories, most preferred first.
 _ROOT_CATEGORIES = ("run", "fleet")
 
+#: Categories that never block a critical-path cursor.
+_NOT_BLOCKERS = frozenset(_ROOT_CATEGORIES + ("critical", "idle"))
+
 #: Synthetic hop name for uncovered path segments.
 IDLE_HOP = "(idle)"
 
@@ -74,8 +83,8 @@ def tracer_from_chrome_trace(data: Dict[str, object]) -> Tracer:
     labels, ``X`` events become spans (the ``clock`` attribute survives
     the round trip through ``args``), ``i`` events become instants.
     Counter tracks and the profile process carry no schedule structure
-    and are skipped.  A malformed document raises :class:`ValueError`
-    naming the offending event index and key.
+    and are skipped.  A malformed document raises a one-line
+    :class:`ValueError` naming the offending event index.
     """
     events = data.get("traceEvents") if isinstance(data, dict) else None
     if not isinstance(events, list):
@@ -83,40 +92,58 @@ def tracer_from_chrome_trace(data: Dict[str, object]) -> Tracer:
     pid_names: Dict[int, str] = {}
     tid_names: Dict[Tuple[int, int], str] = {}
     tracer = Tracer()
-    try:
+
+    def seconds(event: Dict[str, object], key: str) -> float:
+        value = event[key] if key == "ts" else event.get(key, 0.0)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"non-numeric {key!r} {value!r}")
+        return float(value) / 1e6
+
+    for metadata in (True, False):
         for index, event in enumerate(events):
-            if event.get("ph") != "M":
-                continue
-            if event.get("name") == "process_name":
-                pid_names[event["pid"]] = event["args"]["name"]
-            elif event.get("name") == "thread_name":
-                tid_names[(event["pid"], event["tid"])] = event["args"]["name"]
-        for index, event in enumerate(events):
-            phase = event.get("ph")
-            if phase not in ("X", "i"):
-                continue
-            pid = pid_names.get(event["pid"], str(event["pid"]))
-            if pid in ("profile", "analysis"):
-                # Derived tracks (hotspot lanes, a critical-path
-                # highlight) would double-count if re-analyzed.
-                continue
-            tid = tid_names.get((event["pid"], event["tid"]),
-                                str(event["tid"]))
-            args = dict(event.get("args") or {})
-            start = float(event["ts"]) / 1e6
-            if phase == "i":
-                tracer.instant(event["name"], start, pid=pid, tid=tid,
-                               category=str(event.get("cat", "event")),
-                               **args)
-                continue
-            clock = str(args.pop("clock", SIM_CLOCK))
-            end = start + float(event.get("dur", 0.0)) / 1e6
-            tracer.add_span(event["name"], start, end, pid=pid, tid=tid,
-                            category=str(event.get("cat", "span")),
-                            clock=clock, **args)
-    except KeyError as error:
-        raise ValueError(f"trace event {index} has no {error.args[0]!r} "
-                         f"key") from error
+            try:
+                if not isinstance(event, dict):
+                    raise ValueError(f"not an object: {event!r}")
+                phase = event.get("ph")
+                args = event.get("args") or {}
+                if not isinstance(args, dict):
+                    raise ValueError(f"non-object 'args' {args!r}")
+                if metadata:
+                    if phase != "M":
+                        continue
+                    if event.get("name") == "process_name":
+                        pid_names[event["pid"]] = event["args"]["name"]
+                    elif event.get("name") == "thread_name":
+                        tid_names[(event["pid"], event["tid"])] = \
+                            event["args"]["name"]
+                    continue
+                if phase not in ("X", "i"):
+                    continue
+                pid = pid_names.get(event["pid"], str(event["pid"]))
+                if pid in ("profile", "analysis"):
+                    # Derived tracks (hotspot lanes, a critical-path
+                    # highlight) would double-count if re-analyzed.
+                    continue
+                tid = tid_names.get((event["pid"], event["tid"]),
+                                    str(event["tid"]))
+                args = dict(args)
+                start = seconds(event, "ts")
+                if phase == "i":
+                    tracer.instant(event["name"], start, pid=pid, tid=tid,
+                                   category=str(event.get("cat", "event")),
+                                   **args)
+                    continue
+                clock = str(args.pop("clock", SIM_CLOCK))
+                tracer.add_span(event["name"], start,
+                                start + seconds(event, "dur"), pid=pid,
+                                tid=tid,
+                                category=str(event.get("cat", "span")),
+                                clock=clock, **args)
+            except KeyError as error:
+                raise ValueError(f"trace event {index} has no "
+                                 f"{error.args[0]!r} key") from error
+            except (TypeError, ValueError) as error:
+                raise ValueError(f"trace event {index}: {error}") from error
     return tracer
 
 
@@ -132,35 +159,65 @@ def load_trace(source: Union[Tracer, Dict[str, object], str]) -> Tracer:
     raise TypeError(f"cannot load a trace from {type(source).__name__}")
 
 
-def _find_root(spans: List[Span], name: Optional[str]) -> Span:
-    """The end-to-end span the analyses anchor on.
+class _Trace:
+    """One trace's finished sim-time span columns, plus the analytics
+    order: row indices stable-sorted by ``(start, pid, tid, name)``, the
+    order :meth:`Tracer.finished_spans` returns (ties keep recording
+    order).  Every pass below walks ``order`` (or a filter of it), so
+    every float sum adds its terms in the order it always has."""
+
+    def __init__(self, columns: SpanColumns) -> None:
+        (self.labels, _, self.names, self.starts, self.ends, self.tracks,
+         self.categories, self.args) = columns
+        # (pid, tid) order as one int per track, so the sort key is a
+        # float, an int and a string.
+        rank = [0] * len(self.labels)
+        for position, track in enumerate(sorted(
+                range(len(self.labels)), key=self.labels.__getitem__)):
+            rank[track] = position
+        self.rank = list(map(rank.__getitem__, self.tracks))
+        keys = list(zip(self.starts, self.rank, self.names))
+        self.order = sorted(range(len(keys)), key=keys.__getitem__)
+        self.durations = list(map(sub, self.ends, self.starts))
+
+
+def _find_root(trace: _Trace, name: Optional[str]) -> Tuple[int, Span]:
+    """The end-to-end span the analyses anchor on, and its row.
 
     With ``name``, the longest sim-time span of that name.  Otherwise
     the longest span of a root category (``run``/``fleet``); if none
     exists — e.g. a hand-built trace — a synthetic span covering the
-    hull of all sim-time spans.
+    hull of all sim-time spans (row -1).
     """
-    if not spans:
+    order, starts, ends = trace.order, trace.starts, trace.ends
+    if not order:
         raise ValueError("trace has no finished sim-time spans")
+
+    def longest(rows: List[int]) -> Tuple[int, Span]:
+        row = max(rows, key=trace.durations.__getitem__)
+        pid, tid = trace.labels[trace.tracks[row]]
+        return row, Span(trace.names[row], starts[row], ends[row], pid, tid,
+                         trace.categories[row], SIM_CLOCK, trace.args[row])
+
     if name is not None:
-        named = [span for span in spans if span.name == name]
+        named = [row for row in order if trace.names[row] == name]
         if not named:
             raise ValueError(f"no sim-time span named '{name}'")
-        return max(named, key=lambda span: span.duration)
+        return longest(named)
     for category in _ROOT_CATEGORIES:
-        of_category = [s for s in spans if s.category == category]
+        of_category = [row for row in order
+                       if trace.categories[row] == category]
         if of_category:
-            return max(of_category, key=lambda span: span.duration)
-    start = min(span.start for span in spans)
-    end = max(span.end for span in spans)
-    return Span(name="(trace)", start=start, end=end, pid="analysis",
-                tid="hull", category="run", clock=SIM_CLOCK)
+            return longest(of_category)
+    return -1, Span(name="(trace)", start=min(map(starts.__getitem__, order)),
+                    end=max(map(ends.__getitem__, order)),
+                    pid="analysis", tid="hull", category="run",
+                    clock=SIM_CLOCK)
 
 
 # -- critical path -------------------------------------------------------
 
-@dataclass(frozen=True)
-class CriticalHop:
+class CriticalHop(NamedTuple):
     """One chained segment of the critical path (chronological order).
 
     ``self_seconds`` is the slice of end-to-end time this hop alone
@@ -178,10 +235,7 @@ class CriticalHop:
     resource: str = ""
 
     def as_dict(self) -> Dict[str, object]:
-        return {"name": self.name, "pid": self.pid, "tid": self.tid,
-                "category": self.category, "start": self.start,
-                "end": self.end, "self_seconds": self.self_seconds,
-                "kind": self.kind, "resource": self.resource}
+        return self._asdict()
 
 
 @dataclass(frozen=True)
@@ -221,7 +275,8 @@ class CriticalPath:
                 "by_category": self.by_category()}
 
 
-def _critical_path(spans: List[Span], root_span: Span) -> CriticalPath:
+def _critical_path(trace: _Trace, root_row: int,
+                   root_span: Span) -> CriticalPath:
     """Chain the blocking predecessors of the end-to-end span.
 
     Walks backward from the root's end: at every cursor the blocking
@@ -231,49 +286,50 @@ def _critical_path(spans: List[Span], root_span: Span) -> CriticalPath:
     span reaches produces a synthetic :data:`IDLE_HOP` — on nominal
     simulator traces the chain is gap-free by construction.
     """
+    names, starts, ends, rank = (trace.names, trace.starts, trace.ends,
+                                 trace.rank)
+    categories, durations = trace.categories, trace.durations
+    low = root_span.start + DEFAULT_EPSILON
+    high = root_span.end - DEFAULT_EPSILON
     candidates = [
-        span for span in spans
-        if span is not root_span and span.duration > 0.0
-        and span.end > root_span.start + DEFAULT_EPSILON
-        and span.start < root_span.end - DEFAULT_EPSILON
-        and span.category not in _ROOT_CATEGORIES
-        and span.category not in ("critical", "idle")]
+        row for row in trace.order
+        if durations[row] > 0.0 and ends[row] > low and starts[row] < high
+        and categories[row] not in _NOT_BLOCKERS and row != root_row]
     # Sorted by end for the bisect walk; the tie-break key picks the
     # most specific blocker among equal ends deterministically.
-    candidates.sort(key=lambda span: span.end)
-    ends = [span.end for span in candidates]
+    candidates.sort(key=ends.__getitem__)
+    candidate_ends = [ends[row] for row in candidates]
     hops: List[CriticalHop] = []
     gap_seconds = 0.0
     cursor = root_span.end
-    while cursor > root_span.start + DEFAULT_EPSILON:
-        index = bisect_right(ends, cursor + DEFAULT_EPSILON) - 1
+    while cursor > low:
+        index = bisect_right(candidate_ends, cursor + DEFAULT_EPSILON) - 1
         best = candidates[index] if index >= 0 else None
         scan = index - 1
-        while scan >= 0 and ends[scan] >= best.end - DEFAULT_EPSILON:
+        while scan >= 0 and candidate_ends[scan] >= (ends[best]
+                                                     - DEFAULT_EPSILON):
             other = candidates[scan]
-            if (other.start, other.pid, other.tid, other.name) > (
-                    best.start, best.pid, best.tid, best.name):
+            if (starts[other], rank[other], names[other]) > (
+                    starts[best], rank[best], names[best]):
                 best = other
             scan -= 1
-        if best is None or best.end < cursor - DEFAULT_EPSILON:
+        if best is None or ends[best] < cursor - DEFAULT_EPSILON:
             # Nothing ends at the cursor: idle back to the latest end
             # before it, or to the root's start if nothing ends before.
-            idle_from = root_span.start if best is None else best.end
+            idle_from = root_span.start if best is None else ends[best]
             gap = cursor - idle_from
             gap_seconds += gap
-            hops.append(CriticalHop(
-                name=IDLE_HOP, pid=root_span.pid, tid=root_span.tid,
-                category="idle", start=idle_from, end=cursor,
-                self_seconds=gap))
+            hops.append(CriticalHop(IDLE_HOP, root_span.pid, root_span.tid,
+                                    "idle", idle_from, cursor, gap))
             cursor = idle_from
             continue
-        lower = max(best.start, root_span.start)
+        lower = max(starts[best], root_span.start)
+        pid, tid = trace.labels[trace.tracks[best]]
+        args = trace.args[best]
         hops.append(CriticalHop(
-            name=best.name, pid=best.pid, tid=best.tid,
-            category=best.category, start=best.start, end=best.end,
-            self_seconds=cursor - lower,
-            kind=str(best.args.get("kind", "")),
-            resource=str(best.args.get("resource", ""))))
+            names[best], pid, tid, categories[best], starts[best],
+            ends[best], cursor - lower, str(args.get("kind", "")),
+            str(args.get("resource", ""))))
         cursor = lower
     hops.reverse()
     return CriticalPath(root_name=root_span.name, root_pid=root_span.pid,
@@ -372,7 +428,7 @@ def _array_type_of_tid(tid: str) -> Optional[str]:
     return head.rsplit(" ", 1)[-1] if " " in head else None
 
 
-def _phase_verdicts(spans: List[Span]) -> List[PhaseVerdict]:
+def _phase_verdicts(trace: _Trace) -> List[PhaseVerdict]:
     """Recompute "bound by" per scheduler run span, from spans alone.
 
     Each ``orchestrator.run`` span is one phase.  Busy time per array
@@ -382,35 +438,49 @@ def _phase_verdicts(spans: List[Span]) -> List[PhaseVerdict]:
     contribute through the inventory counts the run span carries.
     Phases without that inventory metadata are skipped.
     """
-    phases: List[Span] = []
-    busy_by_pid: Dict[str, List[Span]] = {}
-    for span in spans:
-        if span.category == "run" and span.name == "orchestrator.run":
-            phases.append(span)
-        elif span.category in ("exec", "stream", "host"):
-            busy_by_pid.setdefault(span.pid, []).append(span)
+    names, starts, ends, tracks, labels = (
+        trace.names, trace.starts, trace.ends, trace.tracks, trace.labels)
+    categories = trace.categories
+    phases = [row for row in trace.order if categories[row] == "run"
+              and names[row] == "orchestrator.run"]
+    if not phases:
+        return []
+    pids = [pid for pid, _ in labels]
+    busy_by_pid: Dict[str, List[int]] = {}
+    for row in trace.order:
+        if categories[row] in ("exec", "stream", "host"):
+            busy_by_pid.setdefault(pids[tracks[row]], []).append(row)
+    # The resource a (track, category) pair's busy time counts towards.
+    resources: Dict[Tuple[int, str], Optional[str]] = {}
     verdicts: List[PhaseVerdict] = []
     for phase in phases:
-        args = phase.args
+        args = trace.args[phase]
         host_slots = args.get("host_slots")
         if not isinstance(host_slots, int):
             continue
         counts = {key[len("arrays_"):].upper(): value
                   for key, value in args.items()
                   if key.startswith("arrays_") and isinstance(value, int)}
-        duration = phase.duration
+        pid = labels[tracks[phase]][0]
+        start, end = starts[phase], ends[phase]
+        duration = end - start
         busy: Dict[str, float] = {}
-        for span in busy_by_pid.get(phase.pid, ()):
-            if (span.start < phase.start - DEFAULT_EPSILON
-                    or span.end > phase.end + DEFAULT_EPSILON):
+        for row in busy_by_pid.get(pid, ()):
+            if (starts[row] < start - DEFAULT_EPSILON
+                    or ends[row] > end + DEFAULT_EPSILON):
                 continue
-            resource = CATEGORY_CLASSES[span.category]
-            if resource != "host":
-                array_type = _array_type_of_tid(span.tid)
-                if not array_type:
-                    continue
-                resource += f":{array_type}"
-            busy[resource] = busy.get(resource, 0.0) + span.duration
+            key = (tracks[row], categories[row])
+            if key not in resources:
+                resource = CATEGORY_CLASSES[key[1]]
+                if resource != "host":
+                    array_type = _array_type_of_tid(labels[key[0]][1])
+                    resource = (f"{resource}:{array_type}" if array_type
+                                else None)
+                resources[key] = resource
+            resource = resources[key]
+            if resource is not None:
+                busy[resource] = (busy.get(resource, 0.0)
+                                  + trace.durations[row])
         utilization: Dict[str, float] = {
             "host": (busy.get("host", 0.0) / (duration * host_slots)
                      if duration > 0 and host_slots > 0 else 0.0)}
@@ -423,9 +493,8 @@ def _phase_verdicts(spans: List[Span]) -> List[PhaseVerdict]:
                 if duration > 0 else 0.0)
         recorded = args.get("bottleneck")
         verdicts.append(PhaseVerdict(
-            name=phase.name, pid=phase.pid, start=phase.start,
-            end=phase.end, bound_by=bottleneck_of(utilization),
-            utilization=utilization,
+            name=names[phase], pid=pid, start=start, end=end,
+            bound_by=bottleneck_of(utilization), utilization=utilization,
             recorded=recorded if isinstance(recorded, str) else None))
     verdicts.sort(key=lambda v: (v.start, v.pid))
     return verdicts
@@ -463,7 +532,7 @@ class UtilizationReport:
                 "phases": [phase.as_dict() for phase in self.phases]}
 
 
-def _utilization(spans: List[Span], root_span: Span) -> UtilizationReport:
+def _utilization(trace: _Trace, root_span: Span) -> UtilizationReport:
     """Per-track busy/idle/blocked, the concurrency histogram, verdicts.
 
     Busy time counts the resource-occupying categories only (see
@@ -472,70 +541,107 @@ def _utilization(spans: List[Span], root_span: Span) -> UtilizationReport:
     and its actual start, i.e. time spent waiting on a contended
     resource rather than on a dependency.
     """
+    starts, ends, categories, labels, durations, args, row_tracks = (
+        trace.starts, trace.ends, trace.categories, trace.labels,
+        trace.durations, trace.args, trace.tracks)
     horizon = root_span.duration
-    by_track: Dict[Tuple[str, str], List[Span]] = {}
-    for span in spans:
-        if span.category not in CATEGORY_CLASSES:
-            continue
-        if span.end <= root_span.start or span.start >= root_span.end:
-            continue
-        by_track.setdefault((span.pid, span.tid), []).append(span)
+    root_start, root_end = root_span.start, root_span.end
+    by_track: Dict[int, List[int]] = {}
+    for row in trace.order:
+        if (categories[row] in CATEGORY_CLASSES and ends[row] > root_start
+                and starts[row] < root_end):
+            by_track.setdefault(row_tracks[row], []).append(row)
     tracks: List[TrackUsage] = []
-    busy_intervals: List[Tuple[float, int]] = []
-    for (pid, tid), track in sorted(by_track.items()):
+    # Resource-span starts and ends clipped to the root window.
+    ups: List[float] = []
+    downs: List[float] = []
+    for track in sorted(by_track, key=labels.__getitem__):
+        rows = by_track[track]
         # A track carries one class in practice; mixed tracks (e.g. a
         # fleet instance running shard + recovery) collapse sensibly.
-        resource_class = min(CATEGORY_CLASSES[span.category]
-                             for span in track)
-        busy = sum(span.duration for span in track)
+        resource_class = min(CATEGORY_CLASSES[category] for category
+                             in set(map(categories.__getitem__, rows)))
         blocked = 0.0
-        for span in track:
-            ready = span.args.get("ready")
-            if isinstance(ready, (int, float)) and not isinstance(
-                    ready, bool):
-                blocked += max(span.start - float(ready), 0.0)
+        for row in rows:
+            ready = args[row].get("ready")
+            if ready is not None and isinstance(ready, (int, float)) \
+                    and not isinstance(ready, bool):
+                blocked += max(starts[row] - float(ready), 0.0)
+        pid, tid = labels[track]
         tracks.append(TrackUsage(
             pid=pid, tid=tid, resource_class=resource_class,
-            busy_seconds=busy, blocked_seconds=blocked,
-            horizon_seconds=horizon, spans=len(track)))
-        if resource_class != "thread":
-            for span in track:
-                start = max(span.start, root_span.start)
-                end = min(span.end, root_span.end)
-                if end > start:
-                    busy_intervals.append((start, +1))
-                    busy_intervals.append((end, -1))
+            busy_seconds=sum(map(durations.__getitem__, rows)),
+            blocked_seconds=blocked, horizon_seconds=horizon,
+            spans=len(rows)))
+        if resource_class == "thread":
+            continue
+        track_starts = list(map(starts.__getitem__, rows))
+        track_ends = list(map(ends.__getitem__, rows))
+        if (min(track_starts) >= root_start and max(track_ends) <= root_end
+                and min(map(durations.__getitem__, rows)) > 0.0):
+            ups += track_starts
+            downs += track_ends
+            continue
+        for start, end in zip(track_starts, track_ends):
+            start = max(start, root_start)
+            end = min(end, root_end)
+            if end > start:
+                ups.append(start)
+                downs.append(end)
+    return UtilizationReport(
+        horizon_seconds=horizon, tracks=tuple(tracks),
+        concurrency=_concurrency(ups, downs, root_start, root_end, horizon),
+        phases=tuple(_phase_verdicts(trace)))
+
+
+def _concurrency(ups: List[float], downs: List[float], root_start: float,
+                 root_end: float, horizon: float) -> Dict[int, float]:
+    """Share of the root window spent at each resource-concurrency level.
+
+    Sweeps the interval starts (``+1``) and ends (``-1``) in time order,
+    ends first at equal times.
+    """
     concurrency: Dict[int, float] = {}
-    if horizon > 0:
-        busy_intervals.sort()
-        level = 0
-        previous = root_span.start
-        for t, delta in busy_intervals:
+    if horizon <= 0:
+        return concurrency
+    ups.sort()
+    downs.sort()
+    level = 0
+    previous = root_start
+    up, count = 0, len(ups)
+    for down in downs:
+        while up < count and ups[up] < down:
+            t = ups[up]
             if t > previous:
                 concurrency[level] = (concurrency.get(level, 0.0)
                                       + (t - previous) / horizon)
             previous = t
-            level += delta
-        if root_span.end > previous:
+            level += 1
+            up += 1
+        if down > previous:
             concurrency[level] = (concurrency.get(level, 0.0)
-                                  + (root_span.end - previous) / horizon)
-    return UtilizationReport(
-        horizon_seconds=horizon, tracks=tuple(tracks),
-        concurrency=concurrency,
-        phases=tuple(_phase_verdicts(spans)))
+                                  + (down - previous) / horizon)
+        previous = down
+        level -= 1
+    if root_end > previous:
+        concurrency[level] = (concurrency.get(level, 0.0)
+                              + (root_end - previous) / horizon)
+    return concurrency
 
 
 # -- rollups & trace diff ------------------------------------------------
 
-def _rollup(spans: List[Span], root_span: Span, path: CriticalPath,
+def _rollup(trace: _Trace, root_row: int, root_span: Span,
+            path: CriticalPath,
             report: UtilizationReport) -> Dict[str, object]:
     """The rollup document :func:`build_rollup` describes."""
+    names, categories, durations = (trace.names, trace.categories,
+                                    trace.durations)
     groups: Dict[Tuple[str, str], List[float]] = {}
-    for span in spans:
-        if span is root_span or span.category in _ROOT_CATEGORIES:
-            continue
-        key = (span.name, span.category)
-        groups.setdefault(key, []).append(span.duration)
+    for row in trace.order:
+        if row != root_row and categories[row] not in _ROOT_CATEGORIES:
+            groups.setdefault((names[row], categories[row]), []).append(
+                durations[row])
     critical: Dict[Tuple[str, str], List[float]] = {}
     for hop in path.hops:
         key = (hop.name, hop.category)
@@ -734,19 +840,18 @@ def analyze_trace(source: Union[Tracer, Dict[str, object], str],
                   against: Union[Tracer, Dict[str, object], str,
                                  None] = None,
                   root: Optional[str] = None) -> TraceAnalysis:
-    """Run every analysis over one sorted list of ``source``'s spans.
+    """Run every analysis over one sort of ``source``'s span columns.
 
     Args:
         source: tracer, Chrome-trace dict, or path to an exported JSON.
         against: optional baseline trace; adds the run-to-run diff.
         root: anchor span name (default: the run/fleet root).
     """
-    spans = [span for span in load_trace(source).finished_spans()
-             if span.clock == SIM_CLOCK]
-    root_span = _find_root(spans, root)
-    path = _critical_path(spans, root_span)
-    utilization = _utilization(spans, root_span)
-    rollup = _rollup(spans, root_span, path, utilization)
+    trace = _Trace(load_trace(source).sim_columns())
+    root_row, root_span = _find_root(trace, root)
+    path = _critical_path(trace, root_row, root_span)
+    utilization = _utilization(trace, root_span)
+    rollup = _rollup(trace, root_row, root_span, path, utilization)
     diff = None
     if against is not None:
         diff = diff_rollups(analyze_trace(against, root=root).rollup, rollup)

@@ -12,7 +12,10 @@ a per-instance registry folds into a system-level one both under an
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from functools import reduce
+from itertools import repeat
+from operator import add
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 #: Default latency buckets (seconds): 100 µs to 10 s, roughly log-spaced.
 DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
@@ -78,6 +81,21 @@ class Histogram:
         self.total += value
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """:meth:`observe` each value in turn, in bulk."""
+        values = list(map(float, values))
+        if not values:
+            return
+        counts = self.counts
+        for index in map(bisect.bisect_left, repeat(self.bounds), values):
+            counts[index] += 1
+        self.count += len(values)
+        # Left to right from the running total, as repeated `+=` adds.
+        self.total = reduce(add, values, self.total)
+        low, high = min(values), max(values)
+        self.min = low if self.min is None else min(self.min, low)
+        self.max = high if self.max is None else max(self.max, high)
 
     @property
     def mean(self) -> float:

@@ -31,6 +31,7 @@ from repro.telemetry import (
     validate_chrome_trace,
     validate_rollup,
 )
+import repro.telemetry.analyze as analyze_module
 from repro.telemetry.analyze import IDLE_HOP
 
 #: One batched BERT-base inference on BestPerf, small enough to trace fast.
@@ -117,19 +118,33 @@ class TestCriticalPath:
         assert path.root_name == "(trace)"
         assert (path.hops[0].start, path.hops[-1].end) == (1.0, 3.0)
 
-    def test_one_analysis_reads_the_finished_spans_once(
-            self, schedule_run, monkeypatch):
-        tracer, _result = schedule_run
-        calls = []
-        finished_spans = Tracer.finished_spans
+    def test_one_analysis_reads_the_finished_spans_once(self, monkeypatch):
+        # One read of the tracer's span columns and one sort of their
+        # rows per analysis; no Span object is built along the way.
+        tracer = Tracer()
+        Orchestrator(best_perf()).run(CONFIG, batch=BATCH, seq_len=SEQ_LEN,
+                                      tracer=tracer)
+        reads, sorts = [], []
+        sim_columns = Tracer.sim_columns
 
-        def counting(self):
-            calls.append(self)
-            return finished_spans(self)
+        def counting_read(self):
+            reads.append(self)
+            return sim_columns(self)
 
-        monkeypatch.setattr(Tracer, "finished_spans", counting)
+        class CountingTrace(analyze_module._Trace):
+            def __init__(self, columns):
+                sorts.append(columns)
+                super().__init__(columns)
+
+        def no_spans(self):
+            raise AssertionError("the analysis built Span objects")
+
+        monkeypatch.setattr(Tracer, "sim_columns", counting_read)
+        monkeypatch.setattr(Tracer, "spans", property(no_spans))
+        monkeypatch.setattr(analyze_module, "_Trace", CountingTrace)
         analyze_trace(tracer)
-        assert calls == [tracer]
+        assert reads == [tracer]
+        assert len(sorts) == 1
 
     def test_formatting_mentions_hops_and_composition(self, schedule_run):
         tracer, _result = schedule_run
@@ -371,7 +386,21 @@ class TestAnalyzeCli:
         ('{"events": []}', "traceEvents"),
         ('{"traceEvents": [{"ph": "X", "name": "a", "pid": 1, "tid": 1}]}',
          "trace event 0 has no 'ts' key"),
-    ], ids=["missing", "not-json", "no-trace-events", "event-without-ts"])
+        ('{"traceEvents": [1]}', "trace event 0: not an object"),
+        ('{"traceEvents": [{"ph": "X", "name": "a", "pid": 1, "tid": 1, '
+         '"ts": 0, "args": [1]}]}', "trace event 0: non-object 'args'"),
+        ('{"traceEvents": [{"ph": "i", "name": "a", "pid": 1, "tid": 1, '
+         '"ts": "soon"}]}', "trace event 0: non-numeric 'ts'"),
+        ('{"traceEvents": [{"ph": "M", "name": "process_name", "pid": 1, '
+         '"args": {"name": "p"}}, {"ph": "X", "name": "a", "pid": 1, '
+         '"tid": 1, "ts": 0, "dur": null}]}',
+         "trace event 1: non-numeric 'dur'"),
+        ('{"traceEvents": [{"ph": "X", "name": "a", "pid": 1, "tid": 1, '
+         '"ts": 0, "dur": 1e400}]}',
+         "trace event 0: span 'a' has NaN or infinite timestamps"),
+    ], ids=["missing", "not-json", "no-trace-events", "event-without-ts",
+            "event-not-object", "args-not-object", "ts-not-numeric",
+            "dur-not-numeric", "dur-infinite"])
     def test_analyze_bad_input_fails_with_one_line(self, tmp_path,
                                                     content, message):
         path = tmp_path / "trace.json"

@@ -19,12 +19,12 @@ from repro.physical import (
     scale_delay,
     scale_frequency,
     scale_power,
-    synthesize_sram,
     system_power_watts,
     table2,
     validate_clock_feasibility,
 )
 from repro.sched import HOST_POWER_WATTS
+from tests.oracles.sram import synthesize_sram
 
 
 class TestScaling:

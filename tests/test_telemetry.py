@@ -27,6 +27,7 @@ from repro.telemetry import (
     Histogram,
     MetricsRegistry,
     Tracer,
+    analyze_trace,
     format_hotspots,
     profile,
     render_tracks,
@@ -67,6 +68,33 @@ class TestTracer:
         with pytest.raises(ValueError, match="NaN"):
             Tracer().instant("bad", float("nan"))
 
+    @pytest.mark.parametrize("start, end", [
+        (0.0, float("inf")), (float("-inf"), 1.0),
+        (float("inf"), float("inf")), (float("-inf"), float("-inf"))])
+    def test_add_span_rejects_infinite_timestamps(self, start, end):
+        # An infinite end would turn every share and composition of the
+        # analysis into inf or NaN.
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            Tracer().add_span("bad", start, end)
+
+    @pytest.mark.parametrize("ts", [float("inf"), float("-inf")])
+    def test_instant_rejects_infinite_timestamp(self, ts):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            Tracer().instant("bad", ts)
+
+    def test_spans_list_is_the_tracers_own(self):
+        # The benchmark probe truncates the list to drop a twin run's
+        # spans and checks the newest span by identity.
+        tracer = Tracer()
+        with tracer.span("outer") as outer:
+            pass
+        assert tracer.spans is tracer.spans
+        assert tracer.spans[-1] is outer
+        mark = len(tracer.spans)
+        tracer.add_span("dropped", 0.0, 1.0)
+        del tracer.spans[mark:]
+        assert tracer.spans == [outer] and len(tracer) == 1
+
     def test_finished_spans_order_is_recording_independent(self):
         def keys(tracer):
             return [(s.name, s.start) for s in tracer.finished_spans()]
@@ -106,6 +134,114 @@ class TestTracer:
         tracer.add_span("b", 0, 1, pid="p0", tid="y")
         tracer.instant("e", 0.5, pid="p1", tid="z")
         assert tracer.tracks() == [("p1", "x"), ("p0", "y"), ("p1", "z")]
+
+
+# -- bulk sim-time spans ------------------------------------------------
+
+#: Rows of a small schedule-shaped trace: (name, start, end, pid, tid,
+#: category, args).  The run row carries the inventory a phase verdict
+#: needs; task rows carry the ``ready`` time blocked accounting reads.
+BULK_ROWS = [
+    ("a:xfer0", 0.0, 0.5, "inst", "channel:M", "stream", {"bytes": 64}),
+    ("a:seg0", 0.0, 2.0, "inst", "1x 16x16 M[0]", "exec",
+     {"compute_seconds": 1.5, "array_size": 16}),
+    ("a", 0.0, 2.0, "inst", "thread00", "task",
+     {"kind": "matmul", "resource": "1x 16x16 M[0]", "ready": 0.0}),
+    ("b", 1.0, 3.0, "inst", "host[0]", "host", {"ops": 2}),
+    ("b", 0.5, 3.0, "inst", "thread01", "task",
+     {"kind": "host", "resource": "host", "ready": 0.25}),
+    ("c:seg0", 2.0, 2.0, "inst", "1x 16x16 M[0]", "exec", {}),
+    ("orchestrator.run", 0.0, 3.0, "inst", "schedule", "run",
+     {"host_slots": 1, "arrays_m": 1, "bottleneck": "array:M"}),
+]
+
+
+def _mixed_trace(bulk):
+    """One trace with bulk rows, parented add_span spans, wall-clock
+    spans and instants, recorded through ``add_spans`` (``bulk``) or
+    through one ``add_span`` call per row."""
+    tracer = Tracer()
+    ticks = iter(range(1, 100))
+    tracer.now = lambda: next(ticks) * 1e-3  # a deterministic wall clock
+
+    def record(rows):
+        if not bulk:
+            for name, start, end, pid, tid, category, args in rows:
+                tracer.add_span(name, start, end, pid=pid, tid=tid,
+                                category=category, **args)
+            return
+        names, starts, ends, pids, tids, categories, args = zip(*rows)
+        tracer.add_spans(names, starts, ends,
+                         [tracer.track(pid, tid)
+                          for pid, tid in zip(pids, tids)],
+                         categories, [dict(row) for row in args])
+
+    with tracer.span("setup", tid="driver"):
+        with tracer.span("plan", tid="driver", step=1):
+            pass
+    parent = tracer.add_span("system", 0.0, 3.0, pid="inst", tid="system",
+                             category="shard", instance=0)
+    record(BULK_ROWS[:4])
+    tracer.add_span("attempt", 0.5, 1.0, pid="inst", tid="system",
+                    category="batch", parent=parent, attempt=1)
+    tracer.instant("retry", 1.0, pid="inst", tid="system", attempt=2)
+    record(BULK_ROWS[4:])
+    tracer.add_span("late", 2.5, 3.0, pid="inst", tid="system",
+                    category="recovery", parent=parent)
+    return tracer
+
+
+class TestSpanColumns:
+    def test_bulk_rows_record_what_add_span_records(self):
+        bulk, single = _mixed_trace(bulk=True), _mixed_trace(bulk=False)
+        assert len(bulk) == len(single) == 12
+        # The column pass first, before any Span object is built...
+        analysis = analyze_trace(bulk).to_json()
+        assert analysis == analyze_trace(single).to_json()
+        assert json.dumps(to_chrome_trace(bulk)) == json.dumps(
+            to_chrome_trace(single))
+        # ...then the spans themselves: ids, parents and order included.
+        assert bulk.spans == single.spans
+        assert [span.span_id for span in bulk.spans] == list(range(1, 13))
+        assert analyze_trace(bulk).to_json() == analysis
+
+    def test_schedule_columns_analyze_like_their_spans(self):
+        tracer = Tracer()
+        Orchestrator(best_perf()).run(CONFIG, batch=4, seq_len=64,
+                                      tracer=tracer)
+        analysis = analyze_trace(tracer).to_json()
+        rebuilt = Tracer()
+        for span in tracer.spans:
+            rebuilt.add_span(span.name, span.start, span.end, pid=span.pid,
+                             tid=span.tid, category=span.category,
+                             **span.args)
+        assert rebuilt.spans == tracer.spans
+        assert analyze_trace(rebuilt).to_json() == analysis
+
+    def test_bulk_rows_are_checked_like_single_spans(self):
+        tracer = Tracer()
+        track = tracer.track("p", "t")
+        for start, end, message in (
+                (float("nan"), 1.0, "NaN or infinite"),
+                (0.0, float("inf"), "NaN or infinite"),
+                (float("-inf"), 0.0, "NaN or infinite"),
+                (2.0, 1.0, "ends .* before it")):
+            with pytest.raises(ValueError, match=message):
+                tracer.add_spans(["ok", "bad"], [0.0, start], [1.0, end],
+                                 [track, track], ["exec", "exec"], [{}, {}])
+        with pytest.raises(ValueError, match="differ in length"):
+            tracer.add_spans(["a"], [0.0], [1.0], [track], ["exec"], [])
+        assert len(tracer) == 0
+
+    def test_built_spans_do_not_share_args(self):
+        tracer = Tracer()
+        track = tracer.track("p", "t")
+        shared = {"array_size": 16}
+        tracer.add_spans(["a", "b"], [0.0, 1.0], [1.0, 2.0],
+                         [track, track], ["exec", "exec"], [shared, shared])
+        first, second = tracer.spans
+        first.args["array_size"] = 32
+        assert second.args == shared == {"array_size": 16}
 
 
 # -- scheduler instrumentation ------------------------------------------
@@ -276,6 +412,21 @@ class TestHistogram:
         histogram = Histogram("h", bounds=(1.0, 2.0, 4.0))
         histogram.observe(2.0)  # exactly on an edge
         assert histogram.counts == [0, 1, 0, 0]
+
+    def test_observe_many_matches_one_observe_per_value(self):
+        values = [0.3, 2.0, 1e-5, 7.0, 2.0, 0.1 + 0.2, 1, 4.0]
+        for already in ((), (0.5,), (9.0, 1e-6)):
+            one, many = Histogram("one"), Histogram("many")
+            for value in already:
+                one.observe(value)
+                many.observe(value)
+            for value in values:
+                one.observe(value)
+            many.observe_many(values)
+            many.observe_many([])
+            assert (many.counts, many.count, many.total, many.min,
+                    many.max) == (one.counts, one.count, one.total,
+                                  one.min, one.max)
 
     def test_percentiles_at_bucket_edges(self):
         histogram = Histogram("h", bounds=(1.0, 2.0, 4.0))
