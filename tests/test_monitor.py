@@ -10,7 +10,13 @@ import dataclasses
 import pytest
 
 from repro.experiments import alert_timelines
-from repro.fleet import FleetSimulator, build_fleet, build_scenario
+from repro.fleet import (
+    ChaosEvent,
+    ChaosScenario,
+    FleetSimulator,
+    build_fleet,
+    build_scenario,
+)
 from repro.model.config import protein_bert_tiny
 from repro.monitor import (
     PAGE,
@@ -231,6 +237,30 @@ class TestFleetIntegration:
         report_b = second[0].run(batch=64, scenario=second[1],
                                  monitor=fleet_monitor())
         assert report_a == report_b
+
+    def test_tick_on_a_failure_sees_the_failure(self):
+        # Two samples over the horizon: the first tick lands exactly on
+        # the scripted failure at half the nominal makespan, and reads
+        # the fleet after it.
+        topology = build_fleet(racks=1, hosts_per_rack=1,
+                               instances_per_host=4)
+        simulator = FleetSimulator(topology, model_config=TINY, seq_len=64,
+                                   reference_batch=4)
+        victim = topology.instances[0].instance_id
+        scenario = ChaosScenario(
+            name="half", description="one instance dies at half time",
+            events=(ChaosEvent(at_fraction=0.5, action="fail",
+                               target=f"instance:{victim}"),))
+        monitor = fleet_monitor(samples=2)
+        simulator.run(batch=64, scenario=scenario, monitor=monitor)
+        (first_tick, alive), *_ = monitor.store.get("fleet/alive").samples()
+        assert first_tick == monitor.sample_interval
+        assert first_tick == 0.5 * monitor.horizon_seconds
+        assert alive == 3.0
+        marks = monitor.report().marks
+        assert [(m.label, m.target) for m in marks] == [
+            ("fault", victim), ("detection", victim)]
+        assert marks[0].at_seconds == first_tick
 
     def test_summary_mentions_slo_outcome(self):
         simulator, scenario = tiny_simulator("rack_power_loss")

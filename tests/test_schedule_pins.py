@@ -16,6 +16,11 @@ One case runs untraced at Figure 17's design-space operating point
 placements backfill; it pins the schedule record, with the task log
 folded to its sha256, and the metrics snapshot.
 
+One case runs the fleet monitor over the benchmark's monitored chaos
+fleet (2x2x2, tiny model, batch 64) for a clean run and every chaos
+scenario; it pins the sha256 of every sampled series, the alerts, marks,
+budgets and tick count, and the dashboard and alert-report text.
+
 Floats are stored through ``json`` (shortest round-tripping repr), so an
 equal record means identical floats.  Regenerate the fixture, only when
 a schedule change is intended, with::
@@ -36,9 +41,21 @@ import pytest
 from repro.arch import best_perf, homogeneous
 from repro.arch.config import ArrayGroup, HardwareConfig
 from repro.dataflow import ArrayType, build_seq2seq_graph
-from repro.fleet import FleetSimulator, build_fleet, build_scenario
+from repro.experiments.chaos_campaign import DEFAULT_LINK_TRANSIENT_RATE
+from repro.fleet import (
+    SCENARIO_BUILDERS,
+    FleetSimulator,
+    build_fleet,
+    build_scenario,
+)
 from repro.model import protein_bert_base, protein_bert_tiny
-from repro.reliability import FaultModel
+from repro.monitor import fleet_monitor, format_alert_report, render_dashboard
+from repro.reliability import (
+    DegradationPolicy,
+    FaultModel,
+    FaultRates,
+    derive_task_seed,
+)
 from repro.sched import Orchestrator
 from repro.sched.orchestrator import ScheduleResult
 from repro.system.multi import ProSESystem
@@ -194,6 +211,45 @@ def fleet_rack_power_loss() -> Dict[str, object]:
     return _observed(run)
 
 
+def fleet_monitor_scenarios() -> Dict[str, object]:
+    # The benchmark's monitored chaos fleet, one monitor per scenario.
+    topology = build_fleet(racks=2, hosts_per_rack=2, instances_per_host=2)
+    pinned = {}
+    for name in ("none",) + tuple(SCENARIO_BUILDERS):
+        simulator = FleetSimulator(
+            topology, model_config=protein_bert_tiny(),
+            fault_model=FaultModel(
+                FaultRates(link_transient=DEFAULT_LINK_TRANSIENT_RATE),
+                seed=derive_task_seed(2022, name)),
+            policy=DegradationPolicy(min_capacity_fraction=0.25,
+                                     circuit_breaker_failures=3),
+            seq_len=64, reference_batch=4)
+        monitor = fleet_monitor()
+        simulator.run(batch=64, scenario=(
+            None if name == "none" else build_scenario(name, topology)),
+            monitor=monitor)
+        report = monitor.report()
+        pinned[name] = {
+            "series_sha256": text_sha256(json.dumps(
+                {series.name: list(series.samples())
+                 for series in monitor.store})),
+            "alerts_sha256": text_sha256(json.dumps(
+                [[a.rule, a.severity, a.fired_at, a.resolved_at, a.value,
+                  a.peak_value] for a in report.alerts])),
+            "marks_sha256": text_sha256(json.dumps(
+                [[m.at_seconds, m.label, m.target] for m in report.marks])),
+            "budgets_sha256": text_sha256(json.dumps(
+                [[b.slo, b.target, b.good, b.bad, b.consumed_fraction,
+                  b.remaining_fraction, b.worst_burn_rate]
+                 for b in report.budgets])),
+            "ticks": report.ticks,
+            "end_seconds": report.end_seconds,
+            "dashboard_sha256": text_sha256(render_dashboard(monitor)),
+            "alert_report_sha256": text_sha256(format_alert_report(report)),
+        }
+    return {"schedules": [], "monitor": pinned}
+
+
 CASES = {"best_perf_batch4": best_perf_batch4,
          "bert_base_batch32_seq512": bert_base_batch32_seq512,
          "homogeneous_pooled": homogeneous_pooled,
@@ -201,7 +257,8 @@ CASES = {"best_perf_batch4": best_perf_batch4,
          "seq2seq_graph_builder": seq2seq_graph_builder,
          "system_simulate_2x": system_simulate,
          "fleet_one_failure_1x1x2": fleet_one_failure,
-         "fleet_rack_power_loss": fleet_rack_power_loss}
+         "fleet_rack_power_loss": fleet_rack_power_loss,
+         "fleet_monitor_scenarios": fleet_monitor_scenarios}
 
 
 def _normalized(record: Dict[str, object]) -> Dict[str, object]:
