@@ -665,11 +665,37 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command is None:
         _print_overview(parser)
         return 0
-    for flag in ("workers", "limit", "budget", "width"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            raise SystemExit(f"--{flag} must be at least 1, got {value}")
+    _check_args(args)
     return args.handler(args)
+
+
+def _check_args(args: argparse.Namespace) -> None:
+    """Reject out-of-range input in one line, before anything runs."""
+    for dest in ("workers", "limit", "budget", "width", "batch", "seq_len",
+                 "threads", "instances", "racks", "hosts_per_rack",
+                 "instances_per_host", "reference_batch"):
+        value = getattr(args, dest, None)
+        if value is not None and value < 1:
+            raise SystemExit(f"--{dest.replace('_', '-')} must be at "
+                             f"least 1, got {value}")
+    for dest in ("fault_rate", "min_capacity", "link_transient_rate"):
+        value = getattr(args, dest, None)
+        if value is not None and not 0.0 <= value <= 1.0:
+            raise SystemExit(f"--{dest.replace('_', '-')} must be in "
+                             f"[0, 1], got {value}")
+    if getattr(args, "breaker_failures", 0) < 0:
+        raise SystemExit("--breaker-failures must be at least 0, got "
+                         f"{args.breaker_failures}")
+    if args.command == "reliability" and args.batch < args.instances:
+        raise SystemExit(f"--batch must be at least --instances "
+                         f"({args.instances}), got {args.batch}")
+    if args.command == "fleet":
+        from .fleet import SCENARIO_BUILDERS
+
+        names = ("none", "all") + tuple(SCENARIO_BUILDERS)
+        if args.scenario not in names:
+            raise SystemExit(f"unknown scenario '{args.scenario}'; "
+                             f"choose from: {', '.join(names)}")
 
 
 if __name__ == "__main__":

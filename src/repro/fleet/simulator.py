@@ -35,9 +35,10 @@ breaker trips.
 
 from __future__ import annotations
 
+import bisect
 import heapq
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..baselines.gpu import A100_MEASURED_POWER_WATTS, a100
 from ..baselines.tpu import (
@@ -322,11 +323,14 @@ class FleetSimulator:
         processes only shard completions, and every per-instance finish
         reproduces the nominal plan bit-identically.
 
-        A live ``monitor`` (see :func:`repro.monitor.fleet_monitor`)
-        samples fleet series at its tick cadence through read-only
-        "sample" events on the same queue — it observes the simulation
-        without touching its state, so every simulated number is
-        bit-identical with and without one.
+        A ``monitor`` (see :func:`repro.monitor.fleet_monitor`) is armed
+        before anything is simulated.  With one, the event loop logs a
+        :class:`_StateRow` per step (a completion or an event batch), and
+        :meth:`_replay` reads the ticks from that log after the loop: a
+        tick sees every step at or before its time.  Under the fluid
+        model each series is constant or linear between steps, so the
+        replay is exact, and every simulated number is bit-identical
+        with and without a monitor.
         """
         if batch <= 0:
             raise ValueError("batch must be positive")
@@ -360,7 +364,6 @@ class FleetSimulator:
             events.push(at, FAIL, instance.instance_id, None)
         if monitor is not None:
             monitor.begin(nominal)
-            events.push(monitor.sample_interval, "sample", "", None)
 
         # Initial dispatch: the nominal plan, since everyone is healthy.
         plan = self.nominal_plan(batch)
@@ -382,20 +385,18 @@ class FleetSimulator:
                     tier=self.topology.tier_of(state.instance).value,
                     amount=assignment.amount)
 
+        log = (None if monitor is None
+               else [self._state_row(0.0, states, health, counters)])
         self._event_loop(states, health, events, nominal, counters,
-                         tracer, monitor)
+                         tracer, log)
 
         makespan = max((state.finish_seconds for state in states.values()),
                        default=0.0)
         slo_outcome: Optional[SloOutcome] = None
         if monitor is not None:
-            # Close the books at the makespan (or the last tick, if a
-            # queued sample already ran past it) so the final budget
-            # accounts for the whole run.
-            final_t = max(makespan, monitor.last_tick)
-            self._on_sample(final_t, states, health, counters, monitor,
-                            None)
-            slo_outcome = monitor.finalize(final_t).outcome()
+            final = self._state_row(makespan, states, health, counters)
+            slo_outcome = self._replay(monitor, log, final, makespan,
+                                       counters.marks)
         completed = sum(state.completed for state in states.values())
         recovery_seconds = 0.0
         if counters.first_failure is not None and counters.reshards:
@@ -434,7 +435,7 @@ class FleetSimulator:
                     health: HealthMonitor, events: "_EventQueue",
                     nominal: float, counters: "_Counters",
                     tracer: Optional[Tracer],
-                    monitor: Optional[Monitor] = None) -> None:
+                    log: Optional[List["_StateRow"]]) -> None:
         detection = self.heartbeat.detection_seconds(nominal)
         warmup = self.heartbeat.warmup_seconds(nominal)
         while True:
@@ -446,18 +447,20 @@ class FleetSimulator:
                 break
             if next_event is None or (next_finish is not None
                                       and next_finish <= next_event):
-                self._complete_at(next_finish, states, counters, tracer)
-                continue
-            for action, instance_id, payload in events.pop_at(next_event):
+                t = next_finish
+                self._complete_at(t, states, counters, tracer)
+                batch = []
+            else:
                 t = next_event
+                batch = events.pop_at(t)
+            for action, instance_id, payload in batch:
                 if action == FAIL:
                     self._on_fail(t, instance_id, states, health, events,
                                   detection, counters, tracer,
-                                  scripted=payload is not None,
-                                  monitor=monitor)
+                                  scripted=payload is not None)
                 elif action == "detect":
                     self._on_detect(t, payload, states, health, events,
-                                    counters, tracer, monitor=monitor)
+                                    counters, tracer)
                 elif action == RECOVER:
                     self._on_recover(t, instance_id, states, health,
                                      events, warmup, counters, tracer)
@@ -465,20 +468,18 @@ class FleetSimulator:
                     self._on_warmup_done(t, instance_id, states, health)
                 elif action == DEGRADE:
                     self._on_degrade(t, instance_id, states, health,
-                                     payload.factor, reason="scripted",
-                                     monitor=monitor)
+                                     counters, payload.factor,
+                                     reason="scripted")
                 elif action == UNDEGRADE:
                     self._on_undegrade(t, instance_id, states, health)
                 elif action == LINK_FLAP:
                     self._on_flap(t, instance_id, states, health, events,
-                                  payload, nominal, tracer,
-                                  monitor=monitor)
-                elif action == "sample":
-                    self._on_sample(t, states, health, counters, monitor,
-                                    events)
+                                  counters, payload, nominal, tracer)
                 elif action == "flap_end":
                     self._on_flap_end(t, instance_id, states, health,
                                       tracer)
+            if log is not None:
+                log.append(self._state_row(t, states, health, counters))
         # Anything still waiting for capacity that never returned is lost.
         backlog = counters.backlog
         if backlog > 0.0:
@@ -553,12 +554,10 @@ class FleetSimulator:
                  states: Dict[str, _Sim], health: HealthMonitor,
                  events: "_EventQueue", detection: float,
                  counters: "_Counters", tracer: Optional[Tracer],
-                 scripted: bool,
-                 monitor: Optional[Monitor] = None) -> None:
+                 scripted: bool) -> None:
         if health.state(instance_id) is HealthState.DEAD:
             return
-        if monitor is not None:
-            monitor.mark(t, "fault", instance_id)
+        counters.marks.append((t, "fault", instance_id))
         state = states[instance_id]
         self._close_segment(state, t, tracer,
                             "recovery" if state.has_recovery_work
@@ -583,10 +582,8 @@ class FleetSimulator:
     def _on_detect(self, t: float, instance_id: str,
                    states: Dict[str, _Sim], health: HealthMonitor,
                    events: "_EventQueue", counters: "_Counters",
-                   tracer: Optional[Tracer],
-                   monitor: Optional[Monitor] = None) -> None:
-        if monitor is not None:
-            monitor.mark(t, "detection", instance_id)
+                   tracer: Optional[Tracer]) -> None:
+        counters.marks.append((t, "detection", instance_id))
         state = states[instance_id]
         lost, state.lost = state.lost, 0.0
         if tracer is not None:
@@ -681,13 +678,12 @@ class FleetSimulator:
 
     def _on_degrade(self, t: float, instance_id: str,
                     states: Dict[str, _Sim], health: HealthMonitor,
-                    factor: float, reason: str,
-                    monitor: Optional[Monitor] = None) -> None:
+                    counters: "_Counters", factor: float,
+                    reason: str) -> None:
         if health.state(instance_id) not in (HealthState.HEALTHY,
                                               HealthState.DEGRADED):
             return
-        if monitor is not None:
-            monitor.mark(t, "fault", instance_id)
+        counters.marks.append((t, "fault", instance_id))
         state = states[instance_id]
         self._progress(state, t)
         health.transition(instance_id, HealthState.DEGRADED, t,
@@ -707,11 +703,9 @@ class FleetSimulator:
 
     def _on_flap(self, t: float, instance_id: str,
                  states: Dict[str, _Sim], health: HealthMonitor,
-                 events: "_EventQueue", event, nominal: float,
-                 tracer: Optional[Tracer],
-                 monitor: Optional[Monitor] = None) -> None:
-        if monitor is not None:
-            monitor.mark(t, "fault", instance_id)
+                 events: "_EventQueue", counters: "_Counters", event,
+                 nominal: float, tracer: Optional[Tracer]) -> None:
+        counters.marks.append((t, "fault", instance_id))
         state = states[instance_id]
         self._progress(state, t)
         health.set_link_factor(instance_id, event.factor)
@@ -729,50 +723,6 @@ class FleetSimulator:
                 "link_flap", t, t + event.duration_fraction * nominal,
                 pid=pid, tid=tid, category="fault", factor=event.factor)
 
-    def _on_sample(self, t: float, states: Dict[str, _Sim],
-                   health: HealthMonitor, counters: "_Counters",
-                   monitor: Optional[Monitor],
-                   events: Optional["_EventQueue"]) -> None:
-        """Read-only monitoring tick: sample series, feed SLOs, alert.
-
-        This handler must never touch simulation state — in particular
-        it must not call :meth:`_progress` (which folds segments and
-        would perturb floating-point accumulation order).  In-flight
-        work is estimated read-only from each instance's current
-        constant-rate segment, which is exact under the fluid model.
-        """
-        if monitor is None:
-            return
-        total_rate = sum(state.rate for state in states.values())
-        healthy_rate = sum(
-            state.rate * health.capacity_factor(state.instance.instance_id)
-            for state in states.values())
-        capacity = healthy_rate / total_rate if total_rate > 0.0 else 0.0
-        completed = 0.0
-        for state in states.values():
-            completed += state.completed
-            if state.running and t > state.segment_start:
-                completed += min(state.remaining,
-                                 state.eff_rate * (t - state.segment_start))
-            monitor.record(t, f"instance/{state.instance.instance_id}/rate",
-                           state.eff_rate)
-        monitor.record(t, "fleet/capacity_fraction", capacity)
-        monitor.record(t, "fleet/completed", completed)
-        monitor.record(t, "fleet/alive", float(health.alive_count()))
-        monitor.record(t, "fleet/shed", counters.shed)
-        monitor.record(t, "fleet/backlog", counters.backlog)
-        monitor.record(t, "fleet/failures", float(counters.failures))
-        monitor.record(t, "fleet/reshards", float(counters.reshards))
-        monitor.record(t, "fleet/link_retransmissions",
-                       float(counters.retransmissions))
-        monitor.slo_event(t, "availability", good=capacity,
-                          bad=1.0 - capacity)
-        monitor.evaluate(t)
-        if events is not None and (
-                any(state.running for state in states.values())
-                or events.peek_time() is not None):
-            events.push(t + monitor.sample_interval, "sample", "", None)
-
     def _on_flap_end(self, t: float, instance_id: str,
                      states: Dict[str, _Sim], health: HealthMonitor,
                      tracer: Optional[Tracer]) -> None:
@@ -785,6 +735,68 @@ class FleetSimulator:
                 health.transition(instance_id, HealthState.HEALTHY, t,
                                    reason="link_flap_cleared")
         self._refresh_rate(state, health)
+
+    # -- monitoring ------------------------------------------------------
+
+    def _state_row(self, t: float, states: Dict[str, _Sim],
+                   health: HealthMonitor,
+                   counters: "_Counters") -> "_StateRow":
+        """What a monitor tick reads of the fleet as it stands at ``t``."""
+        total_rate = sum(state.rate for state in states.values())
+        healthy_rate = sum(
+            state.rate * health.capacity_factor(state.instance.instance_id)
+            for state in states.values())
+        return _StateRow(
+            t, healthy_rate / total_rate if total_rate > 0.0 else 0.0,
+            (float(health.alive_count()), counters.shed, counters.backlog,
+             float(counters.failures), float(counters.reshards),
+             float(counters.retransmissions)),
+            tuple((state.eff_rate, state.completed, state.running,
+                   state.segment_start, state.remaining)
+                  for state in states.values()))
+
+    def _replay(self, monitor: Monitor, log: List["_StateRow"],
+                final: "_StateRow", makespan: float,
+                marks: List[Tuple[float, str, str]]) -> SloOutcome:
+        """Tick the monitor over the step log, forward marks, finalize.
+
+        Ticks start at one sample interval and step by repeated
+        addition while a later row exists; each reads the last row at
+        or before its time.  The closing tick, at the makespan or the
+        last tick if later, reads ``final``: the fleet after the
+        unplaced backlog is shed.  In-flight work is read from each
+        instance's constant-rate segment, exact under the fluid model.
+        """
+        times = [row.t for row in log]
+        ticks = []
+        t = monitor.sample_interval
+        while True:
+            ticks.append((t, log[bisect.bisect_right(times, t) - 1]))
+            if times[-1] <= t:
+                break
+            t += monitor.sample_interval
+        ticks.append((max(makespan, t), final))
+        names = [f"instance/{instance.instance_id}/rate"
+                 for instance in self.topology.instances]
+        for t, row in ticks:
+            completed = 0.0
+            for name, (eff_rate, done, running, segment_start,
+                       remaining) in zip(names, row.instances):
+                completed += done
+                if running and t > segment_start:
+                    completed += min(remaining,
+                                     eff_rate * (t - segment_start))
+                monitor.record(t, name, eff_rate)
+            monitor.record(t, "fleet/capacity_fraction", row.capacity)
+            monitor.record(t, "fleet/completed", completed)
+            for name, value in zip(_COUNTER_SERIES, row.counters):
+                monitor.record(t, name, value)
+            monitor.slo_event(t, "availability", good=row.capacity,
+                              bad=1.0 - row.capacity)
+            monitor.evaluate(t)
+        for mark in marks:
+            monitor.mark(*mark)
+        return monitor.finalize(t).outcome()
 
     # -- reporting -------------------------------------------------------
 
@@ -840,6 +852,23 @@ class _Counters:
     backlog: float = 0.0
     first_failure: Optional[float] = None
     last_recovery_finish: float = 0.0
+    #: (t, label, instance_id) fault and detection marks, in order.
+    marks: List[Tuple[float, str, str]] = field(default_factory=list)
+
+
+class _StateRow(NamedTuple):
+    """The fleet at one step of the run, as a monitor tick reads it."""
+
+    t: float
+    capacity: float
+    counters: Tuple[float, ...]  # one per _COUNTER_SERIES name
+    #: Per instance: eff_rate, completed, running, segment_start, remaining.
+    instances: Tuple[Tuple[float, float, bool, float, float], ...]
+
+
+_COUNTER_SERIES = ("fleet/alive", "fleet/shed", "fleet/backlog",
+                   "fleet/failures", "fleet/reshards",
+                   "fleet/link_retransmissions")
 
 
 class _EventQueue:

@@ -1,4 +1,4 @@
-"""Live monitoring: sim-time SLOs, error budgets, burn-rate alerts.
+"""Monitoring: sim-time SLOs, error budgets, burn-rate alerts.
 
 Sits on top of :mod:`repro.telemetry.timeseries` and plugs into the
 fleet and serving simulators through an optional ``monitor=`` parameter
@@ -6,6 +6,11 @@ fleet and serving simulators through an optional ``monitor=`` parameter
 number stays bit-identical; pass a :class:`Monitor` and the run also
 produces a deterministic alert timeline, per-SLO error budgets, and an
 ASCII dashboard.
+
+Lifecycle: a simulator arms the monitor before it simulates anything.
+The serving simulator ticks it once per batch as it runs; the fleet
+simulator logs its state once per event-loop step and replays the
+ticks, one per sample interval, from that log after the run.
 
 Typical use::
 

@@ -1,15 +1,18 @@
 """The monitor engine: sampling, SLO tracking, rule evaluation.
 
-A :class:`Monitor` is the live-observability companion a simulator
-carries through a run:
+A :class:`Monitor` is the observability companion a simulator attaches
+to a run:
 
-1. the simulator calls :meth:`Monitor.begin` with the *nominal horizon*
-   (the fault-free makespan), which fixes the sample interval and
-   scales every rule's windows;
+1. before simulating, the simulator calls :meth:`Monitor.begin` with
+   the *nominal horizon* (the fault-free makespan), which fixes the
+   sample interval and scales every rule's windows;
 2. at each sample tick it :meth:`record`\\ s instantaneous series values,
    feeds weighted good/bad events to the SLOs (:meth:`slo_event`), and
    calls :meth:`evaluate` — which snapshots the cumulative SLO series
-   and runs every alert rule edge-triggered;
+   and runs every alert rule edge-triggered.  The serving simulator
+   ticks once per batch as it runs; the fleet simulator logs its state
+   once per event-loop step and replays its ticks from that log after
+   the loop, on a grid of one sample interval;
 3. notable instants (fault injected, failure detected) land as
    :meth:`mark`\\ s, so the final report can state the incident timeline
    as *fault at t, detected at t+d, paged at t+p*;
@@ -157,9 +160,9 @@ class Monitor:
         slos: declarative objectives; burn-rate rules must reference
             them by name.
         rules: burn-rate and threshold rules, evaluated every tick.
-        samples: sample ticks across the nominal horizon (the simulator
-            keeps ticking at the same interval past it when a degraded
-            run stretches).
+        samples: sample ticks across the nominal horizon (the fleet
+            simulator keeps ticking at the same interval past it while
+            a degraded run is still stepping).
         name: monitor label for dashboards/exports.
     """
 
@@ -212,11 +215,6 @@ class Monitor:
         self.horizon_seconds = horizon_seconds
         self.sample_interval = horizon_seconds / self.samples
 
-    @property
-    def last_tick(self) -> float:
-        """Sim-time of the most recent :meth:`evaluate` call."""
-        return self._last_tick
-
     def _require_armed(self) -> float:
         if self.horizon_seconds is None:
             raise ValueError("call begin(horizon) before using the "
@@ -247,10 +245,6 @@ class Monitor:
         """Pin a labelled instant (fault, detection) on the timeline."""
         self._require_armed()
         self.marks.append(Mark(at_seconds=t, label=label, target=target))
-
-    def slo(self, name: str) -> Optional[SLO]:
-        tracker = self._trackers.get(name)
-        return tracker.slo if tracker is not None else None
 
     def latency_threshold(self, nominal_seconds: float) -> Optional[float]:
         """The latency SLO's good/bad boundary for one nominal time."""

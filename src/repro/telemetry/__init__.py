@@ -56,7 +56,7 @@ from .profiling import (
 )
 from .render import default_glyph, render_tracer, render_tracks
 from .spans import SIM_CLOCK, WALL_CLOCK, Instant, Span, Tracer
-from .timeseries import TimeSeries, TimeSeriesStore, WindowStats
+from .timeseries import TimeSeries, TimeSeriesStore
 
 __all__ = [
     "AttributionRow",
@@ -81,7 +81,6 @@ __all__ = [
     "Tracer",
     "UtilizationReport",
     "WALL_CLOCK",
-    "WindowStats",
     "analyze_trace",
     "build_rollup",
     "critical_path_spans",

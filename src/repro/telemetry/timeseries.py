@@ -1,26 +1,20 @@
-"""Sim-time time-series: ring-buffered samples + sliding-window stats.
+"""Sim-time time-series: ring-buffered samples and step-function reads.
 
 The metrics registry (:mod:`repro.telemetry.metrics`) answers "what
-happened over the whole run"; live monitoring needs "what is happening
-*now*" — a value sampled against the simulation clock, queried over
-sliding windows.  A :class:`TimeSeries` is a bounded ring buffer of
-``(t, value)`` samples appended in non-decreasing time order (the
-discrete-event simulators only move forward), so window queries are two
-bisections and the store stays O(capacity) however long a campaign runs.
+happened over the whole run"; monitoring needs "what was happening at
+sim-time *t*" — a value sampled against the simulation clock.  A
+:class:`TimeSeries` is a bounded ring buffer of ``(t, value)`` samples
+appended in non-decreasing time order (the simulators' clocks only
+move forward), so the store stays O(capacity) however long a campaign
+runs.
 
-Window semantics are half-open ``(start, end]``: a sample exactly on the
-window's *end* belongs to it, a sample exactly on its *start* does not —
-so back-to-back windows of width ``w`` partition the timeline with no
-sample counted twice.  Aggregation comes in two flavours:
-
-* **value stats** (:meth:`TimeSeries.window_stats`) — count, mean,
-  min/max, and interpolated p50/p95/p99 of the sampled values, computed
-  through the existing fixed-bucket
-  :class:`~repro.telemetry.metrics.Histogram`;
-* **cumulative deltas** (:meth:`TimeSeries.delta`, :meth:`TimeSeries.rate`)
-  — for series that sample a monotonically accumulating counter
-  (completed inferences, retries), the windowed increase and its
-  per-second rate, read from the step function the samples trace out.
+The samples trace out a step function: :meth:`TimeSeries.value_at`
+reads it at any time (one bisection), :attr:`TimeSeries.last` is what
+threshold rules read, and :meth:`TimeSeries.delta` gives a cumulative
+series' increase over a window, which the SLO trackers' burn rates are
+built from.  The fleet monitor's samples are written after the run,
+replayed from the simulator's per-step state log; the serving
+monitor's as the run goes.
 
 Everything is deterministic: no wall clock, no RNG, plain floats.
 """
@@ -28,34 +22,10 @@ Everything is deterministic: no wall clock, no RNG, plain floats.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
-
-from .metrics import DEFAULT_LATENCY_BUCKETS, Histogram
+from typing import Dict, Iterator, List, Optional, Tuple
 
 #: Default ring-buffer capacity per series.
 DEFAULT_CAPACITY = 4096
-
-
-@dataclass(frozen=True)
-class WindowStats:
-    """Aggregate of the samples inside one ``(start, end]`` window.
-
-    ``mean``/``minimum``/``maximum`` and the percentiles are ``None``
-    when the window holds no samples (an empty window is a fact worth
-    distinguishing from a zero).
-    """
-
-    start: float
-    end: float
-    count: int
-    total: float
-    mean: Optional[float]
-    minimum: Optional[float]
-    maximum: Optional[float]
-    p50: Optional[float]
-    p95: Optional[float]
-    p99: Optional[float]
 
 
 class TimeSeries:
@@ -65,16 +35,13 @@ class TimeSeries:
         name: series name (slash-hierarchical, like metric names).
         capacity: maximum retained samples; older samples fall off the
             front once exceeded (the ring-buffer bound).
-        bounds: histogram bucket edges used for windowed percentiles.
     """
 
-    def __init__(self, name: str, capacity: int = DEFAULT_CAPACITY,
-                 bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> None:
+    def __init__(self, name: str, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.name = name
         self.capacity = capacity
-        self.bounds = tuple(float(b) for b in bounds)
         self._times: List[float] = []
         self._values: List[float] = []
         #: Samples evicted by the capacity bound (visibility into loss).
@@ -120,37 +87,6 @@ class TimeSeries:
 
     # -- windows ---------------------------------------------------------
 
-    def window(self, start: float, end: float) -> List[Tuple[float, float]]:
-        """Samples with ``start < t <= end`` (half-open window)."""
-        if end < start:
-            raise ValueError(f"window end ({end}) before start ({start})")
-        lo = bisect.bisect_right(self._times, start)
-        hi = bisect.bisect_right(self._times, end)
-        return list(zip(self._times[lo:hi], self._values[lo:hi]))
-
-    def window_stats(self, start: float, end: float) -> WindowStats:
-        """Value statistics over ``(start, end]``.
-
-        Percentiles go through the fixed-bucket histogram, so they share
-        its interpolation semantics (exact min/max, linear inside the
-        containing bucket); a single-sample window returns that sample
-        for every statistic.
-        """
-        samples = self.window(start, end)
-        if not samples:
-            return WindowStats(start=start, end=end, count=0, total=0.0,
-                               mean=None, minimum=None, maximum=None,
-                               p50=None, p95=None, p99=None)
-        histogram = Histogram(self.name, self.bounds)
-        for _t, value in samples:
-            histogram.observe(value)
-        return WindowStats(
-            start=start, end=end, count=histogram.count,
-            total=histogram.total, mean=histogram.mean,
-            minimum=histogram.min, maximum=histogram.max,
-            p50=histogram.percentile(50), p95=histogram.percentile(95),
-            p99=histogram.percentile(99))
-
     def delta(self, start: float, end: float) -> float:
         """Windowed increase of a cumulative series.
 
@@ -162,12 +98,6 @@ class TimeSeries:
         if end < start:
             raise ValueError(f"window end ({end}) before start ({start})")
         return self.value_at(end) - self.value_at(start)
-
-    def rate(self, start: float, end: float) -> float:
-        """Per-second increase of a cumulative series over the window."""
-        if end <= start:
-            return 0.0
-        return self.delta(start, end) / (end - start)
 
 
 class TimeSeriesStore:
@@ -186,13 +116,10 @@ class TimeSeriesStore:
         self.capacity = capacity
         self._series: Dict[str, TimeSeries] = {}
 
-    def series(self, name: str,
-               bounds: Sequence[float] = DEFAULT_LATENCY_BUCKETS
-               ) -> TimeSeries:
+    def series(self, name: str) -> TimeSeries:
         existing = self._series.get(name)
         if existing is None:
-            existing = TimeSeries(name, capacity=self.capacity,
-                                  bounds=bounds)
+            existing = TimeSeries(name, capacity=self.capacity)
             self._series[name] = existing
         return existing
 

@@ -146,11 +146,43 @@ class TestCli:
         ["dse", "--budget", "0"],
         ["dse", "--budget", "-5"],
         ["trace", "--ascii", "--width", "0"],
+        ["fleet", "--batch", "0"],
+        ["fleet", "--racks", "0"],
+        ["fleet", "--hosts-per-rack", "0"],
+        ["fleet", "--instances-per-host", "0"],
+        ["fleet", "--seq-len", "0"],
+        ["fleet", "--reference-batch", "0"],
+        ["reliability", "--batch", "0"],
+        ["reliability", "--instances", "0"],
+        ["simulate", "--batch", "0"],
+        ["simulate", "--seq-len", "0"],
+        ["simulate", "--threads", "0"],
     ])
     def test_nonpositive_counts_rejected(self, argv):
         flag, value = argv[-2:]
         with pytest.raises(SystemExit,
                            match=f"^{flag} must be at least 1, got {value}$"):
+            main(argv)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fleet", "--min-capacity", "1.5"],
+         r"--min-capacity must be in \[0, 1\], got 1.5"),
+        (["fleet", "--link-transient-rate", "1.5"],
+         r"--link-transient-rate must be in \[0, 1\], got 1.5"),
+        (["reliability", "--fault-rate", "1.5"],
+         r"--fault-rate must be in \[0, 1\], got 1.5"),
+        (["reliability", "--fault-rate", "-0.1"],
+         r"--fault-rate must be in \[0, 1\], got -0.1"),
+        (["fleet", "--breaker-failures", "-1"],
+         "--breaker-failures must be at least 0, got -1"),
+        (["reliability", "--batch", "3", "--instances", "4"],
+         r"--batch must be at least --instances \(4\), got 3"),
+        (["fleet", "--scenario", "nope"],
+         "unknown scenario 'nope'; choose from: none, all, "
+         "rack_power_loss, link_flap_storm, slow_node, rolling_restart"),
+    ])
+    def test_out_of_range_input_rejected(self, argv, message):
+        with pytest.raises(SystemExit, match=f"^{message}$"):
             main(argv)
 
     def test_version_flag(self, capsys):

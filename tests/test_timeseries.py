@@ -1,4 +1,4 @@
-"""Tests for sim-time time series: windows, deltas, the store."""
+"""Tests for sim-time time series: step reads, deltas, the store."""
 
 import pytest
 
@@ -60,58 +60,6 @@ class TestPointQueries:
         assert series.value_at(1.0) == 0.0
 
 
-class TestWindows:
-    def _series(self):
-        series = TimeSeries("s")
-        for t, v in [(1.0, 10.0), (2.0, 20.0), (3.0, 30.0)]:
-            series.append(t, v)
-        return series
-
-    def test_half_open_boundaries(self):
-        series = self._series()
-        # (start, end]: the sample on end belongs, the one on start
-        # does not — adjacent windows partition the timeline.
-        assert series.window(1.0, 2.0) == [(2.0, 20.0)]
-        assert series.window(0.0, 1.0) == [(1.0, 10.0)]
-        first = series.window(0.0, 1.5)
-        second = series.window(1.5, 3.0)
-        assert first + second == list(series.samples())
-
-    def test_window_end_before_start_raises(self):
-        with pytest.raises(ValueError):
-            self._series().window(2.0, 1.0)
-
-    def test_empty_window_stats_are_none_not_zero(self):
-        stats = self._series().window_stats(1.1, 1.9)
-        assert stats.count == 0
-        assert stats.total == 0.0
-        assert stats.mean is None
-        assert stats.minimum is None
-        assert stats.maximum is None
-        assert stats.p50 is None
-
-    def test_single_sample_window_returns_that_sample(self):
-        stats = self._series().window_stats(1.5, 2.5)
-        assert stats.count == 1
-        assert stats.mean == 20.0
-        assert stats.minimum == 20.0
-        assert stats.maximum == 20.0
-        assert stats.p50 == pytest.approx(20.0)
-        assert stats.p99 == pytest.approx(20.0)
-
-    def test_window_longer_than_run(self):
-        series = self._series()
-        stats = series.window_stats(-100.0, 100.0)
-        assert stats.count == 3
-        assert stats.mean == pytest.approx(20.0)
-        assert stats.minimum == 10.0
-        assert stats.maximum == 30.0
-
-    def test_zero_width_window_is_empty(self):
-        stats = self._series().window_stats(2.0, 2.0)
-        assert stats.count == 0
-
-
 class TestCumulative:
     def _counter(self):
         series = TimeSeries("c")
@@ -127,12 +75,6 @@ class TestCumulative:
     def test_delta_window_longer_than_run_measures_from_zero(self):
         series = self._counter()
         assert series.delta(-10.0, 10.0) == pytest.approx(12.0)
-
-    def test_rate(self):
-        series = self._counter()
-        assert series.rate(1.0, 3.0) == pytest.approx(1.5)
-        assert series.rate(3.0, 3.0) == 0.0
-        assert series.rate(3.0, 1.0) == 0.0
 
     def test_delta_end_before_start_raises(self):
         with pytest.raises(ValueError):
