@@ -21,6 +21,14 @@ fleet (2x2x2, tiny model, batch 64) for a clean run and every chaos
 scenario; it pins the sha256 of every sampled series, the alerts, marks,
 budgets and tick count, and the dashboard and alert-report text.
 
+Two cases run a serving campaign traced, metered and monitored: the
+benchmark's fault-free ``observed`` campaign, and a faulty one with
+retries, killed and tolerated stragglers and a dropped batch.  They pin
+the trace, analysis and rollup sha256, the metrics (the fault-free path
+feeds each batch's nominal time to the latency histogram, the faulty
+path its measured span), the monitor as above, and every
+:class:`~repro.system.serving.CampaignReport` field.
+
 Floats are stored through ``json`` (shortest round-tripping repr), so an
 equal record means identical floats.  Regenerate the fixture, only when
 a schedule change is intended, with::
@@ -30,6 +38,7 @@ a schedule change is intended, with::
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -49,16 +58,24 @@ from repro.fleet import (
     build_scenario,
 )
 from repro.model import protein_bert_base, protein_bert_tiny
-from repro.monitor import fleet_monitor, format_alert_report, render_dashboard
+from repro.monitor import (
+    fleet_monitor,
+    format_alert_report,
+    render_dashboard,
+    serving_monitor,
+)
+from repro.proteins.workloads import uniprot_like_workload
 from repro.reliability import (
     DegradationPolicy,
     FaultModel,
     FaultRates,
+    RetryPolicy,
     derive_task_seed,
 )
 from repro.sched import Orchestrator
 from repro.sched.orchestrator import ScheduleResult
 from repro.system.multi import ProSESystem
+from repro.system.serving import CampaignSimulator
 from repro.telemetry import (
     MetricsRegistry,
     Tracer,
@@ -211,6 +228,29 @@ def fleet_rack_power_loss() -> Dict[str, object]:
     return _observed(run)
 
 
+def monitor_record(monitor) -> Dict[str, object]:
+    """The sha256 of every series, alert, mark and budget, and the text."""
+    report = monitor.report()
+    return {
+        "series_sha256": text_sha256(json.dumps(
+            {series.name: list(series.samples())
+             for series in monitor.store})),
+        "alerts_sha256": text_sha256(json.dumps(
+            [[a.rule, a.severity, a.fired_at, a.resolved_at, a.value,
+              a.peak_value] for a in report.alerts])),
+        "marks_sha256": text_sha256(json.dumps(
+            [[m.at_seconds, m.label, m.target] for m in report.marks])),
+        "budgets_sha256": text_sha256(json.dumps(
+            [[b.slo, b.target, b.good, b.bad, b.consumed_fraction,
+              b.remaining_fraction, b.worst_burn_rate]
+             for b in report.budgets])),
+        "ticks": report.ticks,
+        "end_seconds": report.end_seconds,
+        "dashboard_sha256": text_sha256(render_dashboard(monitor)),
+        "alert_report_sha256": text_sha256(format_alert_report(report)),
+    }
+
+
 def fleet_monitor_scenarios() -> Dict[str, object]:
     # The benchmark's monitored chaos fleet, one monitor per scenario.
     topology = build_fleet(racks=2, hosts_per_rack=2, instances_per_host=2)
@@ -228,26 +268,42 @@ def fleet_monitor_scenarios() -> Dict[str, object]:
         simulator.run(batch=64, scenario=(
             None if name == "none" else build_scenario(name, topology)),
             monitor=monitor)
-        report = monitor.report()
-        pinned[name] = {
-            "series_sha256": text_sha256(json.dumps(
-                {series.name: list(series.samples())
-                 for series in monitor.store})),
-            "alerts_sha256": text_sha256(json.dumps(
-                [[a.rule, a.severity, a.fired_at, a.resolved_at, a.value,
-                  a.peak_value] for a in report.alerts])),
-            "marks_sha256": text_sha256(json.dumps(
-                [[m.at_seconds, m.label, m.target] for m in report.marks])),
-            "budgets_sha256": text_sha256(json.dumps(
-                [[b.slo, b.target, b.good, b.bad, b.consumed_fraction,
-                  b.remaining_fraction, b.worst_burn_rate]
-                 for b in report.budgets])),
-            "ticks": report.ticks,
-            "end_seconds": report.end_seconds,
-            "dashboard_sha256": text_sha256(render_dashboard(monitor)),
-            "alert_report_sha256": text_sha256(format_alert_report(report)),
-        }
+        pinned[name] = monitor_record(monitor)
     return {"schedules": [], "monitor": pinned}
+
+
+#: The benchmark's ``observed`` library: 64 sequences (seed 1) in six
+#: buckets from 64 to 2048 tokens.
+LIBRARY = uniprot_like_workload(count=64, seed=1)
+
+
+def _campaign_simulator(faulty: bool) -> CampaignSimulator:
+    if not faulty:
+        # The benchmark's fault-free campaign.
+        return CampaignSimulator(model_config=protein_bert_base())
+    # Seed 6 gives retries, killed and tolerated stragglers and a drop.
+    return CampaignSimulator(
+        model_config=protein_bert_base(), max_batch=8,
+        fault_model=FaultModel(FaultRates(batch_failure=0.3, straggler=0.3,
+                                          straggler_slowdown=3.0), seed=6),
+        retry_policy=RetryPolicy(max_retries=2, backoff_base_seconds=0.0005,
+                                 backoff_cap_seconds=0.01,
+                                 straggler_deadline_multiple=2.0))
+
+
+def _campaign(faulty: bool) -> Dict[str, object]:
+    simulator = _campaign_simulator(faulty)
+    monitor = serving_monitor()
+    reports = []
+
+    def run(tracer, metrics):
+        reports.append(simulator.run_on_prose(
+            LIBRARY, tracer=tracer, metrics=metrics, monitor=monitor))
+        return []
+    record = _observed(run)
+    record["report"] = dataclasses.asdict(reports[0])
+    record["monitor"] = monitor_record(monitor)
+    return record
 
 
 CASES = {"best_perf_batch4": best_perf_batch4,
@@ -258,7 +314,9 @@ CASES = {"best_perf_batch4": best_perf_batch4,
          "system_simulate_2x": system_simulate,
          "fleet_one_failure_1x1x2": fleet_one_failure,
          "fleet_rack_power_loss": fleet_rack_power_loss,
-         "fleet_monitor_scenarios": fleet_monitor_scenarios}
+         "fleet_monitor_scenarios": fleet_monitor_scenarios,
+         "serving_faulty_retries": lambda: _campaign(faulty=True),
+         "serving_observed": lambda: _campaign(faulty=False)}
 
 
 def _normalized(record: Dict[str, object]) -> Dict[str, object]:
@@ -293,6 +351,17 @@ def test_mixed_config_places_on_both_g_sizes():
     resources = {row[6] for row in record["task_log"]}
     assert any(name.startswith("4x 16x16 G") for name in resources)
     assert any(name.startswith("1x 32x32 G") for name in resources)
+
+
+def test_faulty_campaign_exercises_every_outcome():
+    """The faulty serving case must retry, kill and wait out stragglers,
+    and drop a batch."""
+    tracer = Tracer()
+    _campaign_simulator(faulty=True).run_on_prose(LIBRARY, tracer=tracer)
+    outcomes = {span.args.get("outcome") for span in tracer.spans}
+    assert {"ok", "straggled", "dropped"} <= outcomes
+    instants = {event.name for event in tracer.instants}
+    assert instants == {"retry", "straggler_killed", "batch_dropped"}
 
 
 if __name__ == "__main__":
