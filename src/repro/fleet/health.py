@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..reliability.policy import HeartbeatConfig
-from ..telemetry import Tracer
 
 
 class HealthState(enum.Enum):
@@ -67,7 +66,6 @@ class _InstanceHealth:
     """Mutable per-instance record behind the monitor's public API."""
 
     state: HealthState = HealthState.HEALTHY
-    since: float = 0.0
     degraded_factor: float = 1.0
     link_factor: float = 1.0
     hard_failures: int = 0
@@ -76,28 +74,24 @@ class _InstanceHealth:
 class HealthMonitor:
     """Tracks every instance's state machine and capacity factor.
 
+    Every transition is appended to :attr:`transitions`, the one record
+    of the run's health history: the fleet report carries it, and the
+    simulator turns it into ``health:<state>`` trace instants after the
+    run.
+
     Args:
         instance_ids: all instances, in scheduling order.
         heartbeat: cadence/discount knobs.
         circuit_breaker_failures: hard failures after which the breaker
             opens and the instance is quarantined (0 disables).
-        tracer: optional tracer; every transition becomes an instant
-            event on the instance's track.
-        span_target: maps an instance id to its (pid, tid) track pair.
     """
 
     def __init__(self, instance_ids: Sequence[str],
                  heartbeat: Optional[HeartbeatConfig] = None,
-                 circuit_breaker_failures: int = 0,
-                 tracer: Optional[Tracer] = None,
-                 span_target: Optional[Callable[[str],
-                                               Tuple[str, str]]] = None
-                 ) -> None:
+                 circuit_breaker_failures: int = 0) -> None:
         self.heartbeat = heartbeat or HeartbeatConfig()
         self.circuit_breaker_failures = circuit_breaker_failures
         self.transitions: List[HealthTransition] = []
-        self._tracer = tracer
-        self._span_target = span_target or (lambda iid: (iid, "health"))
         self._records: Dict[str, _InstanceHealth] = {
             instance_id: _InstanceHealth()
             for instance_id in instance_ids}
@@ -152,10 +146,9 @@ class HealthMonitor:
             raise ValueError(
                 f"illegal health transition {record.state.value} -> "
                 f"{to_state.value} for {instance_id} ({reason or 'n/a'})")
-        transition = HealthTransition(
+        self.transitions.append(HealthTransition(
             at_seconds=at_seconds, instance_id=instance_id,
-            from_state=record.state, to_state=to_state, reason=reason)
-        self.transitions.append(transition)
+            from_state=record.state, to_state=to_state, reason=reason))
         if to_state is HealthState.DEAD:
             record.hard_failures += 1
         if to_state is HealthState.DEGRADED:
@@ -165,13 +158,6 @@ class HealthMonitor:
         elif to_state is HealthState.HEALTHY:
             record.degraded_factor = 1.0
         record.state = to_state
-        record.since = at_seconds
-        if self._tracer is not None:
-            pid, tid = self._span_target(instance_id)
-            self._tracer.instant(
-                f"health:{to_state.value}", at_seconds, pid=pid, tid=tid,
-                category="health", from_state=transition.from_state.value,
-                reason=reason)
 
     def set_link_factor(self, instance_id: str, factor: float) -> None:
         """Apply (or clear, with 1.0) a link-flap throughput multiplier."""
