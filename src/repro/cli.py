@@ -686,6 +686,10 @@ def _check_args(args: argparse.Namespace) -> None:
     if getattr(args, "breaker_failures", 0) < 0:
         raise SystemExit("--breaker-failures must be at least 0, got "
                          f"{args.breaker_failures}")
+    # `embed` takes its sequences as a list of strings, not a count.
+    if args.command == "trace" and args.sequences < 1:
+        raise SystemExit(f"--sequences must be at least 1, got "
+                         f"{args.sequences}")
     if args.command == "reliability" and args.batch < args.instances:
         raise SystemExit(f"--batch must be at least --instances "
                          f"({args.instances}), got {args.batch}")

@@ -21,11 +21,11 @@ through :meth:`Tracer.sim_columns` and never build a ``Span`` per row.
 
 Instrumented code takes an *optional* ``tracer=`` argument, and a
 simulation result never depends on whether one is given.  The
-orchestrator's placement loop does not touch the tracer at all: it
-appends a plain-tuple row per task to a placement log, and its spans are
-filled into the columns from that log after the loop.  Other simulators
-guard their calls with ``if tracer is not None``, so a disabled tracer
-costs one pointer comparison.
+orchestrator, fleet and serving loops never touch the tracer: each
+records its run (a placement log, a fleet run log, one row per batch)
+and builds its spans from that record after the loop.  The system
+simulator, the sweep executor and the functional datapath guard their
+calls with ``if tracer is not None``.
 """
 
 from __future__ import annotations

@@ -146,6 +146,8 @@ class TestCli:
         ["dse", "--budget", "0"],
         ["dse", "--budget", "-5"],
         ["trace", "--ascii", "--width", "0"],
+        ["trace", "--sequences", "0"],
+        ["trace", "--workload", "serving", "--sequences", "-3"],
         ["fleet", "--batch", "0"],
         ["fleet", "--racks", "0"],
         ["fleet", "--hosts-per-rack", "0"],
