@@ -12,6 +12,10 @@ Three pieces:
 * :func:`profile` — cProfile-backed hotspot capture that attributes
   per-function self time onto the active span stack and exports next to
   the spans (see :mod:`repro.telemetry.profiling`).
+
+Recording needs nothing beyond the standard library; the trace
+analytics (:func:`analyze_trace`) run numpy passes over the recorded
+span columns.
 """
 
 from .analyze import (
