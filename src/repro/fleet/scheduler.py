@@ -29,6 +29,8 @@ the remnant — goodput degrades, latency for admitted work does not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..reliability.policy import DegradationPolicy
@@ -66,7 +68,8 @@ class SharedPlan:
 
     @property
     def total(self) -> float:
-        return sum(assignment.amount for assignment in self.assignments)
+        return reduce(add, (assignment.amount
+                            for assignment in self.assignments), 0)
 
 
 class DegradationAwareScheduler:
@@ -102,9 +105,9 @@ class DegradationAwareScheduler:
                 payload_bytes / fabric.bandwidth(topology.tier_of(instance))
             for instance in topology.instances}
         #: Full-health end-to-end capacity, the brownout reference.
-        self.nominal_capacity = sum(
+        self.nominal_capacity = reduce(add, (
             self._effective_rate(instance.instance_id, 1.0)
-            for instance in topology.instances)
+            for instance in topology.instances), 0)
 
     def _effective_rate(self, instance_id: str, factor: float) -> float:
         """End-to-end inferences/second including fabric streaming."""
@@ -121,11 +124,11 @@ class DegradationAwareScheduler:
 
     def capacity_fraction(self, monitor: HealthMonitor) -> float:
         """Schedulable capacity right now, as a fraction of nominal."""
-        live = sum(
+        live = reduce(add, (
             self._effective_rate(instance.instance_id,
                                  monitor.capacity_factor(
                                      instance.instance_id))
-            for instance in self.topology.instances)
+            for instance in self.topology.instances), 0)
         if self.nominal_capacity <= 0.0:
             return 0.0
         return live / self.nominal_capacity
@@ -175,13 +178,14 @@ class DegradationAwareScheduler:
             shed = work * self.policy.shed_fraction
             work = work - shed
 
-        total_weight = sum(weight for _, weight in weights)
+        total_weight = reduce(add, (weight for _, weight in weights), 0)
         raw = [(instance_id, work * weight / total_weight)
                for instance_id, weight in weights]
         if integral:
             floors = [(instance_id, float(int(amount)))
                       for instance_id, amount in raw]
-            leftover = int(round(work - sum(a for _, a in floors)))
+            leftover = int(round(work - reduce(add, (a for _, a in floors),
+                                               0)))
             remainders = sorted(
                 range(len(raw)),
                 key=lambda i: (-(raw[i][1] - floors[i][1]), i))

@@ -405,12 +405,6 @@ def compensated_sum(iterable, /, start=0):
     return total
 
 
-#: Cases with a traced run, whose analysis and rollup are pinned.
-with open(FIXTURE, encoding="utf-8") as _fixture:
-    TRACED_CASES = sorted(name for name, record in json.load(_fixture).items()
-                          if "analysis_sha256" in record)
-
-
 def test_compensated_sum_emulation():
     # Left to right, 1e16 + 1.0 rounds the 1.0 away; compensated, it
     # comes back at the end.
@@ -422,22 +416,14 @@ def test_compensated_sum_emulation():
     assert compensated_sum([1.5, 2, 0.25]) == 3.75
 
 
-@pytest.mark.parametrize("case", TRACED_CASES)
+@pytest.mark.parametrize("case", sorted(CASES))
 def test_analysis_pins_hold_under_compensated_sum(pins, case, monkeypatch):
-    """The analysis adds its floats itself, so the pinned analysis and
-    rollup bytes do not depend on the interpreter's ``sum()``."""
-    record = analysis_record
-
-    def analyzed_under_compensated_sum(tracer):
-        with monkeypatch.context() as patch:
-            patch.setattr(builtins, "sum", compensated_sum)
-            return record(tracer)
-
-    monkeypatch.setitem(globals(), "analysis_record",
-                        analyzed_under_compensated_sum)
-    got = CASES[case]()
-    for key in ("analysis_sha256", "rollup_sha256"):
-        assert got[key] == pins[case][key], f"{case}.{key} moved"
+    """Every pinned float is added left to right by the program itself,
+    so no pinned byte depends on the interpreter's ``sum()``."""
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    got = _normalized(CASES[case]())
+    monkeypatch.undo()
+    assert got == pins[case]
 
 
 def test_mixed_config_places_on_both_g_sizes():
