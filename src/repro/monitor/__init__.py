@@ -8,9 +8,10 @@ produces a deterministic alert timeline, per-SLO error budgets, and an
 ASCII dashboard.
 
 Lifecycle: a simulator arms the monitor before it simulates anything
-and ticks it after the run, from the run's record: the serving
-simulator once per batch row, the fleet simulator once per sample
-interval over its per-step state log.
+and, after the run, hands it the run's record as columns over its
+ticks in one :meth:`Monitor.observe` call: the serving simulator ticks
+once per batch row, the fleet simulator once per sample interval over
+its per-step state log.
 
 Typical use::
 

@@ -7,8 +7,9 @@ LUT walk the dense gather was flattened from, the resource timelines
 the scheduler's placement kernel was flattened from, the structural
 hardware generator (the Chisel-flow analogue) whose component roll-up
 cross-checks the Table 2 synthesis anchors, the OpenRAM-style SRAM
-macro model of the input buffers, and the per-row trace analysis passes
-the columnar ones were ported from.  None of it runs in
+macro model of the input buffers, the per-row trace analysis passes
+the columnar ones were ported from, and the per-sample monitor the
+column monitor was ported from.  None of it runs in
 a simulation, experiment or CLI command, so none of it ships in
 ``repro``.
 """

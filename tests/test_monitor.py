@@ -6,8 +6,11 @@ the whole pipeline is deterministic per seed.
 """
 
 import dataclasses
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments import alert_timelines
 from repro.fleet import (
@@ -19,17 +22,23 @@ from repro.fleet import (
 )
 from repro.model.config import protein_bert_tiny
 from repro.monitor import (
+    LATENCY,
     PAGE,
+    SLO,
     TICKET,
     BurnRateRule,
+    Mark,
     Monitor,
-    SLO,
     ThresholdRule,
     budget_gauge,
     fleet_monitor,
+    fleet_rules,
+    fleet_slos,
     format_alert_report,
     render_dashboard,
     serving_monitor,
+    serving_rules,
+    serving_slos,
     sparkline,
 )
 from repro.proteins.workloads import screening_campaign
@@ -42,6 +51,7 @@ from repro.reliability import (
 )
 from repro.system.serving import CampaignSimulator
 from repro.telemetry import TimeSeries
+from tests.oracles import monitor as oracle
 
 TINY = protein_bert_tiny()
 
@@ -92,9 +102,9 @@ class TestMonitorLifecycle:
     def test_must_begin_before_use(self):
         monitor = Monitor()
         with pytest.raises(ValueError, match="begin"):
-            monitor.record(0.0, "s", 1.0)
+            monitor.observe([0.0], {"s": [1.0]}, {})
         with pytest.raises(ValueError, match="begin"):
-            monitor.evaluate(0.0)
+            monitor.report()
 
     def test_begin_twice_raises(self):
         monitor = Monitor()
@@ -110,7 +120,36 @@ class TestMonitorLifecycle:
     def test_unknown_slo_event_is_a_no_op(self):
         monitor = Monitor(slos=(SLO(name="availability"),))
         monitor.begin(1.0)
-        monitor.slo_event(0.1, "ghost", good=1.0)  # must not raise
+        report = monitor.observe([0.1], {}, {"ghost": ([1.0], [0.0])})
+        (budget,) = report.budgets
+        assert (budget.slo, budget.good, budget.bad) == (
+            "availability", 0.0, 0.0)
+
+    def test_observe_once_per_run(self):
+        monitor = Monitor()
+        monitor.begin(1.0)
+        monitor.observe([0.5], {}, {})
+        with pytest.raises(ValueError, match="already observed"):
+            monitor.observe([1.0], {}, {})
+
+    @pytest.mark.parametrize("series, events, message", [
+        ({"s": [1.0]}, {}, "'s' has 1 values for 2 times"),
+        ({}, {"availability": ([1.0, 1.0], [0.0])},
+         "'slo/availability/bad' has 1 values for 2 times"),
+        ({}, {"availability": ([1.0, -1.0], [0.0, 0.0])},
+         "non-negative"),
+    ])
+    def test_bad_columns_raise(self, series, events, message):
+        monitor = Monitor(slos=(SLO(name="availability"),))
+        monitor.begin(1.0)
+        with pytest.raises(ValueError, match=message):
+            monitor.observe([0.5, 1.0], series, events)
+
+    def test_out_of_order_ticks_raise(self):
+        monitor = Monitor(slos=(SLO(name="availability"),))
+        monitor.begin(1.0)
+        with pytest.raises(ValueError, match="earlier"):
+            monitor.observe([0.5, 0.25], {}, {})
 
 
 class TestBurnRateAlerting:
@@ -125,29 +164,29 @@ class TestBurnRateAlerting:
         monitor.begin(1.0)
         return monitor
 
+    # Half the events at 0.5 are bad: error rate 0.5 over a 0.1 budget
+    # is burn 5.0, over threshold in both windows -> page.  At 1.0 a
+    # flood of good events dilutes both windows below threshold.
+    EVENTS = {"availability": ([1.0, 10.0], [1.0, 0.0])}
+
     def test_fires_then_resolves(self):
-        monitor = self._monitor()
-        # Half the events are bad: error rate 0.5 over a 0.1 budget is
-        # burn 5.0, over threshold in both windows -> page.
-        monitor.slo_event(0.5, "availability", good=1.0, bad=1.0)
-        fired = monitor.evaluate(0.5)
-        assert len(fired) == 1
-        assert fired[0].severity == PAGE
-        assert fired[0].value == pytest.approx(5.0)
-        assert fired[0].active
-        # A flood of good events dilutes both windows below threshold.
-        monitor.slo_event(1.0, "availability", good=10.0)
-        assert monitor.evaluate(1.0) == ()
-        assert monitor.alerts[0].resolved_at == pytest.approx(1.0)
-        assert not monitor.alerts[0].active
+        report = self._monitor().observe([0.5, 1.0], {}, self.EVENTS)
+        (alert,) = report.alerts
+        assert alert.severity == PAGE
+        assert alert.fired_at == 0.5
+        assert alert.value == pytest.approx(5.0)
+        assert alert.resolved_at == pytest.approx(1.0)
+        assert not alert.active
+
+    def test_still_active_at_the_end(self):
+        report = self._monitor().observe(
+            [0.5], {}, {"availability": ([1.0], [1.0])})
+        (alert,) = report.alerts
+        assert alert.active
 
     def test_budget_accounting(self):
-        monitor = self._monitor()
-        monitor.slo_event(0.5, "availability", good=1.0, bad=1.0)
-        monitor.evaluate(0.5)
-        monitor.slo_event(1.0, "availability", good=10.0)
-        monitor.evaluate(1.0)
-        report = monitor.finalize(1.0)
+        report = self._monitor().observe([0.5, 1.0], {}, self.EVENTS,
+                                         end_seconds=1.0)
         (budget,) = report.budgets
         # 1 bad of 12 total against a 10% budget: 1 / 1.2 consumed.
         assert budget.consumed_fraction == pytest.approx(1.0 / 1.2)
@@ -155,9 +194,9 @@ class TestBurnRateAlerting:
         assert report.worst_burn_rate == pytest.approx(5.0)
 
     def test_no_events_no_alerts(self):
-        monitor = self._monitor()
-        assert monitor.evaluate(0.5) == ()
-        assert monitor.finalize(1.0).alerts == ()
+        report = self._monitor().observe([0.5], {}, {})
+        assert report.alerts == ()
+        assert report.worst_burn_rate == 0.0
 
 
 class TestThresholdAlerting:
@@ -168,16 +207,11 @@ class TestThresholdAlerting:
                                                severity=TICKET),),
                           samples=8)
         monitor.begin(1.0)
-        monitor.record(0.1, "fleet/shed", 0.0)
-        assert monitor.evaluate(0.1) == ()
-        monitor.record(0.2, "fleet/shed", 1.0)
-        assert len(monitor.evaluate(0.2)) == 1
-        monitor.record(0.3, "fleet/shed", 0.0)
-        monitor.evaluate(0.3)
-        monitor.record(0.4, "fleet/shed", 3.0)
-        monitor.evaluate(0.4)
-        assert len(monitor.alerts) == 2  # two activations, two alerts
-        first, second = monitor.alerts
+        report = monitor.observe([0.1, 0.2, 0.3, 0.4],
+                                 {"fleet/shed": [0.0, 1.0, 0.0, 3.0]}, {})
+        assert len(report.alerts) == 2  # two activations, two alerts
+        first, second = report.alerts
+        assert first.fired_at == pytest.approx(0.2)
         assert first.resolved_at == pytest.approx(0.3)
         assert second.fired_at == pytest.approx(0.4)
         assert second.active
@@ -344,14 +378,12 @@ class TestAlertTimelinesExperiment:
 
 class TestDashboard:
     def test_sparkline_shapes(self):
-        series = TimeSeries("s")
-        assert sparkline(series, width=8) == " " * 8
-        series.append(0.0, 5.0)
-        series.append(1.0, 5.0)
-        flat = sparkline(series, width=8, end=1.0)
+        assert sparkline(TimeSeries("s"), width=8) == " " * 8
+        flat = sparkline(TimeSeries("s", [0.0, 1.0], [5.0, 5.0]), width=8,
+                         end=1.0)
         assert len(flat) == 8 and len(set(flat)) == 1  # constant: flat
-        series.append(2.0, 50.0)
-        strip = sparkline(series, width=8, end=2.0)
+        strip = sparkline(TimeSeries("s", [0.0, 1.0, 2.0],
+                                     [5.0, 5.0, 50.0]), width=8, end=2.0)
         assert strip[-1] == "█"  # peak renders as the tallest glyph
 
     def test_budget_gauge(self):
@@ -376,6 +408,164 @@ class TestDashboard:
     def test_empty_alert_report(self):
         monitor = Monitor(samples=2)
         monitor.begin(1.0)
-        monitor.evaluate(1.0)
         assert "(no alerts fired)" in format_alert_report(
-            monitor.finalize(1.0))
+            monitor.observe([1.0], {}, {}, end_seconds=1.0))
+
+
+def _oracle_run(monitor, ticks, series, events, marks=(), end_seconds=None):
+    """Feed ``monitor``'s run to the per-sample oracle one tick at a
+    time, in the order the simulators used to: each series value, each
+    SLO event, then one evaluation."""
+    replay = oracle.Monitor(slos=monitor.slos, rules=monitor.rules,
+                            samples=monitor.samples, name=monitor.name)
+    replay.begin(monitor.horizon_seconds)
+    for tick, t in enumerate(ticks):
+        for name, column in series.items():
+            if column[tick] is not None:
+                replay.record(t, name, column[tick])
+        for name, (good, bad) in events.items():
+            replay.slo_event(t, name, good=good[tick], bad=bad[tick])
+        replay.evaluate(t)
+    for mark in marks:
+        replay.mark(mark.at_seconds, mark.label, mark.target)
+    return replay, replay.finalize(end_seconds)
+
+
+def _state(store, report):
+    """Everything a monitored run concludes, as exact text."""
+    return repr((
+        [(series.name, list(series.samples())) for series in store],
+        [(a.rule, a.severity, a.slo, a.fired_at, a.resolved_at, a.value,
+          a.peak_value) for a in report.alerts],
+        report.budgets, report.worst_burn_rate, report.ticks,
+        report.end_seconds, report.marks, report.horizon_seconds,
+        report.sample_interval))
+
+
+class _TwinMonitor(Monitor):
+    """A monitor that also replays every run it observes into the
+    oracle, so a simulator's own columns are checked against it."""
+
+    def observe(self, ticks, series, events, marks=(), end_seconds=None):
+        report = super().observe(ticks, series, events, marks, end_seconds)
+        replay, expected = _oracle_run(self, ticks, series, events, marks,
+                                       end_seconds)
+        assert _state(self.store, report) == _state(replay.store, expected)
+        self.checked = True
+        return report
+
+
+_WEIGHTS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 8.0]),
+                     st.floats(0.0, 10.0))
+_VALUES = st.one_of(st.none(), st.sampled_from([-1.0, 0.0, 0.0, 1.0, 2.5]),
+                    st.floats(-5.0, 5.0))
+_SERIES = ("fleet/shed", "fleet/backlog", "serving/dropped",
+           "serving/batch_latency", "x")
+
+
+@st.composite
+def _random_runs(draw):
+    """A monitor, armed, and a run to hand it: equal tick times, sparse
+    and all-None series, windows before the first tick or holding no
+    events, thresholds on missing and SLO series, flapping rules,
+    signed zero weights, and ticks so late that a window's start
+    rounds to its end (it must not read a later tick at that time)."""
+    preset = draw(st.sampled_from(["fleet", "serving", "random"]))
+    if preset == "fleet":
+        slos, rules = fleet_slos(), fleet_rules()
+    elif preset == "serving":
+        slos, rules = serving_slos(), serving_rules()
+    else:
+        slos = (SLO(name="availability",
+                    target=draw(st.sampled_from([0.5, 0.9, 0.999]))),
+                SLO(name="latency", objective=LATENCY, target=0.9))
+        rules = []
+        for index in range(draw(st.integers(0, 4))):
+            short = draw(st.sampled_from([0.01, 0.1, 0.25, 0.5]))
+            rules.append(BurnRateRule(
+                name=f"burn{index}",
+                slo=draw(st.sampled_from(["availability", "latency"])),
+                severity=draw(st.sampled_from([PAGE, TICKET])),
+                burn_threshold=draw(st.sampled_from([0.5, 1.0, 2.0, 14.4])),
+                short_window_fraction=short,
+                long_window_fraction=short * draw(
+                    st.sampled_from([1.0, 2.0, 4.0]))))
+        for index in range(draw(st.integers(0, 3))):
+            rules.append(ThresholdRule(
+                name=f"threshold{index}",
+                series=draw(st.sampled_from(
+                    _SERIES + ("ghost", "slo/availability/bad"))),
+                op=draw(st.sampled_from([">", ">=", "<", "<="])),
+                threshold=draw(st.sampled_from([0.0, 1.0]))))
+    monitor = Monitor(slos=slos, rules=rules,
+                      samples=draw(st.integers(2, 16)), name=preset)
+    monitor.begin(draw(st.sampled_from([0.5, 1.0, 4.0])
+                       | st.floats(0.01, 10.0)))
+    steps = draw(st.lists(st.sampled_from([0.0, 0.05, 0.125, 0.25])
+                          | st.floats(0.0, 1.0), max_size=40))
+    ticks = list(accumulate(steps, initial=draw(
+        st.sampled_from([0.0, 1e17]) | st.floats(0.0, 1.0))))
+    count = len(ticks)
+    series = {}
+    for name in draw(st.lists(st.sampled_from(_SERIES), unique=True)):
+        series[name] = draw(st.lists(_VALUES, min_size=count,
+                                     max_size=count))
+    events = {}
+    for name in draw(st.lists(st.sampled_from(
+            ["availability", "latency", "ghost"]), unique=True)):
+        events[name] = tuple(draw(st.lists(_WEIGHTS, min_size=count,
+                                           max_size=count))
+                             for _ in range(2))
+    marks = [Mark(at, "fault", "i0") for at in draw(
+        st.lists(st.floats(0.0, 5.0), max_size=2))]
+    end = draw(st.none() | st.floats(0.0, 50.0))
+    return monitor, ticks, series, events, marks, end
+
+
+class TestOracleParity:
+    """The column monitor against the per-sample engine it replaced
+    (``tests/oracles/monitor.py``), bit for bit."""
+
+    @given(_random_runs())
+    @settings(max_examples=300, deadline=None)
+    def test_random_runs_match_the_oracle(self, run):
+        monitor, ticks, series, events, marks, end = run
+        report = monitor.observe(ticks, series, events, marks, end)
+        replay, expected = _oracle_run(monitor, ticks, series, events,
+                                       marks, end)
+        assert _state(monitor.store, report) == \
+            _state(replay.store, expected)
+
+    def test_flapping_threshold_and_burn_rules(self):
+        monitor = Monitor(
+            slos=(SLO(name="availability", target=0.5),),
+            rules=(BurnRateRule(name="burn", slo="availability",
+                                burn_threshold=1.0,
+                                long_window_fraction=0.25,
+                                short_window_fraction=0.25),
+                   ThresholdRule(name="flap", series="s")))
+        monitor.begin(1.0)
+        ticks = [0.25 * (index + 1) for index in range(8)]
+        flips = [float(index % 2) for index in range(8)]
+        run = (ticks, {"s": flips},
+               {"availability": ([1.0 - f for f in flips], flips)})
+        report = monitor.observe(*run)
+        assert [a.rule for a in report.alerts] == ["burn", "flap"] * 4
+        replay, expected = _oracle_run(monitor, *run)
+        assert _state(monitor.store, report) == \
+            _state(replay.store, expected)
+
+    @pytest.mark.parametrize("name", (None,) + CHAOS_SCENARIOS)
+    def test_fleet_runs_match_the_oracle(self, name):
+        simulator, scenario = tiny_simulator(name)
+        monitor = _TwinMonitor(slos=fleet_slos(), rules=fleet_rules(),
+                               name="fleet")
+        simulator.run(batch=64, scenario=scenario, monitor=monitor)
+        assert monitor.checked
+
+    def test_serving_run_matches_the_oracle(self):
+        monitor = _TwinMonitor(slos=serving_slos(), rules=serving_rules(),
+                               name="serving")
+        report = TestServingIntegration()._simulator().run_on_prose(
+            screening_campaign(library_size=32, seed=11), monitor=monitor)
+        assert monitor.checked and report.slo.alerts > 0

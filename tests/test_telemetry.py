@@ -659,8 +659,7 @@ class TestExport:
         registry.counter("sched/dispatches").inc(3)
         registry.gauge("fleet/capacity").set(0.75)
         store = TimeSeriesStore()
-        for t, value in ((0.0, 1.0), (0.5, 3.0), (1.0, 2.0)):
-            store.record("queue_depth", t, value)
+        store.add([0.0, 0.5, 1.0], {"queue_depth": [1.0, 3.0, 2.0]})
         data = to_chrome_trace(tracer, profiles=[report],
                                metrics=registry, series=store)
         counts = validate_chrome_trace(data)
