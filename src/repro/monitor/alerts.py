@@ -1,6 +1,6 @@
 """Alert rules: multi-window multi-burn-rate and simple thresholds.
 
-Two rule classes, both evaluated at every monitor tick:
+Two rule classes, both evaluated over every tick of an observed run:
 
 * :class:`BurnRateRule` — the Google-SRE shape: fire when the SLO's
   burn rate exceeds a threshold over a *long* window AND over a *short*
@@ -10,9 +10,9 @@ Two rule classes, both evaluated at every monitor tick:
   poisoned and the alert can neither re-fire nor resolve promptly).
   Windows are fractions of the monitoring horizon so one rule set
   scales from millisecond smoke runs to full campaigns;
-* :class:`ThresholdRule` — fire while a time series' latest sample
-  violates a comparison (shed work observed, queue depth above a
-  limit).
+* :class:`ThresholdRule` — fire while a time series' latest sample at
+  or before the tick violates a comparison (shed work observed, queue
+  depth above a limit).
 
 Rules are edge-triggered: an :class:`Alert` is appended when the
 condition first holds, resolved when it first stops holding, and a new

@@ -1,6 +1,6 @@
 """ASCII dashboard: sparklines, budget gauges, and alert timelines.
 
-Pure string rendering over a finalized :class:`~.engine.Monitor` —
+Pure string rendering over an observed :class:`~.engine.Monitor` —
 suitable for terminals, CI logs, and golden-file tests.  Layout:
 
 .. code-block:: text
