@@ -115,12 +115,13 @@ class AcceleratedProteinBert:
         """Per-head scores through the E-Type array and host softmax."""
         steps = [SimdStep(SimdOpcode.MUL, 1.0 / scale)]
         if mask_bias is not None:
-            steps.append(SimdStep(SimdOpcode.ADD, mask_bias))
+            steps.append(SimdStep(SimdOpcode.ADD, mask_bias,
+                                  broadcast_rows=True))
         steps.append(SimdStep(SimdOpcode.EXP))
         exponentials = self.e_array.execute_chain(q, k.T, tuple(steps),
                                                   self.stats)
         # Softmax summation and division run on the host CPU in fp32.
-        sums = exponentials.astype(np.float32).sum(axis=-1, keepdims=True)
+        sums = exponentials.sum(axis=-1, keepdims=True)
         return exponentials / np.maximum(sums, 1e-30)
 
     # -- Full forward ----------------------------------------------------
@@ -172,9 +173,8 @@ class AcceleratedProteinBert:
             for b in range(batch):
                 mask_bias = None
                 if attention_mask is not None:
-                    bias_row = ((1.0 - attention_mask[b]) * -1e9
-                                ).astype(np.float32)
-                    mask_bias = np.broadcast_to(bias_row, (seq, seq))
+                    mask_bias = ((1.0 - attention_mask[b]) * -1e9
+                                 ).astype(np.float32)
                 for h in range(heads):
                     probabilities = self._attention_scores(
                         qh[b, h], kh[b, h], scale, mask_bias)

@@ -181,7 +181,7 @@ class SpecialFunctionLut:
 
         Inputs are rounded to bfloat16 (the datapath carries bf16) and the
         high 16 bits of each float32 pattern index the dense table — one
-        fancy-index gather evaluates the whole tensor.  Callers whose
+        ``np.take`` gather evaluates the whole tensor.  Callers whose
         values are already exact bfloat16 patterns (e.g. prior SIMD-stage
         outputs) pass ``assume_bf16=True`` to skip the redundant rounding;
         ``to_bfloat16`` is idempotent, so the results are identical.
@@ -189,9 +189,9 @@ class SpecialFunctionLut:
         array = np.asarray(values, dtype=np.float32)
         if not assume_bf16:
             array = to_bfloat16(array)
-        flat = np.ascontiguousarray(array).ravel()
-        bits = flat.view(np.uint32)
-        return self._dense[bits >> np.uint32(16)].reshape(np.shape(array))
+        bits = np.ascontiguousarray(array).ravel().view(np.uint32)
+        return np.take(self._dense, bits >> np.uint32(16)).reshape(
+            np.shape(array))
 
     def max_absolute_error(self, values: np.ndarray) -> float:
         """Worst-case |LUT - float reference| over ``values``."""

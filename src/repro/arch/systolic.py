@@ -159,10 +159,10 @@ class SystolicArray:
             operand = step.operand
             if operand is None:
                 raise ValueError(f"{step.opcode} requires an operand")
-            operand = np.asarray(operand, dtype=np.float32)
+            # Round a bias row before broadcasting it, not the matrix.
+            operand = to_bfloat16(operand)
             if step.broadcast_rows and operand.ndim == 1:
                 operand = np.broadcast_to(operand, resident.shape)
-            operand = to_bfloat16(operand)
             if step.opcode is SimdOpcode.ADD:
                 result = to_bfloat16(values + operand)
             elif step.opcode is SimdOpcode.MUL:

@@ -709,15 +709,17 @@ class FleetSimulator:
 
     def _state_row(self, t: float, run: "_Run") -> "_StateRow":
         """What a monitor tick reads of the fleet as it stands at ``t``."""
+        factors = [run.health.capacity_factor(instance_id)
+                   for instance_id in run.states]
         total_rate = reduce(add, (state.rate
                                   for state in run.states.values()), 0)
         healthy_rate = reduce(add, (
-            state.rate
-            * run.health.capacity_factor(state.instance.instance_id)
-            for state in run.states.values()), 0)
+            state.rate * factor
+            for state, factor in zip(run.states.values(), factors)), 0)
         return _StateRow(
             t, healthy_rate / total_rate if total_rate > 0.0 else 0.0,
-            (float(run.health.alive_count()), run.shed, run.backlog,
+            (float(sum(factor > 0.0 for factor in factors)), run.shed,
+             run.backlog,
              float(run.failures), float(run.reshards),
              float(run.retransmissions)),
             tuple((state.eff_rate, state.completed, state.running,

@@ -1,6 +1,6 @@
 """NumPy Protein BERT encoder and bfloat16 numerics."""
 
-from .activations import exp, gelu, gelu_exact, layer_norm, softmax, tanh
+from .activations import exp, gelu, layer_norm, softmax
 from .attention import ATTENTION_MASK_VALUE, MultiHeadAttention
 from .bert import EncoderLayer, ProteinBert
 from .config import BertConfig, protein_bert_base, protein_bert_tiny
@@ -57,7 +57,6 @@ __all__ = [
     "bf16_unbiased_exponent",
     "exp",
     "gelu",
-    "gelu_exact",
     "initialize_weights",
     "is_bfloat16",
     "layer_norm",
@@ -67,7 +66,6 @@ __all__ = [
     "quantization_error",
     "save_weights",
     "softmax",
-    "tanh",
     "to_bfloat16",
     "validate_weights",
 ]

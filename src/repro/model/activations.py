@@ -18,52 +18,47 @@ GELU_CUBIC_COEFF = 0.044715
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    """Gaussian Error Linear Unit (tanh approximation, as in the paper)."""
+    """Gaussian Error Linear Unit (tanh approximation, as in the paper).
+
+    The float64 chain runs in place on one buffer.  The cube is
+    ``x * x * x``: for float32 inputs ``x * x`` is exact in float64, so
+    this is the exactly rounded cube, the value ``np.power(x, 3)`` gives.
+    """
     x = np.asarray(x, dtype=np.float64)
-    inner = GELU_TANH_COEFF * (x + GELU_CUBIC_COEFF * np.power(x, 3))
-    return (0.5 * x * (1.0 + np.tanh(inner))).astype(np.float32)
-
-
-def gelu_exact(x: np.ndarray) -> np.ndarray:
-    """Exact GELU via the Gauss error function (scipy-free implementation)."""
-    x = np.asarray(x, dtype=np.float64)
-    # erf(x) computed from the complementary relationship with the normal CDF.
-    from math import sqrt
-
-    from numpy import vectorize
-
-    try:
-        from scipy.special import erf  # type: ignore
-        values = 0.5 * x * (1.0 + erf(x / sqrt(2.0)))
-    except ImportError:  # pragma: no cover - scipy is an install requirement
-        import math
-        values = 0.5 * x * (1.0 + vectorize(math.erf)(x / sqrt(2.0)))
-    return values.astype(np.float32)
+    out = x * x
+    out *= x
+    out *= GELU_CUBIC_COEFF
+    out += x
+    out *= GELU_TANH_COEFF
+    np.tanh(out, out=out)
+    out += 1.0
+    np.multiply(x, out, out=out)
+    out *= 0.5
+    return out.astype(np.float32)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax along ``axis``."""
     x = np.asarray(x, dtype=np.float32)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / np.sum(exps, axis=axis, keepdims=True)
+    exps = x - np.max(x, axis=axis, keepdims=True)
+    np.exp(exps, out=exps)
+    exps /= np.sum(exps, axis=axis, keepdims=True)
+    return exps
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                eps: float = 1e-12) -> np.ndarray:
-    """Layer normalization over the last axis with affine parameters."""
+    """Layer normalization over the last axis with float32 ``gamma``/``beta``."""
     x = np.asarray(x, dtype=np.float32)
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    normalized = (x - mean) / np.sqrt(var + eps)
-    return normalized * gamma + beta
+    normalized = x - mean
+    normalized /= np.sqrt(var + eps)
+    normalized *= gamma
+    normalized += beta
+    return normalized
 
 
 def exp(x: np.ndarray) -> np.ndarray:
     """Elementwise exponential (reference for the accelerator Exp LUT)."""
     return np.exp(np.asarray(x, dtype=np.float32)).astype(np.float32)
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    """Elementwise tanh."""
-    return np.tanh(np.asarray(x, dtype=np.float32)).astype(np.float32)

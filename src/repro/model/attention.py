@@ -86,7 +86,7 @@ class MultiHeadAttention:
             OpKind.DIV, (batch, heads, seq, seq),
             name="attention.scale", layer=self.layer,
             metadata={"divisor": float(np.sqrt(head_dim))}))
-        scores = scores / np.sqrt(head_dim).astype(np.float32)
+        scores /= np.sqrt(head_dim).astype(np.float32)
 
         if attention_mask is not None:
             if attention_mask.shape != (batch, seq):
@@ -95,7 +95,7 @@ class MultiHeadAttention:
                 OpKind.ADD, (batch, heads, seq, seq),
                 name="attention.mask", layer=self.layer))
             bias = (1.0 - attention_mask[:, None, None, :]) * ATTENTION_MASK_VALUE
-            scores = scores + bias.astype(np.float32)
+            scores += bias.astype(np.float32)
 
         maybe_record(recorder, elementwise_op(
             OpKind.SOFTMAX, (batch, heads, seq, seq),

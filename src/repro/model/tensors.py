@@ -24,18 +24,19 @@ def to_bfloat16(values: np.ndarray) -> np.ndarray:
     """Round float values to the nearest bfloat16, returned as float32.
 
     Implements round-to-nearest-even: add ``0x7FFF + lsb`` to the uint32
-    view before truncating the low 16 bits.  NaNs are preserved.
+    view before truncating the low 16 bits, in one scratch buffer.  NaNs
+    are preserved; one ``max()``, which propagates NaN, finds them.
     """
     array = np.ascontiguousarray(values, dtype=np.float32)
     bits = array.view(np.uint32)
-    lsb = (bits >> np.uint32(16)) & np.uint32(1)
-    rounded = bits + np.uint32(0x7FFF) + lsb
-    # `rounded & mask` allocates a fresh buffer, so viewing it as float32
-    # needs no defensive copy.
-    result = (rounded & np.uint32(0xFFFF0000)).view(np.float32)
-    nan_mask = np.isnan(array)
-    if nan_mask.any():
-        result[nan_mask] = np.float32("nan")
+    rounded = bits >> np.uint32(16)
+    rounded &= np.uint32(1)
+    rounded += bits
+    rounded += np.uint32(0x7FFF)
+    rounded &= np.uint32(0xFFFF0000)
+    result = rounded.view(np.float32)
+    if array.size and np.isnan(array.max()):
+        result[np.isnan(array)] = np.float32("nan")
     return result.reshape(np.shape(values))
 
 

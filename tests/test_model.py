@@ -11,7 +11,6 @@ from repro.model import (
     Linear,
     ProteinBert,
     gelu,
-    gelu_exact,
     initialize_weights,
     layer_norm,
     load_weights,
@@ -22,6 +21,7 @@ from repro.model import (
     validate_weights,
 )
 from repro.model.weights import pretrained_like_weights
+from tests.oracles.kernels import gelu_exact
 
 
 class TestActivations:
