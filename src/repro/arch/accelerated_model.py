@@ -17,7 +17,6 @@ import numpy as np
 
 from ..dataflow.patterns import ArrayType
 from ..model.bert import ProteinBert
-from ..reliability.faults import FaultModel, FaultStats
 from ..telemetry import MetricsRegistry, Tracer
 from .systolic import ExecutionStats, SimdOpcode, SimdStep, SystolicArray
 
@@ -29,10 +28,6 @@ class AcceleratedProteinBert:
         model: the reference model whose weights are executed.
         array_size: systolic array dimension used for all three types
             (numerics are size-independent; tiling stats are not).
-        fault_model: optional seeded fault injector shared by all three
-            arrays — GEMM tiles get ABFT-checked bfloat16 bit flips, LUT
-            evaluations get silent flips.  ``None`` keeps the datapath
-            bit-identical to the fault-free model.
         tracer: optional span tracer; :meth:`forward` then emits
             wall-clock spans (pid ``functional``) per stage and per
             encoder layer, each annotated with the systolic GEMM tile
@@ -43,27 +38,15 @@ class AcceleratedProteinBert:
     """
 
     def __init__(self, model: ProteinBert, array_size: int = 16,
-                 fault_model: Optional[FaultModel] = None,
                  tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.model = model
-        self.fault_model = fault_model
         self.tracer = tracer
         self.metrics = metrics
-        self.m_array = SystolicArray(array_size, ArrayType.M,
-                                     fault_model=fault_model)
-        self.g_array = SystolicArray(array_size, ArrayType.G,
-                                     fault_model=fault_model)
-        self.e_array = SystolicArray(array_size, ArrayType.E,
-                                     fault_model=fault_model)
+        self.m_array = SystolicArray(array_size, ArrayType.M)
+        self.g_array = SystolicArray(array_size, ArrayType.G)
+        self.e_array = SystolicArray(array_size, ArrayType.E)
         self.stats = ExecutionStats()
-
-    @property
-    def fault_stats(self) -> FaultStats:
-        """Aggregated fault counters (zeros when no fault model is set)."""
-        if self.fault_model is None:
-            return FaultStats()
-        return self.fault_model.stats
 
     # -- telemetry helpers ----------------------------------------------
 

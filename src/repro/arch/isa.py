@@ -3,38 +3,19 @@
 Every dataflow dispatch crosses the link as a small command packet ahead
 of the operand streams: which operation sequence to run, the tile shapes,
 the scalar constants (MulAdd's α/β, MatDiv's reciprocal), and the target
-array.  This module defines those packets and a deterministic binary
-encoding, modeling the software-hardware contract of the paper's
+array.  This module defines those commands and lowers a dataflow to its
+command sequence, modeling the software-hardware contract of the paper's
 orchestration layer (Section 3.1).
-
-The encoding is little-endian and fixed-layout:
-
-    byte 0      magic (0xC5)
-    byte 1      opcode
-    byte 2      array type (0=M, 1=G, 2=E)
-    byte 3      flags (bit 0: use partial input buffer)
-    bytes 4-27  three u64 dims (m, k, n) — unused dims zero
-    bytes 28-35 f32 alpha, f32 beta
 """
 
 from __future__ import annotations
 
 import enum
-import struct
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..dataflow.patterns import ArrayType, Dataflow
 from ..trace.ops import Op, OpKind
-
-#: First byte of every valid command packet.
-PACKET_MAGIC = 0xC5
-
-#: Fixed packet size in bytes.
-PACKET_BYTES = 36
-
-_HEADER = struct.Struct("<BBBB")
-_BODY = struct.Struct("<QQQff")
 
 
 class Opcode(enum.Enum):
@@ -48,13 +29,9 @@ class Opcode(enum.Enum):
     WRITEBACK = 0x0F  # drain the accumulators to the host
 
 
-_ARRAY_CODES = {ArrayType.M: 0, ArrayType.G: 1, ArrayType.E: 2}
-_ARRAY_FROM_CODE = {code: t for t, code in _ARRAY_CODES.items()}
-
-
 @dataclass(frozen=True)
 class Command:
-    """One decoded command packet.
+    """One command packet.
 
     Attributes:
         opcode: the primitive to execute.
@@ -70,40 +47,6 @@ class Command:
     alpha: float = 1.0
     beta: float = 1.0
     use_input_buffer: bool = True
-
-    def encode(self) -> bytes:
-        """Serialize to the fixed 36-byte wire format."""
-        if any(d < 0 for d in self.dims):
-            raise ValueError("command dims must be non-negative")
-        flags = 1 if self.use_input_buffer else 0
-        header = _HEADER.pack(PACKET_MAGIC, self.opcode.value,
-                              _ARRAY_CODES[self.array_type], flags)
-        body = _BODY.pack(*self.dims, self.alpha, self.beta)
-        return header + body
-
-
-class CommandDecodeError(ValueError):
-    """Raised on malformed command packets."""
-
-
-def decode(packet: bytes) -> Command:
-    """Parse one wire-format packet back into a :class:`Command`."""
-    if len(packet) != PACKET_BYTES:
-        raise CommandDecodeError(
-            f"packet must be {PACKET_BYTES} bytes, got {len(packet)}")
-    magic, opcode_value, array_code, flags = _HEADER.unpack(packet[:4])
-    if magic != PACKET_MAGIC:
-        raise CommandDecodeError(f"bad magic 0x{magic:02X}")
-    try:
-        opcode = Opcode(opcode_value)
-    except ValueError as error:
-        raise CommandDecodeError(f"unknown opcode {opcode_value}") from error
-    if array_code not in _ARRAY_FROM_CODE:
-        raise CommandDecodeError(f"unknown array code {array_code}")
-    m, k, n, alpha, beta = _BODY.unpack(packet[4:])
-    return Command(opcode=opcode, array_type=_ARRAY_FROM_CODE[array_code],
-                   dims=(m, k, n), alpha=alpha, beta=beta,
-                   use_input_buffer=bool(flags & 1))
 
 
 def _op_to_command(op: Op, array_type: ArrayType,
@@ -151,16 +94,3 @@ def lower_dataflow(dataflow: Dataflow,
             commands.append(Command(Opcode.WRITEBACK, dataflow.array_type))
     commands.append(Command(Opcode.WRITEBACK, dataflow.array_type))
     return commands
-
-
-def encode_stream(commands: Sequence[Command]) -> bytes:
-    """Concatenate packets into one dispatch stream."""
-    return b"".join(command.encode() for command in commands)
-
-
-def decode_stream(stream: bytes) -> List[Command]:
-    """Split and decode a dispatch stream."""
-    if len(stream) % PACKET_BYTES != 0:
-        raise CommandDecodeError("stream length not a packet multiple")
-    return [decode(stream[offset:offset + PACKET_BYTES])
-            for offset in range(0, len(stream), PACKET_BYTES)]

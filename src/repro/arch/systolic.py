@@ -15,16 +15,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from ..dataflow.patterns import ArrayType
 from ..model.tensors import to_bfloat16
 from .lut import SpecialFunctionLut, make_exp_lut, make_gelu_lut
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..reliability.faults import FaultModel
 
 
 class SimdOpcode(enum.Enum):
@@ -70,20 +67,13 @@ class SystolicArray:
     Args:
         size: array dimension n (the paper uses 16, 32, 64).
         array_type: M (matmul+SIMD), G (adds GELU LUTs), or E (adds Exp).
-        fault_model: optional :class:`~repro.reliability.FaultModel`;
-            when active, GEMM tiles suffer seeded bfloat16 bit flips
-            checked by ABFT column sums, and LUT evaluations suffer
-            silent flips.  ``None`` (or an inert model) leaves every
-            result bit-identical to the fault-free datapath.
     """
 
-    def __init__(self, size: int, array_type: ArrayType = ArrayType.M,
-                 fault_model: Optional["FaultModel"] = None) -> None:
+    def __init__(self, size: int, array_type: ArrayType = ArrayType.M) -> None:
         if size <= 0:
             raise ValueError("array size must be positive")
         self.size = size
         self.array_type = array_type
-        self.fault_model = fault_model
         self._gelu: Optional[SpecialFunctionLut] = (
             make_gelu_lut() if array_type.has_gelu else None)
         self._exp: Optional[SpecialFunctionLut] = (
@@ -110,12 +100,7 @@ class SystolicArray:
             raise ValueError(f"bad matmul shapes {a.shape} x {b.shape}")
         m, k = a.shape
         n_out = b.shape[1]
-        a_bf16 = to_bfloat16(a)
-        b_bf16 = to_bfloat16(b)
-        result = a_bf16 @ b_bf16
-        if self.fault_model is not None and self.fault_model.active:
-            result = self.fault_model.corrupt_gemm(result, a_bf16, b_bf16,
-                                                   self.size)
+        result = to_bfloat16(a) @ to_bfloat16(b)
         if stats is not None:
             rows, cols = self._tile_counts(m, n_out)
             tiles = rows * cols
@@ -136,10 +121,9 @@ class SystolicArray:
 
         ``assume_bf16=True`` skips the input rounding when the caller
         knows ``resident`` already holds exact bfloat16 patterns (every
-        SIMD output is one — ADD/MUL round through ``to_bfloat16``, LUT
-        results are bf16 table entries, and fault injection only flips
-        bits within the bf16 pattern).  ``to_bfloat16`` is idempotent, so
-        the elision is bit-identical.
+        SIMD output is one — ADD/MUL round through ``to_bfloat16`` and
+        LUT results are bf16 table entries).  ``to_bfloat16`` is
+        idempotent, so the elision is bit-identical.
         """
         resident = np.asarray(resident, dtype=np.float32)
         values = resident if assume_bf16 else to_bfloat16(resident)
@@ -147,14 +131,12 @@ class SystolicArray:
             if self._gelu is None:
                 raise ValueError(
                     f"{self.array_type.value}-Type array has no GELU LUT")
-            result = self._maybe_corrupt_lut(
-                self._gelu.lookup(values, assume_bf16=True))
+            result = self._gelu.lookup(values, assume_bf16=True)
         elif step.opcode is SimdOpcode.EXP:
             if self._exp is None:
                 raise ValueError(
                     f"{self.array_type.value}-Type array has no Exp LUT")
-            result = self._maybe_corrupt_lut(
-                self._exp.lookup(values, assume_bf16=True))
+            result = self._exp.lookup(values, assume_bf16=True)
         else:
             operand = step.operand
             if operand is None:
@@ -202,16 +184,3 @@ class SystolicArray:
         if stats is not None:
             stats.streamed_bytes += 2 * int(np.prod(resident.shape))
         return resident if is_bf16 else to_bfloat16(resident)
-
-    def _maybe_corrupt_lut(self, result: np.ndarray) -> np.ndarray:
-        """Inject silent LUT-output bit flips when a fault model is active."""
-        if self.fault_model is not None and self.fault_model.active:
-            return self.fault_model.corrupt_lut(result, self.size)
-        return result
-
-
-def make_array(size: int, array_type: ArrayType,
-               fault_model: Optional["FaultModel"] = None) -> SystolicArray:
-    """Factory mirroring the hardware generator's (size, type) parameters."""
-    return SystolicArray(size=size, array_type=array_type,
-                         fault_model=fault_model)

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import List, Tuple
 
 from ..dataflow.patterns import Dataflow, DataflowKind
@@ -77,11 +79,13 @@ class DataflowTiming:
         object.__setattr__(self, "total_stream_bytes",
                            sum(s.stream_bytes for s in self.segments))
         object.__setattr__(self, "accel_compute_seconds",
-                           sum(s.compute_seconds for s in self.segments
-                               if s.resource == "accel"))
+                           reduce(add, (s.compute_seconds
+                                        for s in self.segments
+                                        if s.resource == "accel"), 0))
         object.__setattr__(self, "host_compute_seconds",
-                           sum(s.compute_seconds for s in self.segments
-                               if s.resource == "host"))
+                           reduce(add, (s.compute_seconds
+                                        for s in self.segments
+                                        if s.resource == "host"), 0))
         object.__setattr__(self, "accel_segments",
                            sum(1 for s in self.segments
                                if s.resource == "accel"))

@@ -1,10 +1,5 @@
 """Commodity baseline device models: A100, TPUv2, TPUv3."""
 
-from .calibration import (
-    CalibrationTarget,
-    calibrate,
-    calibration_residual,
-)
 from .gpu import (
     A100_MEASURED_POWER_WATTS,
     A100_MEMORY_BANDWIDTH,
@@ -31,9 +26,6 @@ from .tpu import (
 )
 
 __all__ = [
-    "CalibrationTarget",
-    "calibrate",
-    "calibration_residual",
     "A100_MEASURED_POWER_WATTS",
     "A100_MEMORY_BANDWIDTH",
     "A100_PEAK_BF16_FLOPS",

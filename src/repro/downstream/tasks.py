@@ -14,6 +14,8 @@ the paper's workflow claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -74,8 +76,8 @@ def make_fluorescence_label(wild_type: str) -> Callable[[str], float]:
 
     def label(sequence: str) -> float:
         core = sequence[core_start:core_start + 11]
-        core_charge = sum(abs(CHARGE.get(residue, 0.0))
-                          for residue in core)
+        core_charge = reduce(add, (abs(CHARGE.get(residue, 0.0))
+                                   for residue in core), 0)
         core_hydro = float(np.mean([HYDROPATHY.get(residue, 0.0)
                                     for residue in core]))
         return 3.0 - 1.2 * core_charge + 0.4 * core_hydro

@@ -4,6 +4,8 @@ Sweeps host-link bandwidth from 90 to 630 GB/s for the BestPerf and
 BestPerf+ designs.  Claims to reproduce: both designs rise with bandwidth
 and then saturate as their heterogeneous components become compute-bound;
 BestPerf+ (more compute) saturates later — around 360 GB/s per the paper.
+The block closes with each dataflow's operational intensity against
+BestPerf's machine balance, the roofline reason Dataflow 3 is link-bound.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from ..arch.config import HardwareConfig, best_perf, best_perf_plus
 from ..arch.interconnect import custom_link
 from ..core.engine import ProSEEngine
 from ..model.config import BertConfig, protein_bert_base
+from ..profiling.intensity import intensity_report
 
 DEFAULT_BANDWIDTHS_GBPS: Tuple[float, ...] = (
     90, 135, 180, 270, 360, 450, 540, 630)
@@ -31,6 +34,8 @@ class RooflinePoint:
 @dataclass(frozen=True)
 class Figure20Result:
     points: Tuple[RooflinePoint, ...]
+    #: :func:`~repro.profiling.intensity.intensity_report` at ``seq_len``.
+    intensity: str
 
     def curve(self, config_name: str) -> List[RooflinePoint]:
         return [p for p in self.points if p.config_name == config_name]
@@ -66,7 +71,9 @@ def run(config: Optional[BertConfig] = None,
                 bandwidth_gbps=bandwidth,
                 throughput=report.throughput,
                 compute_bound=report.schedule.compute_bound))
-    return Figure20Result(points=tuple(points))
+    return Figure20Result(points=tuple(points),
+                          intensity=intensity_report(config,
+                                                     seq_len=seq_len))
 
 
 def format_result(result: Figure20Result) -> str:
@@ -84,4 +91,6 @@ def format_result(result: Figure20Result) -> str:
     for name in names:
         lines.append(f"{name} saturates near "
                      f"{result.saturation_bandwidth(name):.0f} GB/s")
+    lines.append("-- operational intensity per dataflow --")
+    lines.append(result.intensity)
     return "\n".join(lines)

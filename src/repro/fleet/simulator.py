@@ -25,7 +25,9 @@ The recovery pipeline mirrors production incident anatomy:
    brownout floor triggers load-shedding, or too few survivors remain
    (outage: work waits for a scripted recovery, or is dropped);
 4. survivors drain the extra work; the report's ``recovery_seconds``
-   runs from the first failure to the last re-sharded inference.
+   runs from the first failure to the last re-sharded inference, or to
+   the shedding of an outage backlog no survivor was left to take,
+   whichever is later.
 
 Every phase is visible in the exported Perfetto trace: per-instance
 ``shard``/``recovery_shard`` spans, ``detection_window`` spans, and
@@ -114,8 +116,10 @@ class FleetReport:
             fleet — the availability reference.
         reshards: re-shard assignments performed by the scheduler.
         resharded_inferences: work moved by those re-shards.
-        recovery_seconds: first failure to last re-sharded completion;
-            0.0 when nothing failed (or nothing needed moving).
+        recovery_seconds: first failure to the later of the last
+            re-sharded completion and the shedding of an outage backlog
+            (the end of a run in which no capacity returned); 0.0 when
+            nothing failed (or nothing needed moving).
         failures: hard instance failures observed.
         detections: heartbeat detections that found lost work.
         brownouts: plans made below the capacity floor.
@@ -411,9 +415,9 @@ class FleetSimulator:
         completed = reduce(add, (state.completed
                                  for state in states.values()), 0)
         recovery_seconds = 0.0
-        if run.first_failure is not None and run.reshards:
-            recovery_seconds = max(
-                0.0, run.last_recovery_finish - run.first_failure)
+        if run.first_failure is not None:
+            recovery_seconds = max(0.0,
+                                   run.recovery_end - run.first_failure)
         energy = HOST_POWER_WATTS * self.topology.hosts * makespan
         for state in states.values():
             energy += state.power_watts * state.active_seconds
@@ -469,6 +473,7 @@ class FleetSimulator:
         warmup = self.heartbeat.warmup_seconds(nominal)
         if run.steps is not None:
             run.steps.append(self._state_row(0.0, run))
+        t = 0.0
         while True:
             next_finish = min(
                 (state.projected_finish for state in run.states.values()
@@ -507,11 +512,13 @@ class FleetSimulator:
                     self._on_flap_end(run, t, instance_id)
             if run.steps is not None:
                 run.steps.append(self._state_row(t, run))
-        # Anything still waiting for capacity that never returned is lost.
+        # Anything still waiting for capacity that never returned is lost,
+        # at the last step: recovery ends there.
         backlog = run.backlog
         if backlog > 0.0:
             run.shed += backlog
             run.backlog = 0.0
+            run.recovery_end = max(run.recovery_end, t)
 
     # -- handlers --------------------------------------------------------
 
@@ -565,8 +572,7 @@ class FleetSimulator:
                 state.remaining = 0.0
                 state.finish_seconds = t
                 if state.has_recovery_work:
-                    run.last_recovery_finish = max(
-                        run.last_recovery_finish, t)
+                    run.recovery_end = max(run.recovery_end, t)
 
     def _on_fail(self, run: "_Run", t: float, instance_id: str,
                  detection: float, scripted: bool) -> None:
@@ -856,7 +862,8 @@ class _Run:
     shed: float = 0.0
     backlog: float = 0.0
     first_failure: Optional[float] = None
-    last_recovery_finish: float = 0.0
+    #: The last re-sharded completion, or the outage backlog's shed.
+    recovery_end: float = 0.0
     #: Spans, instants and marks in run order; None with no tracer or
     #: monitor (hot call sites check it to skip building the arguments).
     log: Optional[List[_Fact]] = None

@@ -15,13 +15,6 @@ from .tensors import (
     quantization_error,
     to_bfloat16,
 )
-from .decoder import (
-    CrossAttention,
-    DecoderLayer,
-    ProteinSeq2Seq,
-    causal_mask,
-    initialize_decoder_weights,
-)
 from .weights import (
     initialize_weights,
     load_weights,
@@ -33,14 +26,9 @@ from .zoo import MODEL_ZOO, describe, get_model_config, zoo_names
 
 __all__ = [
     "ATTENTION_MASK_VALUE",
-    "CrossAttention",
-    "DecoderLayer",
     "MODEL_ZOO",
-    "ProteinSeq2Seq",
-    "causal_mask",
     "describe",
     "get_model_config",
-    "initialize_decoder_weights",
     "pretrained_like_weights",
     "zoo_names",
     "BF16_MANTISSA_BITS",

@@ -13,6 +13,8 @@ of the per-array power when an array is not executing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Dict, Tuple
 
 from ..arch.config import HardwareConfig
@@ -44,7 +46,8 @@ class EnergyReport:
 
     @property
     def active_joules(self) -> float:
-        return sum(value for _, value in self.active_joules_by_kind)
+        return reduce(add, (value for _, value
+                            in self.active_joules_by_kind), 0)
 
     @property
     def total_joules(self) -> float:

@@ -4,7 +4,6 @@ from .intensity import (
     IntensityPoint,
     dataflow_intensities,
     intensity_report,
-    intensity_vs_length,
     machine_balance,
 )
 from .memory import (
@@ -29,7 +28,6 @@ __all__ = [
     "MemoryFootprint",
     "dataflow_intensities",
     "intensity_report",
-    "intensity_vs_length",
     "machine_balance",
     "footprint_sweep",
     "format_sweep",

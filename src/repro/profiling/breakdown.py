@@ -8,6 +8,8 @@ tokens, using the paper's per-length throughput-optimal batch sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import List, Optional, Sequence, Tuple
 
 from ..baselines.gpu import a100
@@ -69,7 +71,7 @@ def profile_breakdown(config: Optional[BertConfig] = None,
         ops = trace_model(TraceSpec(config=config, batch=batch,
                                     seq_len=seq_len))
         seconds = device.category_seconds(ops)
-        total = sum(seconds.values())
+        total = reduce(add, seconds.values(), 0)
         shares = tuple((category, seconds.get(category, 0.0) / total)
                        for category in CATEGORY_ORDER)
         rows.append(BreakdownRow(seq_len=seq_len, batch=batch,

@@ -12,7 +12,7 @@ byte of feed bandwidth) — the roofline lens on the paper's Section 3.2
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..arch.config import HardwareConfig, best_perf
 from ..dataflow.builder import build_graph_for
@@ -79,11 +79,3 @@ def intensity_report(config: Optional[BertConfig] = None,
                      f"{point.stream_bytes / 2 ** 20:8.1f} "
                      f"{point.intensity:8.1f} {bound:>8s}")
     return "\n".join(lines)
-
-
-def intensity_vs_length(config: Optional[BertConfig] = None,
-                        lengths=(128, 512, 2048)
-                        ) -> List[Dict[DataflowKind, IntensityPoint]]:
-    """How each dataflow's intensity moves with sequence length."""
-    return [dataflow_intensities(config, seq_len=length)
-            for length in lengths]

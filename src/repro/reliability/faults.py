@@ -1,22 +1,12 @@
 """Seeded, deterministic fault injection for the simulated ProSE stack.
 
-One :class:`FaultModel` instance threads through every layer of the
-simulator — systolic-array tiles, LUT evaluations, link transfers,
-whole-instance failures, and serving-layer batch attempts — drawing from
-*independent* seeded substreams per layer, so the fault sequence one
-layer sees does not depend on how many draws another layer made.  The
-same seed therefore reproduces the same fault scenario exactly, which is
-what makes fault-injection campaigns (and their regression tests)
-deterministic.
-
-Compute faults are single bfloat16 bit flips, the canonical SDC model:
-a flip lands in one element of one output tile, in a uniformly chosen
-bit of the 16-bit bfloat16 pattern (sign, 8 exponent, 7 mantissa).
-GEMM outputs are protected by the ABFT column checksums of
-:mod:`repro.reliability.abft` — detected columns are recomputed
-(restored), undetected flips persist into downstream math as silent
-data corruption.  LUT outputs have no checksum (sums do not commute
-with nonlinear functions), so LUT flips are always silent.
+One :class:`FaultModel` instance threads through the fault-aware layers
+of the simulator — fleet link transfers, whole-instance failures, and
+serving-layer batch attempts — drawing from *independent* seeded
+substreams per layer, so the fault sequence one layer sees does not
+depend on how many draws another layer made.  The same seed therefore
+reproduces the same fault scenario exactly, which is what makes
+fault-injection campaigns (and their regression tests) deterministic.
 """
 
 from __future__ import annotations
@@ -27,10 +17,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .abft import detect_corrupted_columns
-
-#: Substream labels — each gets an independent RNG child stream.
-_STREAMS = ("compute", "link", "instance", "serving")
+#: Substream label -> index; each stream's RNG is seeded from
+#: (seed, index), so the indices fix every seeded fault scenario and must
+#: not be renumbered (index 0 is unused).
+_STREAMS = {"link": 1, "instance": 2, "serving": 3}
 
 
 def derive_task_seed(root_seed: int, *key_parts: object) -> int:
@@ -61,10 +51,6 @@ class FaultRates:
     every wrapped code path is bit-identical to the fault-free one.
 
     Attributes:
-        tile_bitflip: probability that one output tile of a systolic
-            GEMM suffers a single bfloat16 bit flip.
-        lut_bitflip: probability per SIMD tile that a LUT evaluation
-            (GELU/Exp) output suffers a single bit flip.
         link_transient: probability that one host-accelerator dispatch
             experiences a transient link error and must retransmit.
         instance_failure: probability that a ProSE instance hard-fails
@@ -76,8 +62,6 @@ class FaultRates:
             batch (stragglers beyond the policy deadline are rerun).
     """
 
-    tile_bitflip: float = 0.0
-    lut_bitflip: float = 0.0
     link_transient: float = 0.0
     instance_failure: float = 0.0
     batch_failure: float = 0.0
@@ -85,8 +69,8 @@ class FaultRates:
     straggler_slowdown: float = 4.0
 
     def __post_init__(self) -> None:
-        for name in ("tile_bitflip", "lut_bitflip", "link_transient",
-                     "instance_failure", "batch_failure", "straggler"):
+        for name in ("link_transient", "instance_failure",
+                     "batch_failure", "straggler"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be a probability in [0, 1], "
@@ -97,25 +81,8 @@ class FaultRates:
     @property
     def any_nonzero(self) -> bool:
         return any(getattr(self, name) > 0.0 for name in (
-            "tile_bitflip", "lut_bitflip", "link_transient",
-            "instance_failure", "batch_failure", "straggler"))
-
-
-@dataclass
-class FaultStats:
-    """Mutable counters accumulated by one fault model across a run."""
-
-    injected: int = 0            # total bit flips (GEMM + LUT)
-    gemm_flips: int = 0
-    lut_flips: int = 0
-    detected: int = 0            # flips caught (and corrected) by ABFT
-    silent: int = 0              # flips that escaped detection
-    corrected_columns: int = 0   # result columns restored by recompute
-
-    @property
-    def silent_error_rate(self) -> float:
-        """Fraction of injected flips that escaped detection."""
-        return self.silent / self.injected if self.injected else 0.0
+            "link_transient", "instance_failure", "batch_failure",
+            "straggler"))
 
 
 class FaultModel:
@@ -135,129 +102,23 @@ class FaultModel:
         self.rates = rates or FaultRates()
         self.seed = seed
         self.targeted_instance_failures = tuple(targeted_instance_failures)
-        self.stats = FaultStats()
         self._rngs = {}
         self.reset()
 
     def reset(self) -> None:
-        """Rewind every substream and zero the counters.
+        """Rewind every substream.
 
         After ``reset()`` the model replays the exact same fault sequence,
         so two identical simulations bracket by ``reset()`` produce
         bit-identical outcomes.
         """
         self._rngs = {name: np.random.default_rng([self.seed, index])
-                      for index, name in enumerate(_STREAMS)}
-        self.stats = FaultStats()
+                      for name, index in _STREAMS.items()}
 
     @property
     def active(self) -> bool:
         """True when any fault can actually occur."""
         return self.rates.any_nonzero or bool(self.targeted_instance_failures)
-
-    # -- compute faults: bfloat16 bit flips into GEMM / LUT tiles --------
-
-    @staticmethod
-    def _flip_bf16_bit(value: np.float32, bit: int) -> np.float32:
-        """Flip one bit of the bfloat16 pattern (bit 0..15, LSB-first).
-
-        bfloat16 occupies the top 16 bits of the float32 encoding, so
-        pattern bit ``b`` is float32 bit ``16 + b``.  Flips that would
-        produce a non-finite value (exponent landing on all-ones) fall
-        back to the lowest mantissa bit — the hardware analogue is an
-        upset in the mantissa SRAM rather than a synthetic Inf.
-        """
-        bits = np.float32(value).view(np.uint32)
-        flipped = np.uint32(bits ^ np.uint32(1 << (16 + bit)))
-        result = flipped.view(np.float32)
-        if not np.isfinite(result):
-            flipped = np.uint32(bits ^ np.uint32(1 << 16))
-            result = flipped.view(np.float32)
-        return result
-
-    def _inject_tile_flips(self, values: np.ndarray, tiles_rows: int,
-                           tiles_cols: int, rate: float
-                           ) -> Tuple[np.ndarray, Tuple[Tuple[int, int], ...]]:
-        """Flip one bit in up to Binomial(tiles, rate) output tiles.
-
-        Returns the (possibly copied) array and the flipped positions.
-        """
-        rng = self._rngs["compute"]
-        tiles = tiles_rows * tiles_cols
-        count = int(rng.binomial(tiles, rate)) if rate > 0.0 else 0
-        if count == 0:
-            return values, ()
-        rows, cols = values.shape
-        tile_height = -(-rows // tiles_rows)  # ceil division
-        tile_width = -(-cols // tiles_cols)
-        corrupted = values.copy()
-        positions = []
-        for _ in range(count):
-            tile = int(rng.integers(tiles))
-            tile_row, tile_col = divmod(tile, tiles_cols)
-            row = min(tile_row * tile_height
-                      + int(rng.integers(tile_height)), rows - 1)
-            col = min(tile_col * tile_width
-                      + int(rng.integers(tile_width)), cols - 1)
-            bit = int(rng.integers(16))
-            corrupted[row, col] = self._flip_bf16_bit(corrupted[row, col],
-                                                      bit)
-            positions.append((row, col))
-        return corrupted, tuple(positions)
-
-    def corrupt_gemm(self, result: np.ndarray, a_bf16: np.ndarray,
-                     b_bf16: np.ndarray, array_size: int) -> np.ndarray:
-        """Inject tile bit flips into a GEMM result, then run ABFT.
-
-        Detected columns are restored (the recompute a real controller
-        would trigger); silent flips remain in the returned matrix.
-        """
-        if self.rates.tile_bitflip <= 0.0 or result.size == 0:
-            return result
-        tiles_rows = -(-result.shape[0] // array_size)
-        tiles_cols = -(-result.shape[1] // array_size)
-        corrupted, positions = self._inject_tile_flips(
-            result, tiles_rows, tiles_cols, self.rates.tile_bitflip)
-        if not positions:
-            return result
-        self.stats.injected += len(positions)
-        self.stats.gemm_flips += len(positions)
-        flagged = detect_corrupted_columns(a_bf16, b_bf16, corrupted)
-        for _, col in positions:
-            if flagged[col]:
-                self.stats.detected += 1
-            else:
-                self.stats.silent += 1
-        repaired_columns = np.flatnonzero(flagged)
-        if repaired_columns.size:
-            corrupted[:, repaired_columns] = result[:, repaired_columns]
-            self.stats.corrected_columns += int(repaired_columns.size)
-        return corrupted
-
-    def corrupt_lut(self, result: np.ndarray,
-                    array_size: int) -> np.ndarray:
-        """Inject tile bit flips into a LUT (GELU/Exp) evaluation.
-
-        There is no checksum that survives a nonlinear function, so every
-        LUT flip is silent data corruption.
-        """
-        if self.rates.lut_bitflip <= 0.0 or result.size == 0:
-            return result
-        if result.ndim != 2:
-            flat = result.reshape(result.shape[0], -1) if result.ndim > 1 \
-                else result.reshape(1, -1)
-        else:
-            flat = result
-        tiles_rows = -(-flat.shape[0] // array_size)
-        tiles_cols = -(-flat.shape[1] // array_size)
-        corrupted, positions = self._inject_tile_flips(
-            flat, tiles_rows, tiles_cols, self.rates.lut_bitflip)
-        if not positions:
-            return result
-        self.stats.injected += len(positions)
-        self.stats.lut_flips += len(positions)
-        self.stats.silent += len(positions)
-        return corrupted.reshape(result.shape)
 
     # -- link faults ------------------------------------------------------
 

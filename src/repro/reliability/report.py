@@ -28,11 +28,6 @@ class ReliabilityReport:
         wasted_seconds: wall-clock spent on work that was thrown away
             (partial attempts, detection windows, backoff waits).
         wasted_joules: energy spent beyond the fault-free cost.
-        faults_injected: bit flips injected into the compute datapath.
-        faults_detected: flips caught (and corrected) by the ABFT
-            checksums.
-        faults_silent: flips that escaped detection — silent data
-            corruption reaching the output.
     """
 
     availability: float = 1.0
@@ -43,15 +38,6 @@ class ReliabilityReport:
     dropped: int = 0
     wasted_seconds: float = 0.0
     wasted_joules: float = 0.0
-    faults_injected: int = 0
-    faults_detected: int = 0
-    faults_silent: int = 0
-
-    @property
-    def silent_error_rate(self) -> float:
-        """Fraction of injected faults that escaped detection."""
-        return (self.faults_silent / self.faults_injected
-                if self.faults_injected else 0.0)
 
     def summary(self) -> str:
         return (f"availability={self.availability:.4f} "
@@ -59,7 +45,4 @@ class ReliabilityReport:
                 f"retries={self.retries} failures={self.failures} "
                 f"stragglers={self.stragglers} dropped={self.dropped} "
                 f"wasted={self.wasted_seconds * 1e3:.2f} ms / "
-                f"{self.wasted_joules:.2f} J "
-                f"faults={self.faults_injected} "
-                f"(detected {self.faults_detected}, "
-                f"silent {self.faults_silent})")
+                f"{self.wasted_joules:.2f} J")

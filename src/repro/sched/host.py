@@ -15,6 +15,8 @@ throughput is compute-limited rather than DRAM-limited.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 from ..trace.ops import Op, OpKind
 
@@ -76,4 +78,4 @@ class HostModel:
 
     def task_seconds(self, ops) -> float:
         """Total single-slot time for a host task's op tuple."""
-        return sum(self.op_seconds(op) for op in ops)
+        return reduce(add, (self.op_seconds(op) for op in ops), 0)

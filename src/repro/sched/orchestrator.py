@@ -472,7 +472,7 @@ class Orchestrator:
             if plan is None:
                 node = nodes[node_index]
                 if isinstance(node, HostTask):
-                    # float() normalizes sum()'s int 0 for op-less tasks:
+                    # float() normalizes task_seconds' int 0 for op-less tasks:
                     # a float plan *is* the type tag for the host branch.
                     plan = float(self.host.task_seconds(node.ops))
                 else:

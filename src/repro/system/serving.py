@@ -251,7 +251,6 @@ class CampaignSimulator:
                 (completed, retries, stragglers, failures, dropped)))
         reliability = None
         if faulty:
-            stats = self.fault_model.stats
             useful_seconds = reduce(add, (row.nominal for row in rows
                                           if row.outcome != "dropped"), 0)
             reliability = ReliabilityReport(
@@ -264,10 +263,7 @@ class CampaignSimulator:
                 stragglers=stragglers,
                 dropped=dropped,
                 wasted_seconds=wasted_seconds,
-                wasted_joules=wasted_seconds * self._prose_power,
-                faults_injected=stats.injected,
-                faults_detected=stats.detected,
-                faults_silent=stats.silent)
+                wasted_joules=wasted_seconds * self._prose_power)
         report = CampaignReport(
             platform=f"ProSE {self.hardware.name}",
             total_seconds=total_seconds,

@@ -8,10 +8,7 @@ Three pieces:
 * :class:`MetricsRegistry` — counters, gauges, and fixed-bucket
   histograms that merge hierarchically across instances and campaigns;
 * exporters — Chrome-trace/Perfetto JSON (open at ``ui.perfetto.dev``),
-  a JSONL metrics dump, and an ASCII timeline renderer;
-* :func:`profile` — cProfile-backed hotspot capture that attributes
-  per-function self time onto the active span stack and exports next to
-  the spans (see :mod:`repro.telemetry.profiling`).
+  a JSONL metrics dump, and an ASCII timeline renderer.
 
 Recording needs nothing beyond the standard library; the trace
 analytics (:func:`analyze_trace`) run numpy passes over the recorded
@@ -52,12 +49,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .profiling import (
-    HotspotEntry,
-    ProfileReport,
-    format_hotspots,
-    profile,
-)
 from .render import default_glyph, render_tracer, render_tracks
 from .spans import SIM_CLOCK, WALL_CLOCK, Instant, Span, Tracer
 from .timeseries import TimeSeries, TimeSeriesStore
@@ -70,11 +61,9 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "Gauge",
     "Histogram",
-    "HotspotEntry",
     "Instant",
     "MetricsRegistry",
     "PhaseVerdict",
-    "ProfileReport",
     "SIM_CLOCK",
     "Span",
     "TimeSeries",
@@ -93,10 +82,8 @@ __all__ = [
     "format_analysis",
     "format_critical_path",
     "format_diff",
-    "format_hotspots",
     "format_utilization",
     "load_trace",
-    "profile",
     "render_tracer",
     "render_tracks",
     "to_chrome_trace",

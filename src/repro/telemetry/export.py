@@ -8,12 +8,6 @@ thread (tid), plus ``"i"`` instant events.  Process labels map to
 stable integer pids in first-appearance order, track labels likewise to
 tids within their process.
 
-Profile reports (:mod:`repro.telemetry.profiling`) export as an extra
-``profile`` process: each report gets one track whose spans are the top
-self-time functions laid end-to-end, so hotspots render next to the
-sim-time spans they explain while staying schema-valid (disjoint spans
-trivially satisfy the nesting check).
-
 Metrics and monitor time-series export as Perfetto *counter tracks*
 (``"C"`` events): registry counters and gauges become single-point
 counters under a ``metrics`` process, and each
@@ -31,7 +25,6 @@ from .metrics import MetricsRegistry
 from .spans import Span, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .profiling import ProfileReport
     from .timeseries import TimeSeriesStore
 
 #: Microseconds per (simulated or wall) second in exported timestamps.
@@ -45,13 +38,8 @@ def _json_safe(args: Dict[str, object]) -> Dict[str, object]:
             for key, value in args.items()}
 
 
-#: Hotspot functions exported per profile-report track.
-_PROFILE_TRACK_TOP = 40
-
-
 def to_chrome_trace(tracer: Tracer,
                     metadata: Optional[Dict[str, object]] = None,
-                    profiles: Optional[Sequence["ProfileReport"]] = None,
                     metrics: Optional[MetricsRegistry] = None,
                     series: Optional["TimeSeriesStore"] = None,
                     extra_spans: Optional[Sequence[Span]] = None
@@ -61,8 +49,6 @@ def to_chrome_trace(tracer: Tracer,
     Args:
         tracer: the tracer to export (open spans are skipped).
         metadata: optional run description stored under ``otherData``.
-        profiles: optional profile reports; each becomes a track of
-            self-time hotspot spans under a ``profile`` process.
         metrics: optional registry; each counter and gauge becomes a
             single-point Perfetto counter track (``"C"`` event) under a
             ``metrics`` process.
@@ -127,24 +113,6 @@ def to_chrome_trace(tracer: Tracer,
             "s": "t",
             "args": _json_safe(dict(instant.args)),
         })
-    for report in profiles or ():
-        cursor = 0.0
-        for entry in report.entries[:_PROFILE_TRACK_TOP]:
-            duration = max(entry.self_seconds, 0.0)
-            events.append({
-                "ph": "X",
-                "name": entry.function,
-                "cat": "profile",
-                "ts": cursor * _MICROS,
-                "dur": duration * _MICROS,
-                "pid": pid_of("profile"),
-                "tid": tid_of("profile", report.label),
-                "args": {"calls": entry.calls,
-                         "self_seconds": entry.self_seconds,
-                         "cumulative_seconds": entry.cumulative_seconds,
-                         "clock": "self-time"},
-            })
-            cursor += duration
     if metrics is not None:
         for row in metrics.rows():
             if row.get("type") not in ("counter", "gauge"):
@@ -180,15 +148,13 @@ def to_chrome_trace(tracer: Tracer,
 
 def write_chrome_trace(tracer: Tracer, path: str,
                        metadata: Optional[Dict[str, object]] = None,
-                       profiles: Optional[Sequence["ProfileReport"]] = None,
                        metrics: Optional[MetricsRegistry] = None,
                        series: Optional["TimeSeriesStore"] = None,
                        extra_spans: Optional[Sequence[Span]] = None
                        ) -> Dict[str, object]:
     """Write the Chrome-trace JSON to ``path``; returns the dict."""
-    data = to_chrome_trace(tracer, metadata=metadata, profiles=profiles,
-                           metrics=metrics, series=series,
-                           extra_spans=extra_spans)
+    data = to_chrome_trace(tracer, metadata=metadata, metrics=metrics,
+                           series=series, extra_spans=extra_spans)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(data, handle, indent=1)
     return data

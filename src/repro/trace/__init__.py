@@ -11,16 +11,6 @@ from .ops import (
     matmul_op,
 )
 from .recorder import TraceRecorder, maybe_record
-from .serialize import (
-    graph_from_json,
-    graph_to_json,
-    load_graph,
-    op_from_dict,
-    op_to_dict,
-    save_graph,
-    trace_from_json,
-    trace_to_json,
-)
 from .tracer import (
     TraceSpec,
     count_by_kind,
@@ -46,14 +36,6 @@ __all__ = [
     "matmul_op",
     "matmul_shapes",
     "maybe_record",
-    "graph_from_json",
-    "graph_to_json",
-    "load_graph",
-    "op_from_dict",
-    "op_to_dict",
-    "save_graph",
-    "trace_from_json",
-    "trace_to_json",
     "trace_embeddings",
     "trace_layer",
     "trace_model",

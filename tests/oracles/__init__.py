@@ -9,8 +9,9 @@ hardware generator (the Chisel-flow analogue) whose component roll-up
 cross-checks the Table 2 synthesis anchors, the OpenRAM-style SRAM
 macro model of the input buffers, the per-row trace analysis passes
 the columnar ones were ported from, the per-sample monitor the
-column monitor was ported from, and the allocating encoder kernels
-(and the erf GELU) the in-place ones are checked against.  None of
+column monitor was ported from, the allocating encoder kernels
+(and the erf GELU) the in-place ones are checked against, and the
+solver that produced the baselines' calibrated efficiencies.  None of
 it runs in a simulation, experiment or CLI command, so none of it
 ships in ``repro``.
 """

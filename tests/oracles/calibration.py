@@ -8,8 +8,9 @@ throughput and a target matmul share of total runtime at a reference
 operating point, it splits the time budget between the GEMM and
 elementwise cost pools and rescales the two efficiencies to match.
 
-Keeping the solver in the library makes the calibration reproducible and
-lets users re-target the baselines to their own measurements.
+The tests re-solve from a perturbed start and check that the solver
+recovers the shipped constants, which keeps the calibration
+reproducible.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..model.config import BertConfig, protein_bert_base
-from ..trace.ops import OpKind
-from ..trace.tracer import TraceSpec, trace_model
-from .roofline import OTHER_KINDS, DeviceSpec, RooflineDevice
+from repro.baselines.roofline import OTHER_KINDS, DeviceSpec, RooflineDevice
+from repro.model.config import BertConfig, protein_bert_base
+from repro.trace.ops import OpKind
+from repro.trace.tracer import TraceSpec, trace_model
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,11 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.arch.lut import EXP_SPEC, GELU_SPEC
-from repro.arch.streaming import DEFAULT_DEPTH
 from repro.dataflow.patterns import ArrayType
 from repro.physical.synthesis import characteristics
+
+#: Depth of the streaming buffers in the shipped ProSE design.
+DEFAULT_DEPTH = 8
 
 #: Per-component 7 nm unit costs, fit from the Table 2 anchors: a bf16
 #: multiplier + fp32 adder MAC datapath dominates; registers and muxes

@@ -1,74 +1,9 @@
-"""Tests for the decoder extension and its dataflow mapping."""
+"""Tests for the encoder-decoder dataflow mapping and its schedule."""
 
-import numpy as np
 import pytest
 
 from repro.dataflow import DataflowKind, build_seq2seq_graph
-from repro.model import ProteinSeq2Seq, causal_mask, protein_bert_base, protein_bert_tiny
-from repro.trace import TraceRecorder
-
-CONFIG = protein_bert_tiny()
-
-
-@pytest.fixture(scope="module")
-def model():
-    return ProteinSeq2Seq(CONFIG, seed=0)
-
-
-@pytest.fixture(scope="module")
-def inputs():
-    rng = np.random.default_rng(0)
-    source = rng.integers(5, 25, size=(2, 12))
-    target = rng.integers(5, 25, size=(2, 8))
-    return source, target
-
-
-class TestCausalMask:
-    def test_lower_triangle_open(self):
-        bias = causal_mask(4)
-        assert (bias[np.tril_indices(4)] == 0).all()
-
-    def test_upper_triangle_blocked(self):
-        bias = causal_mask(4)
-        assert (bias[np.triu_indices(4, k=1)] <= -1e8).all()
-
-
-class TestSeq2SeqModel:
-    def test_output_shape(self, model, inputs):
-        source, target = inputs
-        out = model.forward(source, target)
-        assert out.shape == (2, 8, CONFIG.hidden_size)
-
-    def test_causality(self, model, inputs):
-        # Changing a later target token must not change earlier positions.
-        source, target = inputs
-        out = model.forward(source, target)
-        mutated = target.copy()
-        mutated[0, -1] = (mutated[0, -1] + 7) % 20 + 5
-        out2 = model.forward(source, mutated)
-        assert np.allclose(out[0, :-1], out2[0, :-1], atol=1e-5)
-        assert not np.allclose(out[0, -1], out2[0, -1], atol=1e-5)
-
-    def test_source_affects_all_positions(self, model, inputs):
-        source, target = inputs
-        out = model.forward(source, target)
-        mutated = source.copy()
-        mutated[0, 0] = (mutated[0, 0] + 7) % 20 + 5
-        out2 = model.forward(mutated, target)
-        assert not np.allclose(out[0], out2[0], atol=1e-5)
-
-    def test_trace_records_cross_attention(self, model, inputs):
-        source, target = inputs
-        recorder = TraceRecorder()
-        model.forward(source, target, recorder)
-        names = [op.name for op in recorder]
-        assert any("cross.scores" in name for name in names)
-        assert any("self.scores" in name for name in names)
-
-    def test_deterministic(self, model, inputs):
-        source, target = inputs
-        assert np.array_equal(model.forward(source, target),
-                              model.forward(source, target))
+from repro.model import protein_bert_base
 
 
 class TestSeq2SeqGraph:

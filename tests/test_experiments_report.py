@@ -302,6 +302,13 @@ def test_figure20_roofline():
         >= figure.saturation_bandwidth("BestPerf")
     assert figure.saturation_bandwidth("BestPerf+") >= 270
 
+    # Dataflow 3 (the softmax round trip) sits below BestPerf's machine
+    # balance, so it is link-bound; Dataflows 1 and 2 are compute-bound.
+    rows = figure.intensity.splitlines()[2:]
+    assert {row.split()[0]: row.split()[-1] for row in rows} == {
+        "dataflow1": "compute", "dataflow2": "compute",
+        "dataflow3": "link"}
+
     # With ample bandwidth the bigger design is strictly faster.
     plus_curve = {p.bandwidth_gbps: p.throughput
                   for p in figure.curve("BestPerf+")}

@@ -1,19 +1,8 @@
-"""Tests for the host-accelerator command interface."""
+"""Tests for lowering dataflows to host-accelerator commands."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.arch.isa import (
-    PACKET_BYTES,
-    Command,
-    CommandDecodeError,
-    Opcode,
-    decode,
-    decode_stream,
-    encode_stream,
-    lower_dataflow,
-)
+from repro.arch.isa import Opcode, lower_dataflow
 from repro.dataflow import ArrayType, DataflowKind, build_graph_for
 from repro.model import protein_bert_tiny
 
@@ -21,58 +10,6 @@ from repro.model import protein_bert_tiny
 def dataflows_of(kind):
     graph = build_graph_for(protein_bert_tiny(), batch=1, seq_len=16)
     return [df for _, df in graph.dataflows if df.kind is kind]
-
-
-class TestEncoding:
-    def test_fixed_packet_size(self):
-        command = Command(Opcode.MATMUL, ArrayType.M, (128, 768, 768))
-        assert len(command.encode()) == PACKET_BYTES
-
-    def test_roundtrip(self):
-        command = Command(Opcode.MATDIV, ArrayType.E, (4096, 0, 0),
-                          alpha=8.0, beta=0.0, use_input_buffer=False)
-        decoded = decode(command.encode())
-        assert decoded == command
-
-    @given(st.sampled_from(list(Opcode)),
-           st.sampled_from(list(ArrayType)),
-           st.tuples(st.integers(0, 2 ** 40), st.integers(0, 2 ** 40),
-                     st.integers(0, 2 ** 40)),
-           st.booleans())
-    @settings(max_examples=100, deadline=None)
-    def test_roundtrip_property(self, opcode, array_type, dims, buffered):
-        command = Command(opcode, array_type, dims,
-                          use_input_buffer=buffered)
-        assert decode(command.encode()) == command
-
-    def test_negative_dims_rejected(self):
-        command = Command(Opcode.MATMUL, ArrayType.M, (-1, 2, 3))
-        with pytest.raises(ValueError):
-            command.encode()
-
-
-class TestDecodeErrors:
-    def test_wrong_length(self):
-        with pytest.raises(CommandDecodeError):
-            decode(b"\x00" * 10)
-
-    def test_bad_magic(self):
-        packet = bytearray(
-            Command(Opcode.MATMUL, ArrayType.M, (1, 1, 1)).encode())
-        packet[0] = 0x00
-        with pytest.raises(CommandDecodeError):
-            decode(bytes(packet))
-
-    def test_unknown_opcode(self):
-        packet = bytearray(
-            Command(Opcode.MATMUL, ArrayType.M, (1, 1, 1)).encode())
-        packet[1] = 0xEE
-        with pytest.raises(CommandDecodeError):
-            decode(bytes(packet))
-
-    def test_stream_length_validated(self):
-        with pytest.raises(CommandDecodeError):
-            decode_stream(b"\x00" * (PACKET_BYTES + 1))
 
 
 class TestLowering:
@@ -107,8 +44,3 @@ class TestLowering:
         # The attention scale divides by sqrt(head_dim) = 4 for the tiny
         # config (head_dim 16).
         assert matdiv.alpha == pytest.approx(4.0)
-
-    def test_stream_roundtrip(self):
-        df1 = dataflows_of(DataflowKind.DATAFLOW_1)[0]
-        commands = lower_dataflow(df1)
-        assert decode_stream(encode_stream(commands)) == commands

@@ -1,82 +1,22 @@
-"""Tests for trace serialization, calibration solver, and intensity."""
+"""Tests for the calibration solver and the operational intensities."""
 
 import dataclasses
 
 import pytest
 
-from repro.baselines import (
-    CalibrationTarget,
-    a100_spec,
-    calibrate,
-    calibration_residual,
-    tpu_v3_spec,
-)
-from repro.dataflow import DataflowKind, build_graph_for
-from repro.model import protein_bert_base, protein_bert_tiny
+from repro.baselines import a100_spec, tpu_v3_spec
+from repro.dataflow import DataflowKind
+from repro.model import protein_bert_base
 from repro.profiling import (
     dataflow_intensities,
     intensity_report,
-    intensity_vs_length,
     machine_balance,
 )
-from repro.trace import (
-    TraceSpec,
-    graph_from_json,
-    graph_to_json,
-    load_graph,
-    op_from_dict,
-    op_to_dict,
-    save_graph,
-    trace_from_json,
-    trace_to_json,
-    trace_model,
+from tests.oracles.calibration import (
+    CalibrationTarget,
+    calibrate,
+    calibration_residual,
 )
-from repro.trace.ops import OpKind, elementwise_op, matmul_op
-
-TINY = protein_bert_tiny()
-
-
-class TestTraceSerialization:
-    def test_op_roundtrip(self):
-        op = matmul_op(128, 768, 64, name="layer.0.q", layer=0)
-        assert op_from_dict(op_to_dict(op)) == op
-
-    def test_op_metadata_roundtrip(self):
-        op = elementwise_op(OpKind.DIV, (4, 4), name="scale",
-                            metadata={"divisor": 8.0})
-        restored = op_from_dict(op_to_dict(op))
-        assert restored.metadata == (("divisor", 8.0),)
-
-    def test_trace_roundtrip(self):
-        ops = trace_model(TraceSpec(TINY, batch=1, seq_len=8))
-        restored = trace_from_json(trace_to_json(ops))
-        assert restored == ops
-
-    def test_bad_version_rejected(self):
-        with pytest.raises(ValueError):
-            trace_from_json('{"version": 99, "ops": []}')
-
-    def test_graph_roundtrip(self):
-        graph = build_graph_for(TINY, batch=1, seq_len=8)
-        restored = graph_from_json(graph_to_json(graph))
-        assert len(restored) == len(graph)
-        assert restored.count_by_array_type() \
-            == graph.count_by_array_type()
-        for original, loaded in zip(graph.nodes, restored.nodes):
-            assert type(original) is type(loaded)
-            assert original.deps == loaded.deps
-            assert original.ops == loaded.ops
-
-    def test_graph_disk_roundtrip(self, tmp_path):
-        graph = build_graph_for(TINY, batch=1, seq_len=8)
-        path = tmp_path / "graph.json"
-        save_graph(graph, path)
-        assert len(load_graph(path)) == len(graph)
-
-    def test_unknown_node_type_rejected(self):
-        with pytest.raises(ValueError):
-            graph_from_json('{"version": 1, "nodes": '
-                            '[{"type": "alien", "ops": [], "deps": []}]}')
 
 
 class TestCalibrationSolver:
@@ -131,12 +71,3 @@ class TestOperationalIntensity:
         text = intensity_report()
         assert "machine balance" in text
         assert "link" in text
-
-    def test_intensity_vs_length_monotone_for_df1(self):
-        sweeps = intensity_vs_length(protein_bert_base(),
-                                     lengths=(128, 1024))
-        short = sweeps[0][DataflowKind.DATAFLOW_1].intensity
-        long = sweeps[1][DataflowKind.DATAFLOW_1].intensity
-        # DF1 intensity is length-independent (weights dominate traffic
-        # at short lengths; activations and weights both scale linearly).
-        assert long == pytest.approx(short, rel=0.5)

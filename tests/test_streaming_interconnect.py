@@ -1,84 +1,16 @@
-"""Tests for streaming buffers, Little's law, and the interconnect model."""
+"""Tests for the interconnect model: NVLink rates and lane partitions."""
 
-import numpy as np
 import pytest
 
 from repro.arch import (
-    DEFAULT_DEPTH,
     NVLINK_LANES,
-    StreamingBuffer,
     custom_link,
     enumerate_partitions,
     infinite_link,
-    littles_law_depth,
     make_partition,
     nvlink,
 )
-from repro.arch.config import MATMUL_FREQUENCY, best_perf
 from repro.dataflow import ArrayType
-
-
-class TestLittlesLaw:
-    def test_paper_provisioning_is_sufficient(self):
-        # Every (type, size) point of the shipped design must be covered by
-        # the 8-deep buffers at its per-array NVLink 2.0 share.
-        config = best_perf()
-        for group in config.groups:
-            bandwidth = (config.type_bandwidth(group.array_type)
-                         / group.count)
-            requirement = littles_law_depth(
-                per_array_bandwidth=bandwidth,
-                array_size=group.size,
-                frequency=MATMUL_FREQUENCY)
-            assert requirement.sufficient, group.label
-
-    def test_depth_grows_with_latency(self):
-        shallow = littles_law_depth(45e9, 1e-6, 16, 1.6e9)
-        deep = littles_law_depth(45e9, 1e-4, 16, 1.6e9)
-        assert deep.required_depth > shallow.required_depth
-
-    def test_consumption_caps_arrival(self):
-        # An over-provisioned link cannot require more occupancy than the
-        # array can drain per cycle.
-        requirement = littles_law_depth(1e15, 1e-9, 16, 1.6e9)
-        assert requirement.arrival_rate <= 1.6e9
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            littles_law_depth(0, 1e-6, 16, 1.6e9)
-
-
-class TestStreamingBuffer:
-    def test_fifo_order(self):
-        buffer = StreamingBuffer(depth=4, width=2)
-        buffer.push(np.array([1.0, 2.0], dtype=np.float32))
-        buffer.push(np.array([3.0, 4.0], dtype=np.float32))
-        assert np.allclose(buffer.pop(), [1.0, 2.0])
-        assert np.allclose(buffer.pop(), [3.0, 4.0])
-
-    def test_full_buffer_stalls(self):
-        buffer = StreamingBuffer(depth=2, width=1)
-        assert buffer.push(np.array([1.0], dtype=np.float32))
-        assert buffer.push(np.array([2.0], dtype=np.float32))
-        assert not buffer.push(np.array([3.0], dtype=np.float32))
-        assert buffer.stall_count == 1
-
-    def test_default_depth_is_eight(self):
-        assert StreamingBuffer().depth == DEFAULT_DEPTH
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            StreamingBuffer().pop()
-
-    def test_entries_rounded_to_bf16(self):
-        buffer = StreamingBuffer(depth=2, width=1)
-        buffer.push(np.array([1.0 + 2.0 ** -12], dtype=np.float32))
-        assert buffer.pop()[0] == 1.0
-
-    def test_width_validated(self):
-        buffer = StreamingBuffer(depth=2, width=4)
-        with pytest.raises(ValueError):
-            buffer.push(np.zeros(3, dtype=np.float32))
 
 
 class TestNvlink:

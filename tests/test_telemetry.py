@@ -3,9 +3,7 @@
 Covers the observability invariants the rest of the stack relies on:
 span nesting/ordering, bit-identity of every report when the tracer is
 disabled, Chrome-trace schema validity of exported JSON, histogram
-percentile math at bucket edges, registry merge semantics, and the
-cProfile hotspot reports (coverage, span attribution, Perfetto export,
-bit-identical results).
+percentile math at bucket edges, and registry merge semantics.
 """
 
 import json
@@ -28,8 +26,6 @@ from repro.telemetry import (
     MetricsRegistry,
     Tracer,
     analyze_trace,
-    format_hotspots,
-    profile,
     render_tracks,
     to_chrome_trace,
     validate_chrome_trace,
@@ -647,25 +643,22 @@ class TestExport:
         tracer.add_span("s", 0.0, 1.0, payload=object())
         json.dumps(to_chrome_trace(tracer))  # must not raise
 
-    def test_counter_and_profile_tracks_validate_together(self):
-        # A full-featured export: spans + a profile track + metric and
-        # monitor counter ("C") tracks, all in one document.
-        from repro.telemetry import TimeSeriesStore, profile
+    def test_counter_tracks_validate_with_spans(self):
+        # A full-featured export: spans + metric and monitor counter
+        # ("C") tracks, all in one document.
+        from repro.telemetry import TimeSeriesStore
 
         tracer = self._sample_tracer()
-        with profile(tracer, label="hot") as report:
-            sum(range(2000))
         registry = MetricsRegistry()
         registry.counter("sched/dispatches").inc(3)
         registry.gauge("fleet/capacity").set(0.75)
         store = TimeSeriesStore()
         store.add([0.0, 0.5, 1.0], {"queue_depth": [1.0, 3.0, 2.0]})
-        data = to_chrome_trace(tracer, profiles=[report],
-                               metrics=registry, series=store)
+        data = to_chrome_trace(tracer, metrics=registry, series=store)
         counts = validate_chrome_trace(data)
         assert counts["counters"] == 2 + 3  # 2 metrics + 3 samples
-        assert counts["spans"] > 2  # sample spans + hotspot lanes
-        assert counts["processes"] >= 3  # p, profile, metrics, monitor
+        assert counts["spans"] >= 2  # the sample spans
+        assert counts["processes"] >= 3  # sample pids, metrics, monitor
         phases = {event["ph"] for event in data["traceEvents"]}
         assert {"X", "i", "M", "C"} <= phases
 
@@ -709,88 +702,3 @@ class TestRenderTracks:
                               width=10)
         assert "|.........." in chart.splitlines()[0] or (
             "|" in chart.splitlines()[0])
-
-
-# -- cProfile hotspots ---------------------------------------------------
-
-class TestProfiling:
-    def test_profile_collects_named_hotspots(self):
-        with profile(label="unit") as report:
-            np.matmul(np.ones((64, 64)), np.ones((64, 64)))
-        assert report.wall_seconds > 0
-        assert report.entries
-        assert all(entry.function for entry in report.entries)
-        assert report.total_self_seconds == pytest.approx(
-            sum(e.self_seconds for e in report.entries))
-
-    def test_dse_point_hotspot_table_covers_90_percent(self):
-        from repro.dse.explorer import DesignSpaceExplorer
-        from repro.parallel.cache import clear_caches
-
-        explorer = DesignSpaceExplorer(batch=8, seq_len=128)
-        explorer.evaluate(best_perf())  # warm numpy/runtime internals once
-        clear_caches()  # in-memory only: the profiled point is cold
-        with profile(label="dse_point") as report:
-            explorer.evaluate(best_perf())
-        assert report.coverage(50) >= 0.90
-        table = format_hotspots(report, top=50)
-        assert "cover" in table
-        assert "orchestrator" in table  # the scheduler shows up by name
-
-    def test_span_attribution_for_spans_inside_the_window(self):
-        from repro.arch.systolic import (
-            ExecutionStats,
-            SimdOpcode,
-            SimdStep,
-            make_array,
-        )
-
-        rng = np.random.default_rng(2022)
-        a = rng.standard_normal((128, 128)).astype(np.float32)
-        b = rng.standard_normal((128, 128)).astype(np.float32)
-        array = make_array(16, ArrayType.G)
-        steps = (SimdStep(SimdOpcode.ADD, 0.5), SimdStep(SimdOpcode.GELU))
-        tracer = Tracer()
-        with profile(tracer, label="gemm") as report:
-            with tracer.span("gemm", pid="host"):
-                array.execute_chain(a, b, steps, ExecutionStats())
-        assert "gemm" in report.span_hotspots
-        assert report.span_hotspots["gemm"]
-        # the hook restored the original bound method
-        assert "span" not in vars(tracer)
-
-    def test_span_stack_recorded_for_enclosing_spans(self):
-        tracer = Tracer()
-        with tracer.span("outer", pid="host"):
-            with profile(tracer, label="inner") as report:
-                sum(range(10))
-        assert report.span_stack == ("outer",)
-
-    def test_profile_export_validates_and_sits_on_profile_track(self):
-        tracer = Tracer()
-        with profile(tracer, label="export_case") as report:
-            with tracer.span("work", pid="host"):
-                np.fft.fft(np.ones(4096))
-        data = to_chrome_trace(tracer, profiles=[report])
-        counts = validate_chrome_trace(data)
-        assert counts["spans"] >= len(report.entries[:40]) + 1
-        names = {event.get("args", {}).get("name")
-                 for event in data["traceEvents"]
-                 if event.get("ph") == "M"
-                 and event.get("name") == "process_name"}
-        assert {"host", "profile"} <= names
-
-    def test_results_bit_identical_with_profiling(self):
-        model = AcceleratedProteinBert(ProteinBert(CONFIG, seed=2022))
-        tokens = np.random.default_rng(2022).integers(
-            0, CONFIG.vocab_size, size=(2, 32))
-        plain = model.forward(tokens)
-        with profile(label="parity"):
-            profiled = model.forward(tokens)
-        assert np.array_equal(plain, profiled)
-
-    def test_top_rejects_nonpositive(self):
-        with profile() as report:
-            pass
-        with pytest.raises(ValueError, match="top-N"):
-            report.top(0)
