@@ -159,14 +159,6 @@ class StepComparison:
     tpu: OperationTrace
     prose: OperationTrace
 
-    @property
-    def step_ratio(self) -> float:
-        return self.tpu.num_steps / self.prose.num_steps
-
-    @property
-    def prose_has_no_buffer_trips(self) -> bool:
-        return self.prose.buffer_trips == 0
-
 
 def compare_matmul(m: int = 4, k: int = 4, n: int = 4) -> StepComparison:
     """Figure 11's MatMul comparison at the given shape."""

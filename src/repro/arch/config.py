@@ -8,7 +8,7 @@ varying sizes and counts, fed by a statically partitioned host link.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Tuple
+from typing import Tuple
 
 from ..dataflow.patterns import ArrayType
 from .interconnect import LanePartition, LinkConfig, make_partition, nvlink
@@ -93,12 +93,6 @@ class HardwareConfig:
     def total_pes(self) -> int:
         return sum(group.pes for group in self.groups)
 
-    def groups_of(self, array_type: ArrayType) -> Tuple[ArrayGroup, ...]:
-        return tuple(g for g in self.groups if g.array_type is array_type)
-
-    def count_of(self, array_type: ArrayType) -> int:
-        return sum(g.count for g in self.groups_of(array_type))
-
     def type_bandwidth(self, array_type: ArrayType) -> float:
         """Bytes/second the static partition grants this type group."""
         return self.partition.bandwidth(array_type, self.link)
@@ -106,18 +100,6 @@ class HardwareConfig:
     def with_link(self, link: LinkConfig) -> "HardwareConfig":
         """The same hardware at a different link operating point."""
         return replace(self, link=link)
-
-    def with_threads(self, threads: int) -> "HardwareConfig":
-        return replace(self, threads=threads)
-
-    def summary(self) -> Dict[str, str]:
-        return {
-            "name": self.name,
-            "arrays": ", ".join(group.label for group in self.groups),
-            "PEs": str(self.total_pes),
-            "link": self.link.name,
-            "threads": str(self.threads),
-        }
 
 
 def _config(name: str, m: Tuple[int, int], g: Tuple[int, int],

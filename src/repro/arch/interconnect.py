@@ -102,10 +102,6 @@ class LanePartition:
         if any(count < 1 for _, count in self.lanes_by_type):
             raise ValueError("every array type needs at least one lane")
 
-    @property
-    def total_lanes(self) -> int:
-        return sum(count for _, count in self.lanes_by_type)
-
     def lanes(self, array_type: ArrayType) -> int:
         for candidate, count in self.lanes_by_type:
             if candidate is array_type:

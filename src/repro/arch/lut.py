@@ -166,15 +166,6 @@ class SpecialFunctionLut:
         """Bytes of LUT storage (4 KB for GELU, 6 KB for Exp)."""
         return self.spec.table_bytes
 
-    @property
-    def num_entries(self) -> int:
-        return len(self._tables) * MANTISSA_ENTRIES
-
-    def lookup_scalar(self, value: float) -> float:
-        """Evaluate the function for one bfloat16 input (1-cycle path)."""
-        result = self.lookup(np.array([value], dtype=np.float32))
-        return float(result[0])
-
     def lookup(self, values: np.ndarray,
                assume_bf16: bool = False) -> np.ndarray:
         """Vectorized table evaluation over bfloat16 inputs.

@@ -79,11 +79,6 @@ class SystolicArray:
         self._exp: Optional[SpecialFunctionLut] = (
             make_exp_lut() if array_type.has_exp else None)
 
-    @property
-    def num_simd_alus(self) -> int:
-        """One ALU per row, fed by the rotating leftmost column."""
-        return self.size
-
     def _tile_counts(self, m: int, n_out: int) -> Tuple[int, int]:
         return (math.ceil(m / self.size), math.ceil(n_out / self.size))
 

@@ -90,15 +90,6 @@ class DataflowTiming:
                            sum(1 for s in self.segments
                                if s.resource == "accel"))
 
-    def bound_total_seconds(self, type_bandwidth: float) -> float:
-        """Lower-bound latency: per-segment max(compute, stream)."""
-        total = 0.0
-        for segment in self.segments:
-            stream = segment.stream_bytes / type_bandwidth \
-                if type_bandwidth > 0 else 0.0
-            total += max(segment.compute_seconds, stream)
-        return total
-
 
 def _is_vector_operand(op: Op) -> bool:
     """True for elementwise ops whose streamed operand is a vector (bias)."""

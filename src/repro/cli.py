@@ -29,7 +29,9 @@ from . import __version__
 from .arch.config import HardwareConfig, table4_configs
 from .core.engine import ProSEEngine
 from .core.session import InferenceSession
+from .model.config import BertConfig, protein_bert_base, protein_bert_tiny
 from .model.zoo import describe, zoo_names
+from .proteins.alphabet import is_valid_sequence
 
 
 def _hardware_by_name(name: str) -> HardwareConfig:
@@ -182,6 +184,14 @@ def cmd_binding(args: argparse.Namespace) -> int:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     session = InferenceSession.small(functional=args.functional)
+    # The tokenizer frames each sequence with <cls> and <sep>.
+    limit = session.model.config.max_position - 2
+    for sequence in args.sequences:
+        if not is_valid_sequence(sequence):
+            raise SystemExit(f"not a protein sequence: {sequence!r}")
+        if len(sequence) > limit:
+            raise SystemExit(f"a sequence of {len(sequence)} residues "
+                             f"exceeds the model's limit of {limit}")
     result = session.embed(args.sequences)
     print(f"embedded {len(args.sequences)} sequences -> "
           f"{result.embeddings.shape[1]}-d features "
@@ -198,7 +208,6 @@ def cmd_embed(args: argparse.Namespace) -> int:
 def cmd_reliability(args: argparse.Namespace) -> int:
     from .experiments import fault_campaign
     from .fleet import FleetSimulator, build_fleet
-    from .model.config import protein_bert_tiny
     from .reliability import FaultModel, FaultRates
     from .telemetry import MetricsRegistry
 
@@ -217,15 +226,13 @@ def cmd_reliability(args: argparse.Namespace) -> int:
     print(f"serving campaign @ fault rate {rate:g} (seed {args.seed}):")
     print(f"  {report.summary()}")
 
-    config = protein_bert_tiny(num_layers=2, hidden_size=128, num_heads=4,
-                               intermediate_size=512, max_position=2048)
     fault_model = FaultModel(
         FaultRates(instance_failure=rate, link_transient=rate / 10.0),
         seed=args.seed)
     topology = build_fleet(racks=1, hosts_per_rack=1,
                            instances_per_host=args.instances)
     scenario = FleetSimulator(
-        topology, model_config=config, fault_model=fault_model,
+        topology, model_config=_model_config(args), fault_model=fault_model,
         seq_len=args.seq_len,
         reference_batch=args.batch // args.instances).run(batch=args.batch)
     print(f"{args.instances}-instance system @ instance-failure rate "
@@ -243,7 +250,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         build_fleet,
         build_scenario,
     )
-    from .model.config import protein_bert_base, protein_bert_tiny
     from .monitor import fleet_monitor
     from .reliability import (
         DegradationPolicy,
@@ -282,12 +288,11 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                            heterogeneous=args.heterogeneous)
     scenario = (None if args.scenario == "none"
                 else build_scenario(args.scenario, topology))
-    config = protein_bert_tiny() if args.tiny else protein_bert_base()
     fault_model = FaultModel(
         FaultRates(link_transient=args.link_transient_rate),
         seed=derive_task_seed(args.seed, args.scenario))
     simulator = FleetSimulator(
-        topology, model_config=config, fault_model=fault_model,
+        topology, model_config=_model_config(args), fault_model=fault_model,
         policy=DegradationPolicy(
             min_capacity_fraction=args.min_capacity,
             circuit_breaker_failures=args.breaker_failures),
@@ -395,13 +400,12 @@ def cmd_zoo(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from .model.config import protein_bert_base, protein_bert_tiny
     from .telemetry import MetricsRegistry, Tracer, render_tracer
 
     tracer = Tracer()
     metrics = MetricsRegistry()
     hardware = _hardware_by_name(args.hardware)
-    config = protein_bert_base()
+    config = _model_config(args)
     workloads = (("schedule", "system", "serving", "functional")
                  if args.workload == "all" else (args.workload,))
 
@@ -669,6 +673,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     return args.handler(args)
 
 
+def _model_config(args: argparse.Namespace) -> BertConfig:
+    """The encoder a command runs at ``--seq-len``."""
+    if args.command == "reliability":
+        return protein_bert_tiny(num_layers=2, hidden_size=128, num_heads=4,
+                                 intermediate_size=512, max_position=2048)
+    if args.command == "fleet" and args.tiny:
+        return protein_bert_tiny()
+    return protein_bert_base()
+
+
 def _check_args(args: argparse.Namespace) -> None:
     """Reject out-of-range input in one line, before anything runs."""
     for dest in ("workers", "limit", "budget", "width", "batch", "seq_len",
@@ -683,6 +697,17 @@ def _check_args(args: argparse.Namespace) -> None:
         if value is not None and not 0.0 <= value <= 1.0:
             raise SystemExit(f"--{dest.replace('_', '-')} must be in "
                              f"[0, 1], got {value}")
+    # trace's functional workload caps the length and serving draws its
+    # own; every other --seq-len reaches the encoder.
+    if (getattr(args, "seq_len", None) is not None
+            and getattr(args, "workload", "all") not in ("functional",
+                                                          "serving")):
+        limit = _model_config(args).max_position
+        if args.seq_len > limit:
+            raise SystemExit(f"--seq-len must be at most {limit} (the "
+                             f"model's max_position), got {args.seq_len}")
+    if getattr(args, "seed", 0) < 0:
+        raise SystemExit(f"--seed must be at least 0, got {args.seed}")
     if getattr(args, "breaker_failures", 0) < 0:
         raise SystemExit("--breaker-failures must be at least 0, got "
                          f"{args.breaker_failures}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..arch.config import HardwareConfig, best_perf
-from ..arch.interconnect import LinkConfig
 from ..baselines.gpu import a100
 from ..baselines.roofline import RooflineDevice
 from ..baselines.tpu import tpu_v2, tpu_v3
@@ -68,11 +67,6 @@ class ProSEEngine:
         return InferenceReport(config_name=self.hardware.name,
                                schedule=schedule,
                                power=power_report(self.hardware))
-
-    def with_link(self, link: LinkConfig) -> "ProSEEngine":
-        """The same engine at a different host-link operating point."""
-        return ProSEEngine(hardware=self.hardware.with_link(link),
-                           model_config=self.model_config, host=self.host)
 
     def compare(self, baseline: RooflineDevice, batch: int = 128,
                 seq_len: int = 512,

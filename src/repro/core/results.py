@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from ..physical.power import PowerReport
 from ..sched.orchestrator import ScheduleResult
@@ -40,14 +39,6 @@ class InferenceReport:
     def efficiency(self) -> float:
         """Inferences per second per Watt (the paper's headline metric)."""
         return self.throughput / self.system_power_watts
-
-    def summary(self) -> Dict[str, float]:
-        return {
-            "throughput_inf_per_s": self.throughput,
-            "latency_s": self.latency_seconds,
-            "system_power_w": self.system_power_watts,
-            "efficiency_inf_per_s_per_w": self.efficiency,
-        }
 
 
 @dataclass(frozen=True)

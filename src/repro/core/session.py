@@ -15,7 +15,7 @@ configured ProSE hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -118,10 +118,3 @@ class InferenceSession:
             estimated_latency_seconds=latency,
             estimated_energy_joules=latency * self._system_power,
             functional=self.functional)
-
-    def rank_by(self, sequences: Sequence[str],
-                scores: Sequence[float]) -> List[int]:
-        """Utility: indices of ``sequences`` sorted by descending score."""
-        if len(sequences) != len(scores):
-            raise ValueError("sequences and scores must align")
-        return list(np.argsort(np.asarray(scores))[::-1])

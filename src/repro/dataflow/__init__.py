@@ -4,7 +4,6 @@ from .builder import (
     TraceStructureError,
     build_dataflow_graph,
     build_graph_for,
-    coverage_fraction,
 )
 from .graph import DataflowGraph, HostTask, Node
 from .seq2seq import build_seq2seq_graph
@@ -29,5 +28,4 @@ __all__ = [
     "build_dataflow_graph",
     "build_graph_for",
     "build_seq2seq_graph",
-    "coverage_fraction",
 ]

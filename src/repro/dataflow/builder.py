@@ -175,17 +175,3 @@ def build_graph_for(config: BertConfig, batch: int, seq_len: int,
     spec = TraceSpec(config=config, batch=batch, seq_len=seq_len,
                      with_mask=with_mask)
     return build_dataflow_graph(trace_model(spec))
-
-
-def coverage_fraction(graph: DataflowGraph) -> float:
-    """Fraction of total FLOPs the three dataflows capture.
-
-    The paper reports the dataflows cover ~90% of inference time; on a FLOP
-    basis coverage is higher still since host tasks are cheap elementwise
-    work.
-    """
-    accel = sum(df.flops for _, df in graph.dataflows)
-    host = sum(task.flops for _, task in graph.host_tasks)
-    host += sum(df.host_flops for _, df in graph.dataflows)
-    total = accel + host
-    return accel / total if total else 0.0

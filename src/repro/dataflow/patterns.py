@@ -121,10 +121,6 @@ class Dataflow:
         return sum(op.flops for op in self.ops)
 
     @property
-    def host_flops(self) -> int:
-        return sum(op.flops for op in self.host_ops)
-
-    @property
     def gemm_ops(self) -> Tuple[Op, ...]:
         """The MatMul/BMM ops in this dataflow."""
         return tuple(op for op in self.ops

@@ -11,7 +11,6 @@ from .tasks import (
     TASK_REGISTRY,
     TaskDataset,
     TaskExample,
-    fluorescence_label,
     make_task_dataset,
     stability_label,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "default_task_extractor",
     "evaluate_all_tasks",
     "evaluate_task",
-    "fluorescence_label",
     "format_results",
     "make_task_dataset",
     "stability_label",

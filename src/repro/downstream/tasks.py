@@ -85,11 +85,6 @@ def make_fluorescence_label(wild_type: str) -> Callable[[str], float]:
     return label
 
 
-def fluorescence_label(sequence: str) -> float:
-    """Score a sequence as its own wild type (single-sequence helper)."""
-    return make_fluorescence_label(sequence)(sequence)
-
-
 def stability_label(sequence: str) -> float:
     """Synthetic folding stability (ΔG-like, higher = more stable).
 

@@ -113,13 +113,6 @@ class DesignSpaceExplorer:
         self._a100 = a100()
         self._a100_reference: Optional[float] = None
 
-    def evaluate(self, config: HardwareConfig,
-                 a100_runtime: Optional[float] = None) -> DsePoint:
-        """Simulate one configuration and attach physical characteristics."""
-        if a100_runtime is None:
-            a100_runtime = self.a100_runtime()
-        return _evaluate_config(self._state(a100_runtime), config)
-
     def a100_runtime(self) -> float:
         """The A100's batch latency on the same workload (computed once)."""
         if self._a100_reference is None:

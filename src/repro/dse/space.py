@@ -49,12 +49,6 @@ class Mix:
     e_count: int
 
     @property
-    def total_pes(self) -> int:
-        return (self.m_count * M_SIZE * M_SIZE
-                + self.g_count * self.g_size * self.g_size
-                + self.e_count * self.e_size * self.e_size)
-
-    @property
     def label(self) -> str:
         return (f"M{M_SIZE}x{self.m_count} "
                 f"G{self.g_size}x{self.g_count} "

@@ -1,11 +1,15 @@
 """Extension studies beyond the paper's figures.
 
-Three studies exercising the capabilities the paper claims but does not
+Four studies exercising the capabilities the paper claims but does not
 evaluate quantitatively:
 
 * **Model-zoo scalability** — the streaming design "prevents unscalable
   memory usage on large models": ProSE throughput across TAPE/ESM-scale
   encoders, with on-accelerator storage constant.
+* **Activation footprint** — Section 2.1's quadratic memory growth: the
+  per-sequence attention scores and linear activations of BERT-base on
+  the A100 across the Figure 3 lengths, the largest batch that fits in
+  its 40 GiB, and ProSE's length-independent storage.
 * **Encoder-decoder** — "adding decoder layers for language translation":
   ProSE running a protein seq2seq model via the same three dataflows.
 * **Downstream-task generality** — "applicable to arbitrary downstream
@@ -23,7 +27,12 @@ from ..dataflow.seq2seq import build_seq2seq_graph
 from ..downstream.evaluation import TaskResult, evaluate_all_tasks, format_results
 from ..model.config import BertConfig
 from ..model.zoo import MODEL_ZOO, get_model_config
-from ..profiling.memory import prose_device_bytes
+from ..profiling.memory import (
+    MemoryFootprint,
+    footprint_sweep,
+    format_sweep,
+    prose_device_bytes,
+)
 from ..sched.orchestrator import Orchestrator
 
 
@@ -93,17 +102,17 @@ def seq2seq_study(config: Optional[BertConfig] = None, batch: int = 16,
 
 
 def run() -> Tuple[List[ZooPoint], List[Seq2SeqPoint],
-                   Dict[str, TaskResult]]:
-    """Run all three extension studies at laptop scale."""
+                   Dict[str, TaskResult], List[MemoryFootprint]]:
+    """Run all four extension studies at laptop scale."""
     zoo = model_zoo_scaling(models=("protein-bert-compact", "tape-bert",
                                     "esm-1b"))
     seq2seq = seq2seq_study()
     tasks = evaluate_all_tasks()
-    return zoo, seq2seq, tasks
+    return zoo, seq2seq, tasks, footprint_sweep()
 
 
 def format_result(results) -> str:
-    zoo, seq2seq, tasks = results
+    zoo, seq2seq, tasks, footprints = results
     lines = ["-- model-zoo scalability (BestPerf, 512 tokens) --",
              f"{'model':>22s} {'params':>8s} {'inf/s':>8s} "
              f"{'ProSE storage':>14s}"]
@@ -124,4 +133,7 @@ def format_result(results) -> str:
     lines.append("")
     lines.append("-- downstream-task generality --")
     lines.append(format_results(tasks))
+    lines.append("")
+    lines.append("-- activation footprint per sequence (BERT-base, A100) --")
+    lines.append(format_sweep(footprints))
     return "\n".join(lines)

@@ -40,9 +40,6 @@ class Figure1Result:
 
     points: Tuple[EfficiencyPoint, ...]
 
-    def curve(self, system: str) -> List[EfficiencyPoint]:
-        return [p for p in self.points if p.system == system]
-
     def efficiency(self, system: str, seq_len: int) -> float:
         for point in self.points:
             if point.system == system and point.seq_len == seq_len:

@@ -36,11 +36,6 @@ class Figure8Result:
     def best(self) -> ThreadPoint:
         return max(self.points, key=lambda p: p.throughput)
 
-    def speedup_over_single_thread(self, threads: int) -> float:
-        single = next(p for p in self.points if p.threads == 1)
-        target = next(p for p in self.points if p.threads == threads)
-        return target.throughput / single.throughput
-
 
 def run(config: Optional[BertConfig] = None,
         hardware: Optional[HardwareConfig] = None,

@@ -48,9 +48,6 @@ class Figure18Result:
                 return cell.speedup
         raise KeyError((config_name, link_name, baseline))
 
-    def max_speedup(self, baseline: str) -> float:
-        return max(c.speedup for c in self.cells if c.baseline == baseline)
-
     def config_names(self) -> List[str]:
         seen: List[str] = []
         for cell in self.cells:

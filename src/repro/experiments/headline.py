@@ -40,11 +40,6 @@ class HeadlineResult:
     #: BestPerf @ NVLink 2.0's energy decomposition at the same point.
     energy: EnergyReport
 
-    def row(self, operating_point: str, baseline: str) -> HeadlineRow:
-        return next(row for row in self.rows
-                    if row.operating_point == operating_point
-                    and row.baseline == baseline)
-
 
 def run() -> HeadlineResult:
     """Every headline comparison: two designs x three baselines."""

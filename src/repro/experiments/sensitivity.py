@@ -36,19 +36,6 @@ class SensitivityPoint:
 class SensitivityResult:
     points: Tuple[SensitivityPoint, ...]
 
-    def range_for(self, knob: str) -> Tuple[float, float]:
-        values = [p.speedup_vs_a100 for p in self.points
-                  if p.knob == knob]
-        return min(values), max(values)
-
-    @property
-    def knobs(self) -> List[str]:
-        seen: List[str] = []
-        for point in self.points:
-            if point.knob not in seen:
-                seen.append(point.knob)
-        return seen
-
     @property
     def global_range(self) -> Tuple[float, float]:
         values = [p.speedup_vs_a100 for p in self.points]

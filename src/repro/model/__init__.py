@@ -7,19 +7,12 @@ from .config import BertConfig, protein_bert_base, protein_bert_tiny
 from .layers import Embedding, LayerNorm, Linear
 from .tensors import (
     BF16_MANTISSA_BITS,
-    all_bf16_values,
     bf16_compose,
-    bf16_decompose,
-    bf16_unbiased_exponent,
-    is_bfloat16,
-    quantization_error,
     to_bfloat16,
 )
 from .weights import (
     initialize_weights,
-    load_weights,
     pretrained_like_weights,
-    save_weights,
     validate_weights,
 )
 from .zoo import MODEL_ZOO, describe, get_model_config, zoo_names
@@ -39,20 +32,13 @@ __all__ = [
     "Linear",
     "MultiHeadAttention",
     "ProteinBert",
-    "all_bf16_values",
     "bf16_compose",
-    "bf16_decompose",
-    "bf16_unbiased_exponent",
     "exp",
     "gelu",
     "initialize_weights",
-    "is_bfloat16",
     "layer_norm",
-    "load_weights",
     "protein_bert_base",
     "protein_bert_tiny",
-    "quantization_error",
-    "save_weights",
     "softmax",
     "to_bfloat16",
     "validate_weights",

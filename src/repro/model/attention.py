@@ -10,12 +10,11 @@ small E-Type systolic arrays.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
-from ..trace.ops import OpKind, bmm_op, elementwise_op
-from ..trace.recorder import TraceRecorder, maybe_record
+from ..trace.ops import Op, OpKind, bmm_op, elementwise_op, maybe_record
 from .activations import softmax
 from .config import BertConfig
 from .layers import Linear
@@ -44,14 +43,14 @@ class MultiHeadAttention:
 
     def forward(self, hidden: np.ndarray,
                 attention_mask: Optional[np.ndarray] = None,
-                recorder: Optional[TraceRecorder] = None) -> np.ndarray:
+                recorder: Optional[List[Op]] = None) -> np.ndarray:
         """Run attention over ``hidden`` of shape ``(batch, seq, hidden)``.
 
         Args:
             hidden: input activations.
             attention_mask: optional ``(batch, seq)`` array with 1 for real
                 tokens and 0 for padding.
-            recorder: optional trace recorder.
+            recorder: optional list the op stream is appended to.
 
         Returns:
             Context of shape ``(batch, seq, hidden)`` (pre-residual).

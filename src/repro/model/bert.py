@@ -9,12 +9,11 @@ consumes pooled features from the final hidden states.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..trace.ops import OpKind, elementwise_op
-from ..trace.recorder import TraceRecorder, maybe_record
+from ..trace.ops import Op, OpKind, elementwise_op, maybe_record
 from .activations import gelu
 from .attention import MultiHeadAttention
 from .config import BertConfig
@@ -66,7 +65,7 @@ class EncoderLayer:
 
     def forward(self, hidden: np.ndarray,
                 attention_mask: Optional[np.ndarray] = None,
-                recorder: Optional[TraceRecorder] = None) -> np.ndarray:
+                recorder: Optional[List[Op]] = None) -> np.ndarray:
         """Run one encoder layer over ``(batch, seq, hidden)`` activations."""
         attended = self.attention.forward(hidden, attention_mask, recorder)
         maybe_record(recorder, elementwise_op(
@@ -118,7 +117,7 @@ class ProteinBert:
                        for i in range(self.config.num_layers)]
 
     def embed(self, token_ids: np.ndarray,
-              recorder: Optional[TraceRecorder] = None) -> np.ndarray:
+              recorder: Optional[List[Op]] = None) -> np.ndarray:
         """Token + position embeddings followed by layer norm."""
         token_ids = np.asarray(token_ids)
         if token_ids.ndim != 2:
@@ -137,13 +136,13 @@ class ProteinBert:
 
     def forward(self, token_ids: np.ndarray,
                 attention_mask: Optional[np.ndarray] = None,
-                recorder: Optional[TraceRecorder] = None) -> np.ndarray:
+                recorder: Optional[List[Op]] = None) -> np.ndarray:
         """Full encoder forward pass.
 
         Args:
             token_ids: ``(batch, seq)`` integer array.
             attention_mask: optional ``(batch, seq)`` 1/0 mask.
-            recorder: optional trace recorder capturing the ATen op stream.
+            recorder: optional list the ATen op stream is appended to.
 
         Returns:
             Final hidden states, shape ``(batch, seq, hidden)``.

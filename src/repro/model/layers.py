@@ -1,18 +1,17 @@
 """Basic neural-network layers for the NumPy Protein BERT encoder.
 
-Each layer's forward pass optionally records the ATen-level ops it performs
-into a :class:`~repro.trace.recorder.TraceRecorder`, mirroring the PyTorch
-JIT instrumentation of the paper's Figure 15.
+Each layer's forward pass optionally appends the ATen-level ops it performs
+to a ``recorder`` list, mirroring the PyTorch JIT instrumentation of the
+paper's Figure 15.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
-from ..trace.ops import OpKind, elementwise_op, matmul_op
-from ..trace.recorder import TraceRecorder, maybe_record
+from ..trace.ops import Op, OpKind, elementwise_op, matmul_op, maybe_record
 from .activations import layer_norm
 
 
@@ -46,7 +45,7 @@ class Linear:
         return self.weight.shape[1]
 
     def forward(self, x: np.ndarray,
-                recorder: Optional[TraceRecorder] = None) -> np.ndarray:
+                recorder: Optional[List[Op]] = None) -> np.ndarray:
         """Apply the projection to ``x`` of shape ``(..., in_features)``."""
         if x.shape[-1] != self.in_features:
             raise ValueError(
@@ -81,7 +80,7 @@ class LayerNorm:
         self.layer = layer
 
     def forward(self, x: np.ndarray,
-                recorder: Optional[TraceRecorder] = None) -> np.ndarray:
+                recorder: Optional[List[Op]] = None) -> np.ndarray:
         if x.shape[-1] != self.gamma.shape[0]:
             raise ValueError(f"{self.name}: feature dim mismatch")
         maybe_record(recorder, elementwise_op(
@@ -107,7 +106,7 @@ class Embedding:
         return self.table.shape[1]
 
     def forward(self, ids: np.ndarray,
-                recorder: Optional[TraceRecorder] = None) -> np.ndarray:
+                recorder: Optional[List[Op]] = None) -> np.ndarray:
         ids = np.asarray(ids)
         if ids.min() < 0 or ids.max() >= self.num_embeddings:
             raise ValueError(f"{self.name}: token id out of range")

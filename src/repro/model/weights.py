@@ -1,4 +1,4 @@
-"""Weight initialization, save, and load for the Protein BERT encoder.
+"""Weight initialization and validation for the Protein BERT encoder.
 
 The paper uses TAPE's public pre-trained ProteinBERT weights.  Those weights
 are not redistributable here, so we generate deterministic synthetic weights
@@ -10,8 +10,7 @@ random-feature projections (see DESIGN.md, Substitutions).
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, Union
+from typing import Dict
 
 import numpy as np
 
@@ -100,18 +99,6 @@ def pretrained_like_weights(config: BertConfig, seed: int = 0,
         table[token_id, 1] = descriptor_scale * charge
         table[token_id, 2] = descriptor_scale * volume
     return weights
-
-
-def save_weights(weights: Dict[str, np.ndarray],
-                 path: Union[str, Path]) -> None:
-    """Persist a weight dictionary as a compressed ``.npz`` archive."""
-    np.savez_compressed(str(path), **weights)
-
-
-def load_weights(path: Union[str, Path]) -> Dict[str, np.ndarray]:
-    """Load a weight dictionary saved by :func:`save_weights`."""
-    with np.load(str(path)) as archive:
-        return {key: archive[key] for key in archive.files}
 
 
 def validate_weights(weights: Dict[str, np.ndarray],

@@ -20,7 +20,7 @@ Typical use::
     monitor = fleet_monitor()
     report = simulator.run(batch, scenario=scenario, monitor=monitor)
     print(render_dashboard(monitor))
-    print(report.slo.summary())
+    print(report.summary())
 """
 
 from .alerts import (

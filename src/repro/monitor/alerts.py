@@ -122,7 +122,3 @@ class Alert:
     def __post_init__(self) -> None:
         if self.peak_value < self.value:
             self.peak_value = self.value
-
-    @property
-    def active(self) -> bool:
-        return self.resolved_at is None

@@ -33,8 +33,8 @@ def _format_seconds(seconds: float) -> str:
     return f"{seconds * 1e3:.3f} ms"
 
 
-def sparkline(series, width: int = 48, start: float = 0.0,
-              end: Optional[float] = None) -> str:
+def sparkline(series, end: float, width: int = 48,
+              start: float = 0.0) -> str:
     """Render a series as a ``width``-character block-glyph strip.
 
     The timeline ``[start, end]`` is cut into ``width`` equal bins and
@@ -44,8 +44,6 @@ def sparkline(series, width: int = 48, start: float = 0.0,
     """
     if width <= 0:
         raise ValueError("width must be positive")
-    if end is None:
-        end = series.last_time if series.last_time is not None else start
     if len(series) == 0 or end <= start:
         return SPARK_EMPTY * width
     values = [value for _t, value in series.samples()]

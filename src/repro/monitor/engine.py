@@ -76,15 +76,6 @@ class SloOutcome:
             return None
         return self.first_page_seconds - self.fault_seconds
 
-    def summary(self) -> str:
-        parts = [f"alerts={self.alerts} (pages={self.pages})",
-                 f"worst_burn={self.worst_burn_rate:.1f}",
-                 f"budget_left={self.budget_remaining:.1%}"]
-        delay = self.page_delay_seconds
-        if delay is not None:
-            parts.append(f"page_delay={delay * 1e3:.3f} ms")
-        return " ".join(parts)
-
 
 @dataclass(frozen=True)
 class MonitorReport:

@@ -87,10 +87,6 @@ class BudgetStatus:
     remaining_fraction: float   # floored at 0.0
     worst_burn_rate: float
 
-    @property
-    def total(self) -> float:
-        return self.good + self.bad
-
 
 class SLOTracker:
     """One SLO's good/bad event columns and the burn queries over them.

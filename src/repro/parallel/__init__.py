@@ -17,7 +17,6 @@ from .cache import (
     ShapeCache,
     cache_stats,
     clear_caches,
-    record_cache_metrics,
     schedule_cache,
     schedule_key,
     trace_cache,
@@ -35,7 +34,6 @@ __all__ = [
     "cached_build_graph",
     "cached_schedule",
     "clear_caches",
-    "record_cache_metrics",
     "schedule_cache",
     "schedule_key",
     "trace_cache",

@@ -139,13 +139,3 @@ def clear_caches() -> None:
 def cache_stats() -> Dict[str, CacheStats]:
     """Snapshot of each cache's counters, keyed by cache name."""
     return {cache.name: cache.stats for cache in _CACHES}
-
-
-def record_cache_metrics(metrics,
-                         stats: Optional[Dict[str, CacheStats]] = None
-                         ) -> None:
-    """Write hit/miss counters into a telemetry ``MetricsRegistry``."""
-    for name, snapshot in (stats or cache_stats()).items():
-        metrics.counter(f"cache/{name}/hits").inc(snapshot.hits)
-        metrics.counter(f"cache/{name}/misses").inc(snapshot.misses)
-        metrics.counter(f"cache/{name}/evictions").inc(snapshot.evictions)

@@ -9,7 +9,7 @@ the CPU's duty-cycle-weighted active power, plus DRAM power.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from ..arch.config import HardwareConfig
 from ..dataflow.patterns import ArrayType
@@ -78,26 +78,6 @@ def power_report(config: HardwareConfig) -> PowerReport:
         per_group=tuple(rows))
 
 
-def accelerator_power_watts(config: HardwareConfig) -> float:
-    """Accelerator-only power (the Table 4 'Power' column)."""
-    return power_report(config).accelerator_power_w
-
-
 def system_power_watts(config: HardwareConfig) -> float:
     """Accelerator + host power charged to ProSE inference."""
     return power_report(config).system_power_w
-
-
-def area_mm2(config: HardwareConfig) -> float:
-    """Accelerator area (the Table 4 'Area' column)."""
-    return power_report(config).area_mm2
-
-
-def power_area_table(configs) -> Dict[str, Tuple[float, float]]:
-    """(power mW, area mm²) per configuration, Table-4 style."""
-    table = {}
-    for config in configs:
-        report = power_report(config)
-        table[config.name] = (report.accelerator_power_w * 1000.0,
-                              report.area_mm2)
-    return table

@@ -152,18 +152,3 @@ def table2() -> Tuple[ArrayCharacteristics, ...]:
     """All rows of Table 2, in the paper's order."""
     return tuple(characteristics(size, gelu, exp)
                  for (size, gelu, exp) in sorted(TABLE2_ROWS))
-
-
-def validate_clock_feasibility(matmul_frequency_hz: float,
-                               simd_frequency_hz: float) -> bool:
-    """Check the double-pumped 1.6 GHz / 800 MHz clocks close timing.
-
-    The slowest MatMul-capable array (1626.1 MHz) must beat the matmul
-    clock, and the slowest LUT-equipped array (858.1 MHz) the SIMD clock.
-    """
-    slowest_matmul = min(row[0] for key, row in TABLE2_ROWS.items()
-                         if not key[1] and not key[2])
-    slowest_simd = min(row[0] for key, row in TABLE2_ROWS.items()
-                       if key[1] or key[2])
-    return (slowest_matmul * 1e6 >= matmul_frequency_hz
-            and slowest_simd * 1e6 >= simd_frequency_hz)

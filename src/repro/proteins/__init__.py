@@ -18,23 +18,12 @@ from .datasets import (
     FabVariant,
     make_binding_dataset,
 )
-from .sequences import (
-    BACKGROUND_FREQUENCIES,
-    FastaRecord,
-    SequenceGenerator,
-    format_fasta,
-    iter_windows,
-    length_histogram,
-    parse_fasta,
-    read_fasta,
-    write_fasta,
-)
+from .sequences import BACKGROUND_FREQUENCIES, SequenceGenerator
 from .tokenizer import Encoding, ProteinTokenizer
 from .workloads import (
     Workload,
     WorkloadItem,
     bucket_batches,
-    multi_domain_workload,
     screening_campaign,
     uniprot_like_workload,
 )
@@ -53,22 +42,14 @@ __all__ = [
     "BindingEnergyModel",
     "Encoding",
     "FabVariant",
-    "FastaRecord",
     "ProteinTokenizer",
     "SequenceGenerator",
     "Vocabulary",
     "Workload",
     "WorkloadItem",
     "bucket_batches",
-    "multi_domain_workload",
     "screening_campaign",
     "uniprot_like_workload",
-    "format_fasta",
     "is_valid_sequence",
-    "iter_windows",
-    "length_histogram",
     "make_binding_dataset",
-    "parse_fasta",
-    "read_fasta",
-    "write_fasta",
 ]

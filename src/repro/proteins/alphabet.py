@@ -21,7 +21,7 @@ STANDARD_AMINO_ACIDS: Tuple[str, ...] = (
 #: Ambiguous / non-standard one-letter codes found in sequence databases.
 EXTENDED_AMINO_ACIDS: Tuple[str, ...] = ("B", "O", "U", "X", "Z")
 
-#: Three-letter names, used by FASTA annotation helpers and examples.
+#: Three-letter names of the amino-acid codes.
 AMINO_ACID_NAMES: Dict[str, str] = {
     "A": "Alanine", "C": "Cysteine", "D": "Aspartate", "E": "Glutamate",
     "F": "Phenylalanine", "G": "Glycine", "H": "Histidine", "I": "Isoleucine",
@@ -98,25 +98,12 @@ class Vocabulary:
         return self.tokens.index(self.pad_token)
 
     @property
-    def mask_id(self) -> int:
-        return self.tokens.index(self.mask_token)
-
-    @property
     def cls_id(self) -> int:
         return self.tokens.index(self.cls_token)
 
     @property
     def sep_id(self) -> int:
         return self.tokens.index(self.sep_token)
-
-    @property
-    def unk_id(self) -> int:
-        return self.tokens.index(self.unk_token)
-
-    def id_to_token(self, token_id: int) -> str:
-        """Inverse of :meth:`index`."""
-        return self.tokens[token_id]
-
 
 #: Module-level default vocabulary shared by the tokenizer and the model.
 DEFAULT_VOCABULARY = Vocabulary()

@@ -29,14 +29,6 @@ class Encoding:
     ids: np.ndarray
     attention_mask: np.ndarray
 
-    @property
-    def length(self) -> int:
-        return int(self.ids.shape[0])
-
-    @property
-    def num_real_tokens(self) -> int:
-        return int(self.attention_mask.sum())
-
 
 class ProteinTokenizer:
     """Tokenizes amino-acid strings into id arrays for Protein BERT.
@@ -106,17 +98,3 @@ class ProteinTokenizer:
         return Encoding(
             ids=np.stack([e.ids for e in encodings]),
             attention_mask=np.stack([e.attention_mask for e in encodings]))
-
-    def decode(self, ids: Sequence[int], skip_special_tokens: bool = True
-               ) -> str:
-        """Map token ids back to an amino-acid string."""
-        vocab = self.vocabulary
-        special = {vocab.pad_id, vocab.mask_id, vocab.cls_id,
-                   vocab.sep_id, vocab.unk_id}
-        chars = []
-        for token_id in ids:
-            token_id = int(token_id)
-            if skip_special_tokens and token_id in special:
-                continue
-            chars.append(vocab.id_to_token(token_id))
-        return "".join(chars)

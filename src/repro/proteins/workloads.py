@@ -55,20 +55,6 @@ class Workload:
     def max_length(self) -> int:
         return int(self.lengths.max())
 
-    def length_histogram(self, edges: Sequence[int]
-                         ) -> Dict[Tuple[int, int], int]:
-        histogram: Dict[Tuple[int, int], int] = {}
-        lengths = self.lengths
-        for low, high in zip(edges[:-1], edges[1:]):
-            histogram[(low, high)] = int(
-                ((lengths >= low) & (lengths < high)).sum())
-        return histogram
-
-    def sorted_by_length(self) -> "Workload":
-        """Length-sorted copy (the batching policy that minimizes padding)."""
-        ordered = tuple(sorted(self.items, key=lambda item: item.length))
-        return Workload(name=f"{self.name} (sorted)", items=ordered)
-
 
 def uniprot_like_workload(count: int = 256, seed: int = 0,
                           min_length: int = 30,
@@ -105,26 +91,6 @@ def screening_campaign(library_size: int = 256, seed: int = 3,
                      length=FAB_LENGTH)
         for _ in range(library_size))
     return Workload(name="fab-screening", items=items)
-
-
-def multi_domain_workload(count: int = 64, seed: int = 5,
-                          domain_length: int = 250,
-                          max_domains: int = 8) -> Workload:
-    """Multi-domain proteins: 1-8 domains of ~250 residues each.
-
-    The long-range inter-domain effects these proteins exhibit are the
-    paper's argument for why protein inputs cannot be truncated.
-    """
-    rng = np.random.default_rng(seed)
-    generator = SequenceGenerator(seed=seed + 1)
-    items = []
-    for _ in range(count):
-        domains = int(rng.integers(1, max_domains + 1))
-        length = domains * domain_length + int(rng.integers(-20, 21))
-        length = max(length, 30)
-        items.append(WorkloadItem(sequence=generator.sequence(length),
-                                  length=length))
-    return Workload(name="multi-domain", items=tuple(items))
 
 
 def bucket_batches(workload: Workload, bucket_edges: Sequence[int],

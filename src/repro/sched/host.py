@@ -55,10 +55,6 @@ class HostModel:
         if min(self.elementwise_throughput, self.flops_throughput) <= 0:
             raise ValueError("host throughputs must be positive")
 
-    @property
-    def aggregate_elementwise_throughput(self) -> float:
-        return self.slots * self.elementwise_throughput
-
     def op_seconds(self, op: Op) -> float:
         """Time for one host op on one slot."""
         input_elements = 1
@@ -71,10 +67,6 @@ class HostModel:
             # Gathers / view changes: bandwidth-ish, modeled as one pass.
             return input_elements / self.elementwise_throughput
         return op.flops / self.flops_throughput
-
-    def softmax_finish_seconds(self, elements: int) -> float:
-        """Sum + divide over ``elements`` softmax entries (two passes)."""
-        return 2.0 * elements / self.elementwise_throughput
 
     def task_seconds(self, ops) -> float:
         """Total single-slot time for a host task's op tuple."""

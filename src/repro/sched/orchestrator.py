@@ -89,11 +89,6 @@ class ScheduleResult:
         return self.batch / self.makespan_seconds
 
     @property
-    def latency_seconds(self) -> float:
-        """Batch latency (the makespan)."""
-        return self.makespan_seconds
-
-    @property
     def bottleneck(self) -> str:
         """Which resource class limits this schedule.
 

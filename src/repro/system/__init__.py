@@ -10,8 +10,6 @@ from .multi import (
     DEFAULT_INSTANCES,
     ProSESystem,
     SystemReport,
-    format_scaling,
-    scaling_study,
 )
 
 __all__ = [
@@ -22,6 +20,4 @@ __all__ = [
     "format_campaign",
     "ProSESystem",
     "SystemReport",
-    "format_scaling",
-    "scaling_study",
 ]

@@ -19,8 +19,7 @@ from typing import List, Optional, Tuple
 
 from ..arch.config import HardwareConfig, best_perf
 from ..model.config import BertConfig, protein_bert_base
-from ..physical.power import power_report
-from ..sched.host import HOST_POWER_WATTS, HostModel
+from ..sched.host import HostModel
 from ..sched.orchestrator import Orchestrator, ScheduleResult
 from ..telemetry import MetricsRegistry, Tracer
 
@@ -50,22 +49,6 @@ class SystemReport:
     @property
     def throughput(self) -> float:
         return self.batch / self.makespan_seconds
-
-    @property
-    def accelerator_power_watts(self) -> float:
-        return self._accelerator_power
-
-    @property
-    def system_power_watts(self) -> float:
-        """All instances plus one shared host."""
-        return self._accelerator_power + HOST_POWER_WATTS
-
-    @property
-    def efficiency(self) -> float:
-        return self.throughput / self.system_power_watts
-
-    # power injected at construction (frozen dataclass workaround)
-    _accelerator_power: float = 0.0
 
 
 class ProSESystem:
@@ -141,35 +124,5 @@ class ProSESystem:
                 metrics.merge(shard_metrics)
                 metrics.histogram("system/shard_makespan_seconds").observe(
                     result.makespan_seconds)
-        accel_power = (power_report(self.hardware).accelerator_power_w
-                       * self.instances)
         return SystemReport(instances=self.instances,
-                            per_instance=tuple(results), batch=batch,
-                            _accelerator_power=accel_power)
-
-
-def scaling_study(config: Optional[BertConfig] = None,
-                  instance_counts: Tuple[int, ...] = (1, 2, 4),
-                  batch_per_instance: int = 64,
-                  seq_len: int = 512) -> List[SystemReport]:
-    """Throughput/efficiency scaling from 1 to N instances."""
-    config = config or protein_bert_base()
-    reports = []
-    for count in instance_counts:
-        system = ProSESystem(instances=count)
-        reports.append(system.simulate(
-            config, batch=batch_per_instance * count, seq_len=seq_len))
-    return reports
-
-
-def format_scaling(reports: List[SystemReport]) -> str:
-    lines = [f"{'instances':>10s} {'batch':>6s} {'inf/s':>9s} "
-             f"{'system W':>9s} {'inf/s/W':>8s} {'scaling':>8s}"]
-    base = reports[0].throughput if reports else 1.0
-    for report in reports:
-        lines.append(
-            f"{report.instances:10d} {report.batch:6d} "
-            f"{report.throughput:9.1f} {report.system_power_watts:9.1f} "
-            f"{report.efficiency:8.2f} "
-            f"{report.throughput / base:7.2f}x")
-    return "\n".join(lines)
+                            per_instance=tuple(results), batch=batch)

@@ -315,10 +315,6 @@ class CriticalPath:
         added left to right from int 0 as ``sum()`` adds before 3.12."""
         return reduce(add, (hop.self_seconds for hop in self.hops), 0)
 
-    @property
-    def gaps(self) -> int:
-        return sum(1 for hop in self.hops if hop.name == IDLE_HOP)
-
     def by_category(self) -> Dict[str, float]:
         """Path self-time per span category, largest first."""
         totals: Dict[str, float] = {}

@@ -97,10 +97,6 @@ class Histogram:
         self.min = low if self.min is None else min(self.min, low)
         self.max = high if self.max is None else max(self.max, high)
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
     def percentile(self, q: float) -> float:
         """Estimate the ``q``-th percentile (0 <= q <= 100).
 
@@ -187,14 +183,8 @@ class MetricsRegistry:
                   ) -> Histogram:
         return self._get(name, Histogram, bounds)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
     def __len__(self) -> int:
         return len(self._metrics)
-
-    def names(self) -> List[str]:
-        return list(self._metrics)
 
     def get(self, name: str) -> Optional[Metric]:
         return self._metrics.get(name)
@@ -243,21 +233,3 @@ class MetricsRegistry:
                                   if metric.count else "")
                 out.append(row)
         return out
-
-    def summary(self) -> str:
-        """Human-readable one-metric-per-line report."""
-        lines = []
-        for name, metric in self._metrics.items():
-            if isinstance(metric, Histogram):
-                if metric.count:
-                    lines.append(
-                        f"{name}: count={metric.count} "
-                        f"mean={metric.mean:.3g} "
-                        f"p50={metric.percentile(50):.3g} "
-                        f"p95={metric.percentile(95):.3g} "
-                        f"p99={metric.percentile(99):.3g}")
-                else:
-                    lines.append(f"{name}: count=0")
-            else:
-                lines.append(f"{name}: {metric.value:g}")
-        return "\n".join(lines)

@@ -301,23 +301,5 @@ class Tracer:
             (span for span in self.spans if span.end is not None),
             key=lambda span: (span.start, span.pid, span.tid, span.name))
 
-    def spans_on(self, pid: Optional[str] = None,
-                 tid: Optional[str] = None,
-                 category: Optional[str] = None) -> List[Span]:
-        """Closed spans filtered by process / track / category."""
-        return [span for span in self.finished_spans()
-                if (pid is None or span.pid == pid)
-                and (tid is None or span.tid == tid)
-                and (category is None or span.category == category)]
-
-    def tracks(self) -> List[Tuple[str, str]]:
-        """Distinct (pid, tid) pairs in first-appearance order."""
-        seen: Dict[Tuple[str, str], None] = {}
-        for span in self.spans:
-            seen.setdefault((span.pid, span.tid), None)
-        for event in self.instants:
-            seen.setdefault((event.pid, event.tid), None)
-        return list(seen)
-
     def __len__(self) -> int:
         return len(self._spans) + len(self._bulk.ids)

@@ -48,10 +48,6 @@ class TimeSeries:
         """Most recent sampled value (None when empty)."""
         return self._values[-1] if self._values else None
 
-    @property
-    def last_time(self) -> Optional[float]:
-        return self._times[-1] if self._times else None
-
     def value_at(self, t: float, default: float = 0.0) -> float:
         """The step-function value at ``t``: the latest sample with
         sample-time <= ``t``, or ``default`` before the first sample."""
@@ -113,12 +109,6 @@ class TimeSeriesStore:
 
     def names(self) -> List[str]:
         return list(self._series)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._series
-
-    def __len__(self) -> int:
-        return len(self._series)
 
     def __iter__(self) -> Iterator[TimeSeries]:
         return iter(self._series.values())

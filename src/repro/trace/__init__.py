@@ -1,4 +1,4 @@
-"""ATen-style op taxonomy, recorder, and symbolic tracer."""
+"""ATen-style op taxonomy and symbolic tracer."""
 
 from .ops import (
     BF16_BYTES,
@@ -9,13 +9,10 @@ from .ops import (
     bmm_op,
     elementwise_op,
     matmul_op,
+    maybe_record,
 )
-from .recorder import TraceRecorder, maybe_record
 from .tracer import (
     TraceSpec,
-    count_by_kind,
-    flops_by_category,
-    matmul_shapes,
     trace_embeddings,
     trace_layer,
     trace_model,
@@ -27,14 +24,10 @@ __all__ = [
     "FP32_BYTES",
     "Op",
     "OpKind",
-    "TraceRecorder",
     "TraceSpec",
     "bmm_op",
-    "count_by_kind",
     "elementwise_op",
-    "flops_by_category",
     "matmul_op",
-    "matmul_shapes",
     "maybe_record",
     "trace_embeddings",
     "trace_layer",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: Bytes per element for the bfloat16 streaming datapath.
 BF16_BYTES = 2
@@ -65,7 +65,6 @@ class Op:
             operand tensor shape.
         name: human-readable provenance such as ``"layer3.attention.query"``.
         layer: encoder layer index, or -1 for embedding/pooler ops.
-        batch: inference batch dimension this op belongs to.
         metadata: free-form annotations (e.g. scalar constants).
     """
 
@@ -73,7 +72,6 @@ class Op:
     shape: Tuple[int, ...]
     name: str = ""
     layer: int = -1
-    batch: int = 1
     metadata: Tuple[Tuple[str, float], ...] = field(default=())
 
     def __post_init__(self) -> None:
@@ -159,10 +157,15 @@ class Op:
                 return category
         return "Other"
 
-    def scaled(self, batch: int) -> "Op":
-        """Return a copy annotated with a different inference batch size."""
-        return Op(kind=self.kind, shape=self.shape, name=self.name,
-                  layer=self.layer, batch=batch, metadata=self.metadata)
+
+def maybe_record(recorder: Optional[List[Op]], op: Op) -> None:
+    """Append ``op`` when a recorder list is attached; otherwise do nothing.
+
+    The encoder's forward pass calls this for each ATen-level op it runs,
+    so ``model.forward(ids, recorder=ops)`` lists its op stream in ``ops``.
+    """
+    if recorder is not None:
+        recorder.append(op)
 
 
 def matmul_op(m: int, k: int, n: int, name: str = "",

@@ -11,7 +11,7 @@ test suite at small scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..model.config import BertConfig
 from .ops import Op, OpKind, bmm_op, elementwise_op, matmul_op
@@ -124,25 +124,3 @@ def trace_model(spec: TraceSpec) -> List[Op]:
     for layer in range(spec.config.num_layers):
         ops.extend(trace_layer(spec, layer))
     return ops
-
-
-def flops_by_category(ops: List[Op]) -> Dict[str, int]:
-    """Total FLOPs per Figure 3 category."""
-    totals: Dict[str, int] = {}
-    for op in ops:
-        category = op.figure3_category
-        totals[category] = totals.get(category, 0) + op.flops
-    return totals
-
-
-def count_by_kind(ops: List[Op]) -> Dict[OpKind, int]:
-    """Number of traced calls per op kind."""
-    counts: Dict[OpKind, int] = {}
-    for op in ops:
-        counts[op.kind] = counts.get(op.kind, 0) + 1
-    return counts
-
-
-def matmul_shapes(ops: List[Op]) -> List[Tuple[int, ...]]:
-    """All GEMM shapes in the trace (MATMUL as (m,k,n), BMM as (b,m,k,n))."""
-    return [op.shape for op in ops if op.kind in (OpKind.MATMUL, OpKind.BMM)]

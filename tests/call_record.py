@@ -22,6 +22,10 @@ start with ``_`` (dunder methods count), in a class whose name does not
 either.  Work done in worker processes is not recorded, so every entry
 point runs with one worker.  The file name keeps pytest from collecting
 it.
+
+The record is a gate: it exits 1 when a function that never ran is
+missing from :data:`JUSTIFIED`, or when an entry there now runs or is
+gone (a stale reason), and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -45,6 +49,12 @@ EXAMPLES = ROOT / "examples"
 
 #: (file, first line) of every code object that started running.
 Key = Tuple[str, int]
+
+#: ``path qualified.name`` of each public function that no entry point
+#: runs and that stays anyway -> the one-line reason it stays.  A
+#: function that no entry point runs otherwise belongs in a pinned runner
+#: block, in ``tests/oracles/`` or nowhere.
+JUSTIFIED: Dict[str, str] = {}
 
 
 def public_functions() -> Dict[Key, str]:
@@ -191,10 +201,21 @@ def main() -> int:
 
     functions = public_functions()
     never = sorted(key for key in functions if key not in seen)
+    names = set()
     for path, line in never:
         relative = os.path.relpath(path, ROOT)
-        print(f"{relative}:{line} {functions[(path, line)]}")
+        name = f"{relative} {functions[(path, line)]}"
+        names.add(name)
+        reason = JUSTIFIED.get(name, "NOT JUSTIFIED")
+        print(f"{relative}:{line} {functions[(path, line)]}  # {reason}")
     print(f"{len(never)} of {len(functions)} public functions never ran")
+    missing = sorted(names - set(JUSTIFIED))
+    stale = sorted(set(JUSTIFIED) - names)
+    for name in stale:
+        print(f"stale JUSTIFIED entry (it runs or is gone): {name}")
+    if missing or stale:
+        print(f"{len(missing)} unjustified, {len(stale)} stale")
+        return 1
     return 0
 
 

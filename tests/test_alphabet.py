@@ -52,10 +52,10 @@ class TestVocabulary:
     def test_special_tokens_come_first(self):
         vocab = DEFAULT_VOCABULARY
         assert vocab.pad_id == 0
-        assert vocab.mask_id == 1
+        assert vocab.tokens.index(vocab.mask_token) == 1
         assert vocab.cls_id == 2
         assert vocab.sep_id == 3
-        assert vocab.unk_id == 4
+        assert vocab.tokens.index(vocab.unk_token) == 4
 
     def test_amino_acids_follow_specials(self):
         vocab = DEFAULT_VOCABULARY
@@ -63,12 +63,13 @@ class TestVocabulary:
         assert vocab.tokens[5:25] == STANDARD_AMINO_ACIDS
 
     def test_unknown_character_maps_to_unk(self):
-        assert DEFAULT_VOCABULARY.index("*") == DEFAULT_VOCABULARY.unk_id
+        assert DEFAULT_VOCABULARY.index("*") \
+            == DEFAULT_VOCABULARY.tokens.index(DEFAULT_VOCABULARY.unk_token)
 
     def test_id_to_token_roundtrip(self):
         vocab = DEFAULT_VOCABULARY
         for token in STANDARD_AMINO_ACIDS:
-            assert vocab.id_to_token(vocab.index(token)) == token
+            assert vocab.tokens[vocab.index(token)] == token
 
     def test_custom_vocabulary_is_frozen(self):
         vocab = Vocabulary()

@@ -51,14 +51,6 @@ class TestHardwareConfig:
         assert config.total_pes == 16384
         assert config.link.total_bandwidth == pytest.approx(480e9)
 
-    def test_with_threads(self):
-        assert best_perf().with_threads(8).threads == 8
-
-    def test_summary_fields(self):
-        summary = best_perf().summary()
-        assert summary["name"] == "BestPerf"
-        assert summary["PEs"] == "16384"
-
 
 class TestTable4Configs:
     def test_pe_budgets(self):

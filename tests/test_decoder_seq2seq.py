@@ -4,6 +4,7 @@ import pytest
 
 from repro.dataflow import DataflowKind, build_seq2seq_graph
 from repro.model import protein_bert_base
+from tests.oracles.dataflow import validate_acyclic
 
 
 class TestSeq2SeqGraph:
@@ -13,7 +14,7 @@ class TestSeq2SeqGraph:
                                    src_len=128, tgt_len=64)
 
     def test_acyclic(self, graph):
-        assert graph.validate_acyclic()
+        assert validate_acyclic(graph)
 
     def test_dataflow_mix_per_decoder_layer(self, graph):
         # Encoder contributes 5/1/1 per layer; each decoder layer adds

@@ -6,7 +6,6 @@ from repro.downstream import (
     TASK_REGISTRY,
     default_task_extractor,
     evaluate_task,
-    fluorescence_label,
     format_results,
     make_task_dataset,
     stability_label,
@@ -33,9 +32,6 @@ class TestLabels:
         hydrophobic = "ILVILVILVILVILV"
         charged = "KDEKDEKDEKDEKDE"
         assert stability_label(hydrophobic) > stability_label(charged)
-
-    def test_single_sequence_helper(self):
-        assert isinstance(fluorescence_label("A" * 40 + "I" * 12), float)
 
 
 class TestTaskDatasets:

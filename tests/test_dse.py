@@ -23,7 +23,8 @@ FAST_CONFIG = protein_bert_tiny(num_layers=2, hidden_size=128, num_heads=4,
 class TestSpace:
     def test_all_mixes_hit_budget_exactly(self):
         for mix in enumerate_mixes():
-            assert mix.total_pes == DEFAULT_PE_BUDGET
+            config = mix_to_config(mix, DEFAULT_PARTITIONS[0])
+            assert config.total_pes == DEFAULT_PE_BUDGET
 
     def test_counts_within_table3_limits(self):
         for mix in enumerate_mixes():
@@ -47,7 +48,8 @@ class TestSpace:
         for budget in (8192, 20480, 24576):
             mixes = enumerate_mixes(budget)
             assert mixes
-            assert all(m.total_pes == budget for m in mixes)
+            assert all(mix_to_config(m, DEFAULT_PARTITIONS[0]).total_pes
+                       == budget for m in mixes)
 
     def test_mix_to_config_materializes(self):
         mix = Mix(2, 16, 10, 16, 22)

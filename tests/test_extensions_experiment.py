@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import extensions, sensitivity
+from repro.profiling import footprint_sweep
 from repro.model import protein_bert_tiny
 
 FAST_CONFIG = protein_bert_tiny(num_layers=2, hidden_size=128, num_heads=4,
@@ -42,9 +43,11 @@ class TestSeq2SeqStudy:
         tasks = {"stability": TaskResult(
             task="stability", rank_correlation=0.9,
             pearson_correlation=0.9, num_train=96, num_test=48)}
-        text = extensions.format_result((zoo, seq2seq, tasks))
+        footprints = footprint_sweep(lengths=(128, 512))
+        text = extensions.format_result((zoo, seq2seq, tasks, footprints))
         assert "model-zoo scalability" in text
         assert "encoder-decoder" in text
+        assert "max A100 batch" in text
 
 
 class TestSensitivityExperiment:
@@ -53,16 +56,17 @@ class TestSensitivityExperiment:
         return sensitivity.run(batch=32, seq_len=256)
 
     def test_all_knobs_present(self, result):
-        assert set(result.knobs) == {"host throughput", "contention",
-                                     "lane partition", "batch size"}
+        assert {p.knob for p in result.points} == {
+            "host throughput", "contention", "lane partition", "batch size"}
 
     def test_conclusion_robust(self, result):
         low, high = result.global_range
         assert low > 1.5          # ProSE clearly ahead everywhere
 
     def test_host_insensitive(self, result):
-        low, high = result.range_for("host throughput")
-        assert high / low < 1.25
+        host = [p.speedup_vs_a100 for p in result.points
+                if p.knob == "host throughput"]
+        assert max(host) / min(host) < 1.25
 
     def test_format_renders(self, result):
         text = sensitivity.format_result(result)

@@ -509,7 +509,7 @@ class TestCrossModelInvariants:
         # rest is the system's power over its makespan.
         dispatch = report.makespan_seconds - system.makespan_seconds
         assert (report.energy_joules - HOST_POWER_WATTS * dispatch
-                == pytest.approx(system.system_power_watts
+                == pytest.approx((4 * accelerator + HOST_POWER_WATTS)
                                  * system.makespan_seconds, rel=1e-12))
 
     def test_schedule_energy_bounded_by_power_times_makespan(self):

@@ -30,9 +30,12 @@ class TestHostModel:
         assert large == pytest.approx(4 * small)
 
     def test_softmax_finish_two_passes(self):
+        # The host finishes a softmax with a sum and a divide: one pass
+        # over the scores each.
         host = HostModel(elementwise_throughput=1e9)
-        assert host.softmax_finish_seconds(1_000_000) \
-            == pytest.approx(2e-3)
+        finish = (elementwise_op(OpKind.SUM, (1_000_000,)),
+                  elementwise_op(OpKind.DIV, (1_000_000,)))
+        assert host.task_seconds(finish) == pytest.approx(2e-3)
 
     def test_task_seconds_sums_ops(self):
         host = HostModel()
@@ -52,7 +55,3 @@ class TestHostModel:
             HostModel(slots=0)
         with pytest.raises(ValueError):
             HostModel(elementwise_throughput=0)
-
-    def test_aggregate_throughput(self):
-        host = HostModel(slots=4, elementwise_throughput=1e9)
-        assert host.aggregate_elementwise_throughput == pytest.approx(4e9)

@@ -9,7 +9,10 @@ from repro.dataflow import ArrayType, DataflowKind, build_dataflow_graph
 from repro.model import ProteinBert, to_bfloat16
 from repro.proteins import ProteinTokenizer, SequenceGenerator
 from repro.sched import Orchestrator
-from repro.trace import TraceRecorder
+from repro.trace import OpKind
+
+from tests.oracles.bf16 import is_bfloat16
+from tests.oracles.dataflow import validate_acyclic
 
 CONFIG = protein_bert_tiny(num_layers=2, hidden_size=64, num_heads=4,
                            intermediate_size=128)
@@ -20,13 +23,13 @@ class TestTraceToScheduleFlow:
 
     def test_recorded_trace_schedules(self):
         model = ProteinBert(CONFIG, seed=0)
-        recorder = TraceRecorder()
+        recorded = []
         sequences = SequenceGenerator(seed=0).batch(2, 14)
         encoding = ProteinTokenizer().encode_batch(sequences)
-        model.forward(encoding.ids, encoding.attention_mask, recorder)
+        model.forward(encoding.ids, encoding.attention_mask, recorded)
 
-        graph = build_dataflow_graph(list(recorder))
-        assert graph.validate_acyclic()
+        graph = build_dataflow_graph(recorded)
+        assert validate_acyclic(graph)
         kinds = [df.kind for _, df in graph.dataflows]
         assert kinds.count(DataflowKind.DATAFLOW_1) == 10
         assert kinds.count(DataflowKind.DATAFLOW_2) == 2
@@ -51,10 +54,9 @@ class TestFunctionalVsTimedConsistency:
         ids = rng.integers(5, 25, size=(1, 8))
         accelerated.forward(ids)
         # Every traced GEMM flop is 2 x a MAC; embeddings/norms add none.
-        recorder = TraceRecorder()
-        model.forward(ids, recorder=recorder)
-        from repro.trace import OpKind
-        gemm_flops = sum(op.flops for op in recorder
+        recorded = []
+        model.forward(ids, recorder=recorded)
+        gemm_flops = sum(op.flops for op in recorded
                          if op.kind in (OpKind.MATMUL, OpKind.BMM))
         assert 2 * accelerated.stats.mac_operations == gemm_flops
 
@@ -96,7 +98,6 @@ class TestPrecisionFlow:
         a = rng.normal(size=(16, 24)).astype(np.float32)
         b = rng.normal(size=(24, 16)).astype(np.float32)
         out = array.execute_chain(a, b)
-        from repro.model import is_bfloat16
         assert is_bfloat16(out).all()
 
     def test_exp_lut_agrees_with_systolic_path(self):

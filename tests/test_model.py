@@ -13,10 +13,8 @@ from repro.model import (
     gelu,
     initialize_weights,
     layer_norm,
-    load_weights,
     protein_bert_base,
     protein_bert_tiny,
-    save_weights,
     softmax,
     validate_weights,
 )
@@ -210,15 +208,6 @@ class TestWeights:
         weights = initialize_weights(protein_bert_tiny(), seed=0)
         w = weights["layer.0.attention.query.weight"]
         assert np.abs(w).max() <= 0.04 + 1e-6
-
-    def test_save_load_roundtrip(self, tmp_path):
-        config = protein_bert_tiny()
-        weights = initialize_weights(config, seed=1)
-        path = tmp_path / "weights.npz"
-        save_weights(weights, path)
-        loaded = load_weights(path)
-        assert set(loaded) == set(weights)
-        assert all(np.array_equal(loaded[k], weights[k]) for k in weights)
 
     def test_validate_rejects_missing(self):
         config = protein_bert_tiny()

@@ -176,13 +176,12 @@ class TestBurnRateAlerting:
         assert alert.fired_at == 0.5
         assert alert.value == pytest.approx(5.0)
         assert alert.resolved_at == pytest.approx(1.0)
-        assert not alert.active
 
     def test_still_active_at_the_end(self):
         report = self._monitor().observe(
             [0.5], {}, {"availability": ([1.0], [1.0])})
         (alert,) = report.alerts
-        assert alert.active
+        assert alert.resolved_at is None
 
     def test_budget_accounting(self):
         report = self._monitor().observe([0.5, 1.0], {}, self.EVENTS,
@@ -214,7 +213,7 @@ class TestThresholdAlerting:
         assert first.fired_at == pytest.approx(0.2)
         assert first.resolved_at == pytest.approx(0.3)
         assert second.fired_at == pytest.approx(0.4)
-        assert second.active
+        assert second.resolved_at is None
         assert second.peak_value == pytest.approx(3.0)
 
 
@@ -249,7 +248,7 @@ class TestFleetIntegration:
         report = simulator.run(batch=64, scenario=scenario,
                                monitor=monitor)
         outcome = report.slo
-        assert outcome.pages >= 1, outcome.summary()
+        assert outcome.pages >= 1, outcome
         assert outcome.fault_seconds is not None
         assert outcome.first_page_seconds is not None
         assert outcome.page_delay_seconds >= 0.0
@@ -378,7 +377,7 @@ class TestAlertTimelinesExperiment:
 
 class TestDashboard:
     def test_sparkline_shapes(self):
-        assert sparkline(TimeSeries("s"), width=8) == " " * 8
+        assert sparkline(TimeSeries("s"), width=8, end=1.0) == " " * 8
         flat = sparkline(TimeSeries("s", [0.0, 1.0], [5.0, 5.0]), width=8,
                          end=1.0)
         assert len(flat) == 8 and len(set(flat)) == 1  # constant: flat

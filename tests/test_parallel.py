@@ -73,7 +73,7 @@ class TestKeys:
         host = HostModel()
         base = schedule_key(trace, best_perf(), host)
         assert schedule_key(trace, most_efficient(), host) != base
-        assert schedule_key(trace, best_perf().with_threads(4),
+        assert schedule_key(trace, dataclasses.replace(best_perf(), threads=4),
                             host) != base
         assert schedule_key(trace, best_perf().with_link(nvlink(3, 0.9)),
                             host) != base
@@ -196,7 +196,8 @@ class TestExecutor:
         metrics = MetricsRegistry()
         SweepExecutor(workers=1).map(_double, [1, 2, 3], tracer=tracer,
                                      metrics=metrics, label="demo")
-        task_spans = tracer.spans_on(pid="demo", category="sweep")
+        task_spans = [span for span in tracer.finished_spans()
+                      if span.pid == "demo" and span.category == "sweep"]
         assert len(task_spans) == 4            # 3 tasks + summary
         assert metrics.get("parallel/demo/tasks").value == 3
 
@@ -259,14 +260,6 @@ class TestSweepParity:
         second = fresh.a100_runtime()
         assert first == second
         assert len(calls) == 1
-
-    def test_standalone_evaluate_hits_schedule_cache(self, explorer):
-        config = best_perf()
-        explorer.evaluate(config)
-        before = schedule_cache().stats.hits
-        point = explorer.evaluate(config)
-        assert schedule_cache().stats.hits == before + 1
-        assert point.runtime_seconds > 0
 
 
 class TestLutSharing:
@@ -340,8 +333,3 @@ class TestCliSweep:
         cached_build_graph(FAST_CONFIG, batch=2, seq_len=64)
         stats = cache_stats()
         assert stats["trace"].misses >= 1
-        metrics = MetricsRegistry()
-        from repro.parallel import record_cache_metrics
-
-        record_cache_metrics(metrics, stats)
-        assert metrics.get("cache/trace/misses").value >= 1

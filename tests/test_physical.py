@@ -2,56 +2,36 @@
 
 import pytest
 
-from repro.arch import (
-    MATMUL_FREQUENCY,
-    SIMD_FREQUENCY,
-    best_perf,
-    homogeneous,
-    table4_configs,
-)
+from repro.arch import best_perf, homogeneous
 from repro.physical import (
     TABLE2_ROWS,
     characteristics,
     input_buffer_bits,
-    power_area_table,
     power_report,
-    scale_area,
-    scale_delay,
-    scale_frequency,
-    scale_power,
     system_power_watts,
     table2,
-    validate_clock_feasibility,
 )
 from repro.sched import HOST_POWER_WATTS
-from tests.oracles.sram import synthesize_sram
+from tests.oracles.sram import scale_area, scale_power, synthesize_sram
 
 
 class TestScaling:
     def test_identity_scaling(self):
-        assert scale_power(100.0, 45, 45).value == pytest.approx(100.0)
+        assert scale_power(100.0, 45, 45) == pytest.approx(100.0)
 
     def test_power_improves_toward_7nm(self):
-        assert scale_power(100.0, 45, 7).value < 100.0
+        assert scale_power(100.0, 45, 7) < 100.0
 
     def test_area_shrinks_toward_7nm(self):
-        assert scale_area(1.0, 45, 7).value < 0.1
-
-    def test_frequency_rises_toward_7nm(self):
-        assert scale_frequency(1.0, 45, 7).value > 1.0
-
-    def test_delay_and_frequency_are_inverse(self):
-        delay = scale_delay(1.0, 45, 7)
-        frequency = scale_frequency(1.0, 45, 7)
-        assert delay.value * frequency.value == pytest.approx(1.0)
+        assert scale_area(1.0, 45, 7) < 0.1
 
     def test_unknown_node_rejected(self):
         with pytest.raises(ValueError):
             scale_power(1.0, 45, 5)
 
     def test_scaling_composes(self):
-        via_15 = scale_power(scale_power(100.0, 45, 15).value, 15, 7).value
-        direct = scale_power(100.0, 45, 7).value
+        via_15 = scale_power(scale_power(100.0, 45, 15), 15, 7)
+        direct = scale_power(100.0, 45, 7)
         assert via_15 == pytest.approx(direct)
 
 
@@ -88,10 +68,6 @@ class TestTable2Anchors:
 
     def test_table2_has_ten_rows(self):
         assert len(table2()) == 10
-
-    def test_clock_feasibility(self):
-        assert validate_clock_feasibility(MATMUL_FREQUENCY, SIMD_FREQUENCY)
-        assert not validate_clock_feasibility(2.0e9, SIMD_FREQUENCY)
 
 
 class TestSram:
@@ -156,12 +132,6 @@ class TestPowerReport:
         without = power_report(
             dataclasses.replace(best_perf(), use_input_buffer=False))
         assert without.accelerator_power_w < with_buffer.accelerator_power_w
-
-    def test_power_area_table_covers_table4(self):
-        table = power_area_table(table4_configs())
-        assert set(table) == {"BestPerf", "MostEfficient", "Homogeneous",
-                              "BestPerf+", "MostEfficient+",
-                              "Homogeneous+"}
 
     def test_prose_system_power_near_thirty_watts(self):
         # The efficiency headline numbers assume ~30 W system power.

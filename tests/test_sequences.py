@@ -1,4 +1,4 @@
-"""Tests for synthetic sequence generation and FASTA I/O."""
+"""Tests for synthetic sequence generation."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,16 +6,9 @@ from hypothesis import strategies as st
 
 from repro.proteins import (
     BACKGROUND_FREQUENCIES,
-    FastaRecord,
     SequenceGenerator,
     STANDARD_AMINO_ACIDS,
-    format_fasta,
     is_valid_sequence,
-    iter_windows,
-    length_histogram,
-    parse_fasta,
-    read_fasta,
-    write_fasta,
 )
 
 
@@ -87,61 +80,3 @@ class TestMutate:
         generator = SequenceGenerator(seed=4)
         base = generator.sequence(40)
         assert is_valid_sequence(generator.mutate(base, count))
-
-
-class TestFasta:
-    SAMPLE = ">seq1 first\nMEYQ\nACDE\n>seq2\nWWWW\n"
-
-    def test_parse_records(self):
-        records = parse_fasta(self.SAMPLE)
-        assert len(records) == 2
-        assert records[0].header == "seq1 first"
-        assert records[0].sequence == "MEYQACDE"
-        assert records[1].sequence == "WWWW"
-
-    def test_parse_skips_blank_lines(self):
-        records = parse_fasta(">a\n\nME\n\nYQ\n")
-        assert records[0].sequence == "MEYQ"
-
-    def test_sequence_before_header_rejected(self):
-        with pytest.raises(ValueError):
-            parse_fasta("MEYQ\n>late\nAC\n")
-
-    def test_invalid_characters_rejected(self):
-        with pytest.raises(ValueError):
-            parse_fasta(">bad\nME1Q\n")
-
-    def test_format_wraps_lines(self):
-        record = FastaRecord(header="long", sequence="A" * 130)
-        text = format_fasta([record], width=60)
-        lines = text.strip().split("\n")
-        assert lines[0] == ">long"
-        assert [len(line) for line in lines[1:]] == [60, 60, 10]
-
-    def test_roundtrip_through_disk(self, tmp_path):
-        records = [FastaRecord("a", "MEYQ"), FastaRecord("b", "ACDE")]
-        path = tmp_path / "test.fasta"
-        write_fasta(records, path)
-        assert read_fasta(path) == records
-
-    def test_parse_format_roundtrip(self):
-        records = parse_fasta(self.SAMPLE)
-        assert parse_fasta(format_fasta(records)) == records
-
-
-class TestHelpers:
-    def test_length_histogram(self):
-        records = [FastaRecord("a", "A" * n) for n in (5, 15, 25, 26)]
-        histogram = length_histogram(records, bins=[0, 10, 20, 30])
-        assert histogram == {(0, 10): 1, (10, 20): 1, (20, 30): 2}
-
-    def test_iter_windows_short_sequence(self):
-        assert list(iter_windows("MEYQ", window=10, stride=5)) == ["MEYQ"]
-
-    def test_iter_windows_stride(self):
-        windows = list(iter_windows("ABCDEFGH", window=4, stride=2))
-        assert windows == ["ABCD", "CDEF", "EFGH"]
-
-    def test_iter_windows_bad_args(self):
-        with pytest.raises(ValueError):
-            list(iter_windows("MEYQ", window=0, stride=1))

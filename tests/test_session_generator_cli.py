@@ -50,14 +50,6 @@ class TestInferenceSession:
         session = InferenceSession.small()
         assert session.model.config.hidden_size == 256
 
-    def test_rank_by(self, session):
-        order = session.rank_by(["a", "b", "c"], [0.1, 0.9, 0.5])
-        assert order == [1, 2, 0]
-
-    def test_rank_by_validates(self, session):
-        with pytest.raises(ValueError):
-            session.rank_by(["a"], [1.0, 2.0])
-
     def test_energy_is_latency_times_power(self, session):
         result = session.embed(["MEYQ"])
         assert result.estimated_energy_joules == pytest.approx(
@@ -182,6 +174,36 @@ class TestCli:
         (["fleet", "--scenario", "nope"],
          "unknown scenario 'nope'; choose from: none, all, "
          "rack_power_loss, link_flap_storm, slow_node, rolling_restart"),
+        (["simulate", "--seq-len", "5000"],
+         r"--seq-len must be at most 2048 \(the model's max_position\), "
+         "got 5000"),
+        (["compare", "--seq-len", "5000"],
+         r"--seq-len must be at most 2048 \(the model's max_position\), "
+         "got 5000"),
+        (["dse", "--seq-len", "5000"],
+         r"--seq-len must be at most 2048 \(the model's max_position\), "
+         "got 5000"),
+        (["trace", "--seq-len", "5000"],
+         r"--seq-len must be at most 2048 \(the model's max_position\), "
+         "got 5000"),
+        (["fleet", "--seq-len", "5000"],
+         r"--seq-len must be at most 2048 \(the model's max_position\), "
+         "got 5000"),
+        (["fleet", "--tiny", "--seq-len", "300"],
+         r"--seq-len must be at most 256 \(the model's max_position\), "
+         "got 300"),
+        (["reliability", "--seq-len", "5000"],
+         r"--seq-len must be at most 2048 \(the model's max_position\), "
+         "got 5000"),
+        (["binding", "--seed", "-1"], "--seed must be at least 0, got -1"),
+        (["reliability", "--seed", "-1"],
+         "--seed must be at least 0, got -1"),
+        (["trace", "--workload", "serving", "--seed", "-1"],
+         "--seed must be at least 0, got -1"),
+        (["embed", "MEY@@"], "not a protein sequence: 'MEY@@'"),
+        (["embed", ""], "not a protein sequence: ''"),
+        (["embed", "A" * 600],
+         "a sequence of 600 residues exceeds the model's limit of 510"),
     ])
     def test_out_of_range_input_rejected(self, argv, message):
         with pytest.raises(SystemExit, match=f"^{message}$"):

@@ -57,7 +57,8 @@ class TestLanePartition:
 
     def test_enumerate_partitions_cover_six_lanes(self):
         partitions = enumerate_partitions(6)
-        assert all(p.total_lanes == 6 for p in partitions)
+        assert all(sum(count for _, count in p.lanes_by_type) == 6
+                   for p in partitions)
         # Compositions of 6 into 3 positive parts: C(5,2) = 10.
         assert len(partitions) == 10
 

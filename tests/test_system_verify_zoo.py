@@ -10,7 +10,7 @@ from repro.profiling import (
     model_footprint,
     prose_device_bytes,
 )
-from repro.system import ProSESystem, format_scaling, scaling_study
+from repro.system import ProSESystem
 from tests.oracles.differential import DifferentialHarness, campaign_report
 
 FAST_CONFIG = protein_bert_tiny(num_layers=2, hidden_size=128, num_heads=4,
@@ -124,29 +124,3 @@ class TestProSESystem:
         four = ProSESystem(instances=4).simulate(FAST_CONFIG, batch=64,
                                                  seq_len=64)
         assert 3.0 <= four.throughput / one.throughput <= 5.0
-
-    def test_host_power_counted_once(self):
-        from repro.sched import HOST_POWER_WATTS
-        from repro.physical import accelerator_power_watts
-        from repro.arch import best_perf
-        report = ProSESystem(instances=4).simulate(FAST_CONFIG, batch=16,
-                                                   seq_len=64)
-        expected = 4 * accelerator_power_watts(best_perf()) \
-            + HOST_POWER_WATTS
-        assert report.system_power_watts == pytest.approx(expected)
-
-    def test_efficiency_improves_with_sharing(self):
-        # The shared host amortizes: 4 instances beat 4x one-instance
-        # power but not 4x throughput — efficiency per Watt rises.
-        one = ProSESystem(instances=1).simulate(FAST_CONFIG, batch=16,
-                                                seq_len=64)
-        four = ProSESystem(instances=4).simulate(FAST_CONFIG, batch=64,
-                                                 seq_len=64)
-        assert four.efficiency > one.efficiency
-
-    def test_scaling_study_format(self):
-        reports = scaling_study(config=FAST_CONFIG,
-                                instance_counts=(1, 2),
-                                batch_per_instance=8, seq_len=64)
-        text = format_scaling(reports)
-        assert "instances" in text and "scaling" in text

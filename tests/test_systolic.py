@@ -200,9 +200,6 @@ class TestFunctionalSystolicArray:
         # 2x2 tiles of the 8x8 output, one rotation (4 cycles) each.
         assert stats.simd_cycles == 4 * 4
 
-    def test_simd_alu_count_equals_rows(self):
-        assert SystolicArray(16, ArrayType.E).num_simd_alus == 16
-
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):
             SystolicArray(0, ArrayType.M)

@@ -16,7 +16,6 @@ class TestAppend:
         assert list(series.samples()) == [(0.0, 1.0), (1.0, 2.0)]
         assert len(series) == 2
         assert series.last == 2.0
-        assert series.last_time == 1.0
 
     def test_equal_times_allowed(self):
         series = TimeSeries("s", [1.0, 1.0], [1.0, 2.0])
@@ -26,7 +25,7 @@ class TestAppend:
         store = TimeSeriesStore()
         with pytest.raises(ValueError, match="t=0.5 is earlier"):
             store.add([0.0, 1.0, 0.5], {"s": [1.0, 1.0, 2.0]})
-        assert len(store) == 0
+        assert store.names() == []
 
     def test_column_lengths_must_match(self):
         with pytest.raises(ValueError, match="'s' has 1 values for 2"):
@@ -46,7 +45,6 @@ class TestPointQueries:
     def test_empty_series(self):
         series = TimeSeries("s")
         assert series.last is None
-        assert series.last_time is None
         assert series.value_at(1.0) == 0.0
 
 
@@ -97,8 +95,6 @@ class TestStore:
         assert list(store.get("b").samples()) == [(0.0, 1.0), (2.0, 3.0)]
         store.add([3.0], {"d": [0.0]})
         assert store.names() == ["b", "a", "c", "d"]
-        assert len(store) == 4
-        assert "a" in store and "missing" not in store
         assert store.get("missing") is None
         assert store.get("b").last == 3.0
         assert [series.name for series in store] == ["b", "a", "c", "d"]

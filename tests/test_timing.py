@@ -143,12 +143,3 @@ class TestTimeDataflow:
         df1 = dataflow_of(graph, DataflowKind.DATAFLOW_1)
         assert (time_dataflow(df1, 64, without).total_stream_bytes
                 > time_dataflow(df1, 64, with_buffer).total_stream_bytes)
-
-    def test_bound_total_seconds_uses_max(self, graph, config):
-        df1 = dataflow_of(graph, DataflowKind.DATAFLOW_1)
-        timing = time_dataflow(df1, 64, config)
-        tight = timing.bound_total_seconds(type_bandwidth=1e30)
-        assert tight == pytest.approx(timing.accel_compute_seconds
-                                      + timing.host_compute_seconds)
-        loose = timing.bound_total_seconds(type_bandwidth=1e9)
-        assert loose > tight

@@ -9,7 +9,6 @@ from repro.proteins import (
     Workload,
     WorkloadItem,
     bucket_batches,
-    multi_domain_workload,
     screening_campaign,
     uniprot_like_workload,
 )
@@ -44,22 +43,6 @@ class TestWorkloadGenerators:
         assert all(item.length == FAB_LENGTH for item in campaign.items)
         # All variants differ from each other (point-mutant library).
         assert len({item.sequence for item in campaign.items}) > 25
-
-    def test_multi_domain_lengths(self):
-        workload = multi_domain_workload(count=50, seed=3)
-        assert workload.max_length > 1000       # several domains
-        assert workload.lengths.min() >= 30
-
-    def test_sorted_by_length(self):
-        workload = uniprot_like_workload(count=30, seed=4)
-        ordered = workload.sorted_by_length()
-        assert list(ordered.lengths) == sorted(workload.lengths)
-
-    def test_histogram(self):
-        workload = Workload(name="t", items=(
-            WorkloadItem("A" * 10, 10), WorkloadItem("A" * 100, 100)))
-        histogram = workload.length_histogram([0, 50, 200])
-        assert histogram == {(0, 50): 1, (50, 200): 1}
 
     def test_invalid_count_rejected(self):
         with pytest.raises(ValueError):
