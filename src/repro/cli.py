@@ -28,10 +28,11 @@ from typing import List, Optional
 from . import __version__
 from .arch.config import HardwareConfig, table4_configs
 from .core.engine import ProSEEngine
-from .core.session import InferenceSession
+from .core.session import SMALL_CONFIG, InferenceSession
 from .model.config import BertConfig, protein_bert_base, protein_bert_tiny
 from .model.zoo import describe, zoo_names
 from .proteins.alphabet import is_valid_sequence
+from .proteins.tokenizer import ProteinTokenizer
 
 
 def _hardware_by_name(name: str) -> HardwareConfig:
@@ -184,14 +185,6 @@ def cmd_binding(args: argparse.Namespace) -> int:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     session = InferenceSession.small(functional=args.functional)
-    # The tokenizer frames each sequence with <cls> and <sep>.
-    limit = session.model.config.max_position - 2
-    for sequence in args.sequences:
-        if not is_valid_sequence(sequence):
-            raise SystemExit(f"not a protein sequence: {sequence!r}")
-        if len(sequence) > limit:
-            raise SystemExit(f"a sequence of {len(sequence)} residues "
-                             f"exceeds the model's limit of {limit}")
     result = session.embed(args.sequences)
     print(f"embedded {len(args.sequences)} sequences -> "
           f"{result.embeddings.shape[1]}-d features "
@@ -697,17 +690,36 @@ def _check_args(args: argparse.Namespace) -> None:
         if value is not None and not 0.0 <= value <= 1.0:
             raise SystemExit(f"--{dest.replace('_', '-')} must be in "
                              f"[0, 1], got {value}")
-    # trace's functional workload caps the length and serving draws its
-    # own; every other --seq-len reaches the encoder.
+    # --seq-len reaches the encoder except on trace's functional workload
+    # (which caps it) and serving (which draws its own lengths), fleet
+    # --list and --scenario all, and reliability --sweep.
     if (getattr(args, "seq_len", None) is not None
-            and getattr(args, "workload", "all") not in ("functional",
-                                                          "serving")):
+            and getattr(args, "workload", None) not in ("functional",
+                                                         "serving")
+            and not getattr(args, "list", False)
+            and getattr(args, "scenario", None) != "all"
+            and not getattr(args, "sweep", False)):
         limit = _model_config(args).max_position
         if args.seq_len > limit:
             raise SystemExit(f"--seq-len must be at most {limit} (the "
                              f"model's max_position), got {args.seq_len}")
-    if getattr(args, "seed", 0) < 0:
+    # --seed seeds numpy except on fleet and trace's schedule and system
+    # workloads, which take any integer.
+    if (getattr(args, "seed", 0) < 0 and args.command != "fleet"
+            and getattr(args, "workload", None) not in ("schedule",
+                                                         "system")):
         raise SystemExit(f"--seed must be at least 0, got {args.seed}")
+    if args.command == "embed":
+        tokenizer = ProteinTokenizer()
+        for sequence in args.sequences:
+            if not is_valid_sequence(sequence):
+                raise SystemExit(f"not a protein sequence: {sequence!r}")
+            tokens = len(tokenizer.encode(sequence).ids)
+            if tokens > SMALL_CONFIG.max_position:
+                raise SystemExit(
+                    f"a sequence of {len(sequence)} residues encodes to "
+                    f"{tokens} tokens, more than the model's max_position "
+                    f"{SMALL_CONFIG.max_position}")
     if getattr(args, "breaker_failures", 0) < 0:
         raise SystemExit("--breaker-failures must be at least 0, got "
                          f"{args.breaker_failures}")

@@ -28,6 +28,10 @@ from ..physical.power import power_report
 from ..proteins.tokenizer import ProteinTokenizer
 from ..sched.orchestrator import Orchestrator
 
+#: The compact encoder of :meth:`InferenceSession.small`.
+SMALL_CONFIG = BertConfig(hidden_size=256, num_layers=4, num_heads=8,
+                          intermediate_size=512, max_position=512)
+
 
 @dataclass(frozen=True)
 class SessionResult:
@@ -74,14 +78,11 @@ class InferenceSession:
         self._system_power = power_report(self.hardware).system_power_w
 
     @classmethod
-    def small(cls, seed: int = 0, functional: bool = False,
-              max_position: int = 512) -> "InferenceSession":
+    def small(cls, seed: int = 0,
+              functional: bool = False) -> "InferenceSession":
         """A laptop-friendly session with a compact pretrained-like model."""
-        config = BertConfig(hidden_size=256, num_layers=4, num_heads=8,
-                            intermediate_size=512,
-                            max_position=max_position)
-        model = ProteinBert(config,
-                            weights=pretrained_like_weights(config,
+        model = ProteinBert(SMALL_CONFIG,
+                            weights=pretrained_like_weights(SMALL_CONFIG,
                                                             seed=seed))
         return cls(model=model, functional=functional)
 

@@ -15,7 +15,10 @@ each entry point of the repository from a temporary directory:
   pass over its traced blocks, checks included);
 * the seven ``examples/``.
 
-Then it prints each public function or method defined in ``src/repro``
+Then it runs, under bash and unrecorded, every CI workflow step that
+feeds an inline ``python - <<'EOF'`` script, so that deleting a function
+one of those scripts still calls fails here and not only in CI.  Last
+it prints each public function or method defined in ``src/repro``
 whose code never ran, as ``path:line qualified.name``.  Public means
 defined at module level or in a class body, with a name that does not
 start with ``_`` (dunder methods count), in a class whose name does not
@@ -23,9 +26,9 @@ either.  Work done in worker processes is not recorded, so every entry
 point runs with one worker.  The file name keeps pytest from collecting
 it.
 
-The record is a gate: it exits 1 when a function that never ran is
-missing from :data:`JUSTIFIED`, or when an entry there now runs or is
-gone (a stale reason), and 0 otherwise.
+The record is a gate: it exits 1 when a CI script fails, when a
+function that never ran is missing from :data:`JUSTIFIED`, or when an
+entry there now runs or is gone (a stale reason), and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -35,8 +38,10 @@ import contextlib
 import io
 import os
 import runpy
+import subprocess
 import sys
 import tempfile
+import textwrap
 import threading
 import time
 from pathlib import Path
@@ -46,6 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
 PERF = ROOT / "perf"
 EXAMPLES = ROOT / "examples"
+WORKFLOWS = ROOT / ".github" / "workflows"
 
 #: (file, first line) of every code object that started running.
 Key = Tuple[str, int]
@@ -181,6 +187,54 @@ def run_examples() -> None:
             sys.argv = argv
 
 
+def ci_scripts() -> List[Tuple[str, str]]:
+    """(step name, bash script) of each workflow step with inline Python.
+
+    Read line by line (the job installs no YAML parser): a step's script
+    is the block under its ``run: |`` key.
+    """
+    steps: List[Tuple[str, str]] = []
+    for path in sorted(WORKFLOWS.glob("*.yml")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        name = ""
+        for index, line in enumerate(lines):
+            text = line.strip()
+            if text.startswith("- name:"):
+                name = text[len("- name:"):].strip()
+            if text != "run: |":
+                continue
+            indent = len(line) - len(line.lstrip())
+            body = []
+            for follow in lines[index + 1:]:
+                if follow.strip() and len(follow) - len(follow.lstrip()) \
+                        <= indent:
+                    break
+                body.append(follow)
+            script = textwrap.dedent("\n".join(body))
+            if "python - <<'EOF'" in script:
+                steps.append((name, script))
+    return steps
+
+
+def run_ci_scripts(workdir: Path) -> int:
+    """Run each :func:`ci_scripts` step as CI does; 1 if any fails."""
+    (workdir / "src").symlink_to(ROOT / "src")
+    runner_temp = workdir / "runner_temp"
+    runner_temp.mkdir()
+    env = dict(os.environ, GITHUB_WORKSPACE=str(ROOT),
+               RUNNER_TEMP=str(runner_temp),
+               PATH=os.pathsep.join([os.path.dirname(sys.executable),
+                                     os.environ.get("PATH", "")]))
+    for name, script in ci_scripts():
+        done = subprocess.run(
+            ["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c",
+             script], cwd=workdir, env=env, capture_output=True, text=True)
+        if done.returncode != 0:
+            print(f"CI step failed: {name}\n{done.stdout}{done.stderr}")
+            return 1
+    return 0
+
+
 def main() -> int:
     seen: Set[Key] = set()
     stages = (("cli", run_cli), ("experiments", run_experiments),
@@ -196,6 +250,10 @@ def main() -> int:
                     stage()
                 print(f"ran {label} in {time.perf_counter() - started:.1f} s",
                       file=sys.stderr)
+            started = time.perf_counter()
+            failed = run_ci_scripts(Path(workdir))
+            print(f"ran ci scripts in {time.perf_counter() - started:.1f} s",
+                  file=sys.stderr)
         finally:
             os.chdir(cwd)
 
@@ -216,7 +274,7 @@ def main() -> int:
     if missing or stale:
         print(f"{len(missing)} unjustified, {len(stale)} stale")
         return 1
-    return 0
+    return failed
 
 
 if __name__ == "__main__":

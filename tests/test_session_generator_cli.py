@@ -203,11 +203,26 @@ class TestCli:
         (["embed", "MEY@@"], "not a protein sequence: 'MEY@@'"),
         (["embed", ""], "not a protein sequence: ''"),
         (["embed", "A" * 600],
-         "a sequence of 600 residues exceeds the model's limit of 510"),
+         "a sequence of 600 residues encodes to 602 tokens, more than "
+         "the model's max_position 512"),
     ])
     def test_out_of_range_input_rejected(self, argv, message):
         with pytest.raises(SystemExit, match=f"^{message}$"):
             main(argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["fleet", "--list", "--seq-len", "3000"],
+        ["fleet", "--tiny", "--seed", "-1", "--batch", "16"],
+        ["trace", "--workload", "schedule", "--seed", "-1", "--batch", "2",
+         "--seq-len", "64"],
+        ["trace", "--workload", "functional", "--seq-len", "5000"],
+    ])
+    def test_value_the_path_does_not_read_accepted(self, argv, tmp_path):
+        # The --seq-len and --seed limits hold only where the value
+        # reaches the encoder or numpy's generator.
+        if argv[0] == "trace":
+            argv = argv + ["--observe", str(tmp_path)]
+        assert main(argv) == 0
 
     def test_reliability_outage_fleet_line_pinned(self, capsys):
         # At fault rate 0.9 most of the batch is shed.  The run finishes
