@@ -11,12 +11,13 @@ against the float reference can be measured directly.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..dataflow.patterns import ArrayType
 from ..model.bert import ProteinBert
+from ..model.tensors import to_bfloat16
 from ..telemetry import MetricsRegistry, Tracer
 from .systolic import ExecutionStats, SimdOpcode, SimdStep, SystolicArray
 
@@ -35,6 +36,10 @@ class AcceleratedProteinBert:
         metrics: optional registry accumulating tile/cycle/byte
             counters across forward passes.  Numerics are unaffected
             by either.
+
+    Each layer's six GEMM weight matrices are rounded to bfloat16 once,
+    here: they are immutable model state, so the arrays are told not to
+    round them again on every call.
     """
 
     def __init__(self, model: ProteinBert, array_size: int = 16,
@@ -47,6 +52,14 @@ class AcceleratedProteinBert:
         self.g_array = SystolicArray(array_size, ArrayType.G)
         self.e_array = SystolicArray(array_size, ArrayType.E)
         self.stats = ExecutionStats()
+        #: Per layer: the query, key, value, attention-output,
+        #: intermediate and output weights, rounded to bfloat16.
+        self.bf16_weights: List[Tuple[np.ndarray, ...]] = [
+            tuple(to_bfloat16(linear.weight) for linear in (
+                layer.attention.query, layer.attention.key,
+                layer.attention.value, layer.attention.output,
+                layer.intermediate, layer.output))
+            for layer in model.layers]
 
     # -- telemetry helpers ----------------------------------------------
 
@@ -80,7 +93,8 @@ class AcceleratedProteinBert:
             steps.append(SimdStep(SimdOpcode.ADD, bias, broadcast_rows=True))
         if residual is not None:
             steps.append(SimdStep(SimdOpcode.ADD, residual))
-        return self.m_array.execute_chain(x, weight, tuple(steps), self.stats)
+        return self.m_array.execute_chain(x, weight, tuple(steps), self.stats,
+                                          assume_bf16_b=True)
 
     # -- Dataflow 2: MatMul -> MulAdd -> GELU on the G-Type array -------
 
@@ -88,7 +102,8 @@ class AcceleratedProteinBert:
                    bias: np.ndarray) -> np.ndarray:
         steps = (SimdStep(SimdOpcode.ADD, bias, broadcast_rows=True),
                  SimdStep(SimdOpcode.GELU))
-        return self.g_array.execute_chain(x, weight, steps, self.stats)
+        return self.g_array.execute_chain(x, weight, steps, self.stats,
+                                          assume_bf16_b=True)
 
     # -- Dataflow 3: batched MatMul -> MatDiv -> Exp -> host -> MatMul --
 
@@ -139,12 +154,11 @@ class AcceleratedProteinBert:
                 layer_snapshot = self._snapshot()
             flat = hidden.reshape(batch * seq, cfg.hidden_size)
             attention = layer.attention
-            q = self._dataflow1(flat, attention.query.weight,
-                                attention.query.bias)
-            k = self._dataflow1(flat, attention.key.weight,
-                                attention.key.bias)
-            v = self._dataflow1(flat, attention.value.weight,
-                                attention.value.bias)
+            (query, key, value, attention_output, intermediate,
+             output) = self.bf16_weights[layer_index]
+            q = self._dataflow1(flat, query, attention.query.bias)
+            k = self._dataflow1(flat, key, attention.key.bias)
+            v = self._dataflow1(flat, value, attention.value.bias)
 
             def heads_of(x: np.ndarray) -> np.ndarray:
                 return (x.reshape(batch, seq, heads, head_dim)
@@ -167,16 +181,16 @@ class AcceleratedProteinBert:
                       .reshape(batch * seq, cfg.hidden_size))
 
             attended = self._dataflow1(
-                merged, attention.output.weight, attention.output.bias,
+                merged, attention_output, attention.output.bias,
                 residual=flat)
             hidden = layer.attention_norm.forward(
                 attended.reshape(batch, seq, cfg.hidden_size))
 
             flat = hidden.reshape(batch * seq, cfg.hidden_size)
-            inner = self._dataflow2(flat, layer.intermediate.weight,
+            inner = self._dataflow2(flat, intermediate,
                                     layer.intermediate.bias)
-            projected = self._dataflow1(inner, layer.output.weight,
-                                        layer.output.bias, residual=flat)
+            projected = self._dataflow1(inner, output, layer.output.bias,
+                                        residual=flat)
             hidden = layer.output_norm.forward(
                 projected.reshape(batch, seq, cfg.hidden_size))
             if tracer is not None:

@@ -83,11 +83,17 @@ class SystolicArray:
         return (math.ceil(m / self.size), math.ceil(n_out / self.size))
 
     def matmul(self, a: np.ndarray, b: np.ndarray,
-               stats: Optional[ExecutionStats] = None) -> np.ndarray:
+               stats: Optional[ExecutionStats] = None,
+               assume_bf16_b: bool = False) -> np.ndarray:
         """Compute ``A @ B`` with bf16 operands and fp32 accumulation.
 
         Shapes are unrestricted; larger matrices are tiled over the array
         exactly as Figure 11(c) decomposes them (accounted in ``stats``).
+
+        ``assume_bf16_b=True`` skips rounding ``b`` when the caller knows
+        it already holds exact bfloat16 patterns (a weight matrix rounded
+        once, when the model was built).  ``to_bfloat16`` is idempotent,
+        so the elision is bit-identical.
         """
         a = np.asarray(a, dtype=np.float32)
         b = np.asarray(b, dtype=np.float32)
@@ -95,7 +101,7 @@ class SystolicArray:
             raise ValueError(f"bad matmul shapes {a.shape} x {b.shape}")
         m, k = a.shape
         n_out = b.shape[1]
-        result = to_bfloat16(a) @ to_bfloat16(b)
+        result = to_bfloat16(a) @ (b if assume_bf16_b else to_bfloat16(b))
         if stats is not None:
             rows, cols = self._tile_counts(m, n_out)
             tiles = rows * cols
@@ -158,7 +164,8 @@ class SystolicArray:
 
     def execute_chain(self, a: np.ndarray, b: np.ndarray,
                       steps: Tuple[SimdStep, ...] = (),
-                      stats: Optional[ExecutionStats] = None) -> np.ndarray:
+                      stats: Optional[ExecutionStats] = None,
+                      assume_bf16_b: bool = False) -> np.ndarray:
         """Run MatMul followed by chained SIMD steps in one local dataflow.
 
         This is the paper's central mechanism: the GEMM result never leaves
@@ -168,9 +175,10 @@ class SystolicArray:
         Only the first SIMD step rounds its input: the GEMM result carries
         fp32 accumulations, but every step *output* is already exact
         bfloat16, so subsequent steps (and the final read-out) skip the
-        redundant re-rounding.
+        redundant re-rounding.  ``assume_bf16_b`` is passed to
+        :meth:`matmul`.
         """
-        resident = self.matmul(a, b, stats)
+        resident = self.matmul(a, b, stats, assume_bf16_b)
         is_bf16 = False
         for step in steps:
             resident = self.simd(resident, step, stats,

@@ -8,7 +8,7 @@ fixed-width feature vector per protein.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ class FeatureExtractor:
     Args:
         model: the encoder to extract with.
         tokenizer: protein tokenizer (defaults to the standard one).
-        batch_size: sequences encoded per forward pass.
+        batch_size: at most this many sequences per forward pass.
     """
 
     def __init__(self, model: ProteinBert,
@@ -35,13 +35,29 @@ class FeatureExtractor:
         self.batch_size = batch_size
 
     def extract(self, sequences: Sequence[str]) -> np.ndarray:
-        """Features of shape ``(len(sequences), hidden_size)``."""
+        """Features of shape ``(len(sequences), hidden_size)``.
+
+        Only sequences of equal token length share a forward pass, so no
+        attention work is spent on padding: the sequences are grouped by
+        token length (input order kept inside a group), each group runs in
+        chunks of at most ``batch_size``, and each pooled row goes back to
+        its input position.  Sequences that all have one length run the
+        same chunks, with the same all-ones masks, as padding each chunk.
+        """
         if not sequences:
             raise ValueError("extract requires at least one sequence")
-        chunks: List[np.ndarray] = []
-        for start in range(0, len(sequences), self.batch_size):
-            batch = sequences[start:start + self.batch_size]
-            encoding = self.tokenizer.encode_batch(batch)
-            chunks.append(self.model.features(
-                encoding.ids, attention_mask=encoding.attention_mask))
-        return np.concatenate(chunks, axis=0)
+        encodings = [self.tokenizer.encode(sequence)
+                     for sequence in sequences]
+        groups: Dict[int, List[int]] = {}
+        for index, encoding in enumerate(encodings):
+            groups.setdefault(len(encoding.ids), []).append(index)
+        features = np.empty((len(sequences), self.model.config.hidden_size),
+                            dtype=np.float32)
+        for members in groups.values():
+            for start in range(0, len(members), self.batch_size):
+                chunk = members[start:start + self.batch_size]
+                features[chunk] = self.model.features(
+                    np.stack([encodings[i].ids for i in chunk]),
+                    attention_mask=np.stack(
+                        [encodings[i].attention_mask for i in chunk]))
+        return features

@@ -448,7 +448,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
                               size=(2, min(args.seq_len, 32)))
         accelerated.forward(tokens)
         tiles = metrics.get("functional/tiles")
-        print(f"functional: {int(tiles.value)} GEMM tiles")
+        print(f"functional: {tokens.shape[0]} x {tokens.shape[1]} tokens, "
+              f"{int(tiles.value)} GEMM tiles")
 
     _observe(args, tracer=tracer, metrics=metrics,
              workloads=list(workloads), batch=args.batch,

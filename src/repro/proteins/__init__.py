@@ -1,7 +1,6 @@
 """Protein substrate: alphabet, tokenizer, sequences, datasets."""
 
 from .alphabet import (
-    AMINO_ACID_NAMES,
     CHARGE,
     DEFAULT_VOCABULARY,
     EXTENDED_AMINO_ACIDS,
@@ -29,7 +28,6 @@ from .workloads import (
 )
 
 __all__ = [
-    "AMINO_ACID_NAMES",
     "BACKGROUND_FREQUENCIES",
     "CHARGE",
     "DEFAULT_VOCABULARY",

@@ -10,7 +10,7 @@ models require (pad, mask, class, separator, unknown).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 #: The 20 standard proteinogenic amino acids, one-letter codes.
 STANDARD_AMINO_ACIDS: Tuple[str, ...] = (
@@ -20,17 +20,6 @@ STANDARD_AMINO_ACIDS: Tuple[str, ...] = (
 
 #: Ambiguous / non-standard one-letter codes found in sequence databases.
 EXTENDED_AMINO_ACIDS: Tuple[str, ...] = ("B", "O", "U", "X", "Z")
-
-#: Three-letter names of the amino-acid codes.
-AMINO_ACID_NAMES: Dict[str, str] = {
-    "A": "Alanine", "C": "Cysteine", "D": "Aspartate", "E": "Glutamate",
-    "F": "Phenylalanine", "G": "Glycine", "H": "Histidine", "I": "Isoleucine",
-    "K": "Lysine", "L": "Leucine", "M": "Methionine", "N": "Asparagine",
-    "P": "Proline", "Q": "Glutamine", "R": "Arginine", "S": "Serine",
-    "T": "Threonine", "V": "Valine", "W": "Tryptophan", "Y": "Tyrosine",
-    "B": "Asx", "O": "Pyrrolysine", "U": "Selenocysteine", "X": "Unknown",
-    "Z": "Glx",
-}
 
 #: Kyte-Doolittle hydropathy index, used by the synthetic binding-energy
 #: model in :mod:`repro.binding` as a simple biophysical descriptor.
@@ -109,10 +98,8 @@ class Vocabulary:
 DEFAULT_VOCABULARY = Vocabulary()
 
 
-def is_valid_sequence(sequence: str, allow_extended: bool = True) -> bool:
-    """Return True when every character is a recognised amino-acid code."""
-    valid: List[str] = list(STANDARD_AMINO_ACIDS)
-    if allow_extended:
-        valid.extend(EXTENDED_AMINO_ACIDS)
-    allowed = set(valid)
+def is_valid_sequence(sequence: str) -> bool:
+    """Return True when every character is a standard or extended
+    amino-acid code."""
+    allowed = set(STANDARD_AMINO_ACIDS + EXTENDED_AMINO_ACIDS)
     return bool(sequence) and all(ch in allowed for ch in sequence.upper())

@@ -11,7 +11,10 @@ macro model of the input buffers with its technology-node scaling,
 the per-row trace analysis passes the columnar ones were ported from,
 the per-sample monitor the column monitor was ported from, the
 allocating encoder kernels (and the erf GELU) the in-place ones are
-checked against, the solver that produced the baselines' calibrated
+checked against, the systolic array that rounds every weight on each
+call (the datapath before the weights were rounded once, at build
+time), the pad-to-longest feature extractor the length-grouped one
+replaced, the solver that produced the baselines' calibrated
 efficiencies, the bfloat16 checks and enumerations the LUT tests
 sweep, and the whole-graph walks (acyclicity, weighted critical path,
 FLOP coverage) the dataflow tests check built graphs with.  None of

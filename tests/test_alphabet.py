@@ -3,7 +3,6 @@
 import pytest
 
 from repro.proteins import (
-    AMINO_ACID_NAMES,
     CHARGE,
     DEFAULT_VOCABULARY,
     EXTENDED_AMINO_ACIDS,
@@ -22,10 +21,6 @@ class TestAlphabetTables:
 
     def test_extended_codes_disjoint_from_standard(self):
         assert not set(STANDARD_AMINO_ACIDS) & set(EXTENDED_AMINO_ACIDS)
-
-    def test_every_amino_acid_has_a_name(self):
-        for code in STANDARD_AMINO_ACIDS + EXTENDED_AMINO_ACIDS:
-            assert code in AMINO_ACID_NAMES
 
     def test_hydropathy_covers_all_codes(self):
         for code in STANDARD_AMINO_ACIDS + EXTENDED_AMINO_ACIDS:
@@ -84,9 +79,9 @@ class TestIsValidSequence:
     def test_lowercase_accepted(self):
         assert is_valid_sequence("meyq")
 
-    def test_extended_codes_controlled_by_flag(self):
+    def test_extended_codes_accepted(self):
         assert is_valid_sequence("MX")
-        assert not is_valid_sequence("MX", allow_extended=False)
+        assert is_valid_sequence("BOUXZ")
 
     def test_empty_sequence_invalid(self):
         assert not is_valid_sequence("")

@@ -16,6 +16,7 @@ from repro.binding import (
 )
 from repro.model import ProteinBert, protein_bert_tiny
 from repro.proteins import FAB_LENGTH, BindingEnergyModel, make_binding_dataset
+from tests.oracles.features import padded_extract
 
 
 class TestMetrics:
@@ -188,6 +189,50 @@ class TestFeatureExtractor:
         extractor = FeatureExtractor(ProteinBert(protein_bert_tiny()))
         with pytest.raises(ValueError):
             extractor.extract([])
+
+
+class TestLengthGroupedExtraction:
+    """The extractor batches only sequences of equal token length; the
+    pad-to-longest loop it replaced (``tests/oracles/features.py``) is
+    the reference."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return ProteinBert(protein_bert_tiny(max_position=512), seed=3)
+
+    @staticmethod
+    def assert_same_bytes(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("batch_size", [1, 2, 8])
+    def test_equal_lengths_byte_identical(self, model, batch_size):
+        sequences = ["MEYQKLVIVA", "ACDEFGHIKL", "WWWWWWWWWW",
+                     "KLMNPQRSTV", "YYYYAAAACC"]
+        extractor = FeatureExtractor(model, batch_size=batch_size)
+        self.assert_same_bytes(extractor.extract(sequences),
+                               padded_extract(extractor, sequences))
+
+    def test_binding_training_sequences_byte_identical(self, model):
+        sequences = make_binding_dataset(seed=2022).train_sequences[:16]
+        assert {len(sequence) for sequence in sequences} == {FAB_LENGTH}
+        extractor = FeatureExtractor(model)
+        self.assert_same_bytes(extractor.extract(sequences),
+                               padded_extract(extractor, sequences))
+
+    def test_mixed_lengths_keep_order(self, model):
+        # Lengths 6, 3, 9, 6, 3, 12, 6: three length groups, one of them
+        # split into two chunks, interleaved in the input.
+        sequences = ["MEYQKL", "ACD", "WWWWWWWWW", "KLMNPQ", "GHI",
+                     "MEYQKLVIVAST", "RSTVWY"]
+        extractor = FeatureExtractor(model, batch_size=2)
+        features = extractor.extract(sequences)
+        assert features.shape == (len(sequences), model.config.hidden_size)
+        for row, sequence in zip(features, sequences):
+            alone = extractor.extract([sequence])[0]
+            assert np.array_equal(row, alone)
+        padded = padded_extract(extractor, sequences)
+        assert np.max(np.abs(features - padded)) <= 1e-6
 
 
 class TestBindingStudy:

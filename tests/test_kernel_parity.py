@@ -1,5 +1,7 @@
 """Bit-for-bit parity of the in-place encoder kernels with the allocating
-ones they replaced (``tests/oracles/kernels.py``).
+ones they replaced (``tests/oracles/kernels.py``), and of the functional
+datapath on weights rounded once with the one that rounded them on every
+call (``tests/oracles/systolic.py``).
 
 Every kernel must give the same bits as its oracle, including NaN
 payloads and signed zeros, and must leave its input array unchanged.
@@ -19,7 +21,9 @@ from repro.model import (
     softmax,
     to_bfloat16,
 )
+from repro.proteins import ProteinTokenizer
 from tests.oracles import kernels as oracle
+from tests.oracles.systolic import RoundingSystolicArray, unrounded_weights
 
 #: Low halves that exercise round-to-nearest-even: exact, just below a
 #: tie, the tie, just above it, and the largest discard (which carries
@@ -220,3 +224,51 @@ class TestSimdDatapath:
             lambda q, k: accelerated._attention_scores(q, k, 4.0, row),
             lambda q, k: oracle.attention_scores(exp_lut, q, k, 4.0, row),
             q, k)
+
+
+class TestBf16Weights:
+    """The encoder's GEMM weights are rounded to bfloat16 once, when the
+    model is built, and the arrays skip re-rounding them.  The old
+    datapath (``tests/oracles/systolic.py``) rounds every weight on
+    every call; the outputs and the tile accounting must not move."""
+
+    SEQUENCES = ("MEYQKLVIVAST", "ACD", "WKLMNPQRSTVYGH", "MEYQ")
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return ProteinBert(protein_bert_tiny(num_layers=2), seed=11)
+
+    @staticmethod
+    def pair(model):
+        product = AcceleratedProteinBert(model, array_size=8)
+        old = AcceleratedProteinBert(model, array_size=8)
+        old.m_array = RoundingSystolicArray(8, ArrayType.M)
+        old.g_array = RoundingSystolicArray(8, ArrayType.G)
+        old.e_array = RoundingSystolicArray(8, ArrayType.E)
+        old.bf16_weights = unrounded_weights(model)
+        return product, old
+
+    def test_weights_rounded_at_build(self, model):
+        product, _ = self.pair(model)
+        for rounded, weights in zip(product.bf16_weights,
+                                    unrounded_weights(model)):
+            assert len(rounded) == len(weights) == 6
+            for got, weight in zip(rounded, weights):
+                assert_same_bits(got, to_bfloat16(weight))
+
+    def test_each_sequence_alone(self, model):
+        product, old = self.pair(model)
+        tokenizer = ProteinTokenizer()
+        for sequence in self.SEQUENCES:
+            ids = tokenizer.encode(sequence).ids[None, :]
+            assert np.array_equal(product.forward(ids), old.forward(ids))
+        assert product.stats.tiles > 0
+        assert product.stats == old.stats
+
+    def test_padded_batch(self, model):
+        product, old = self.pair(model)
+        encoding = ProteinTokenizer().encode_batch(list(self.SEQUENCES))
+        mask = encoding.attention_mask
+        assert np.array_equal(product.forward(encoding.ids, mask),
+                              old.forward(encoding.ids, mask))
+        assert product.stats == old.stats

@@ -224,6 +224,18 @@ class TestCli:
             argv = argv + ["--observe", str(tmp_path)]
         assert main(argv) == 0
 
+    @pytest.mark.parametrize("seq_len, line", [
+        ("5000", "functional: 2 x 32 tokens, 320 GEMM tiles"),
+        ("16", "functional: 2 x 16 tokens, 144 GEMM tiles"),
+    ])
+    def test_trace_functional_says_what_it_traced(self, seq_len, line,
+                                                  tmp_path, capsys):
+        # The functional workload caps --seq-len at 32 tokens; its line
+        # gives the shape that ran.
+        assert main(["trace", "--workload", "functional", "--seq-len",
+                     seq_len, "--observe", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == line
+
     def test_reliability_outage_fleet_line_pinned(self, capsys):
         # At fault rate 0.9 most of the batch is shed.  The run finishes
         # early, so nominal over degraded makespan alone reads 1.0; the
