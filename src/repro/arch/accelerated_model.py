@@ -105,22 +105,29 @@ class AcceleratedProteinBert:
         return self.g_array.execute_chain(x, weight, steps, self.stats,
                                           assume_bf16_b=True)
 
-    # -- Dataflow 3: batched MatMul -> MatDiv -> Exp -> host -> MatMul --
+    # -- Dataflow 3: MatMul -> MatDiv -> Exp -> host -> MatMul ----------
+    # One (batch, head) score tile at a time, as the E-Type arrays stream
+    # the heads: no more than one head's (seq, seq) tile is ever held.
 
     def _attention_scores(self, q: np.ndarray, k: np.ndarray,
                           scale: float,
                           mask_bias: Optional[np.ndarray]) -> np.ndarray:
-        """Per-head scores through the E-Type array and host softmax."""
+        """One head's scores through the E-Type array and host softmax.
+
+        ``k`` is read out of a Dataflow 1 chain, so it is exact bfloat16
+        and is not rounded again.
+        """
         steps = [SimdStep(SimdOpcode.MUL, 1.0 / scale)]
         if mask_bias is not None:
             steps.append(SimdStep(SimdOpcode.ADD, mask_bias,
                                   broadcast_rows=True))
         steps.append(SimdStep(SimdOpcode.EXP))
-        exponentials = self.e_array.execute_chain(q, k.T, tuple(steps),
-                                                  self.stats)
+        exponentials = self.e_array.execute_chain(
+            q, k.T, tuple(steps), self.stats, assume_bf16_b=True)
         # Softmax summation and division run on the host CPU in fp32.
         sums = exponentials.sum(axis=-1, keepdims=True)
-        return exponentials / np.maximum(sums, 1e-30)
+        exponentials /= np.maximum(sums, 1e-30)
+        return exponentials
 
     # -- Full forward ----------------------------------------------------
 
@@ -133,6 +140,10 @@ class AcceleratedProteinBert:
         if token_ids.ndim != 2:
             raise ValueError("token_ids must be (batch, seq)")
         batch, seq = token_ids.shape
+        if attention_mask is not None:
+            attention_mask = np.asarray(attention_mask)
+            if attention_mask.shape != (batch, seq):
+                raise ValueError("attention_mask must be (batch, seq)")
         heads, head_dim = cfg.num_heads, cfg.head_dim
 
         tracer = self.tracer
@@ -160,12 +171,11 @@ class AcceleratedProteinBert:
             k = self._dataflow1(flat, key, attention.key.bias)
             v = self._dataflow1(flat, value, attention.value.bias)
 
-            def heads_of(x: np.ndarray) -> np.ndarray:
-                return (x.reshape(batch, seq, heads, head_dim)
-                        .transpose(0, 2, 1, 3))
-
-            qh, kh, vh = heads_of(q), heads_of(k), heads_of(v)
+            qh, kh, vh = (x.reshape(batch, seq, heads, head_dim)
+                          for x in (q, k, v))
             scale = float(np.sqrt(head_dim))
+            # Written in (batch, seq, head, dim) order: merging the heads
+            # back is then a reshape, not a copy.
             context = np.empty_like(qh)
             for b in range(batch):
                 mask_bias = None
@@ -174,11 +184,12 @@ class AcceleratedProteinBert:
                                  ).astype(np.float32)
                 for h in range(heads):
                     probabilities = self._attention_scores(
-                        qh[b, h], kh[b, h], scale, mask_bias)
-                    context[b, h] = self.e_array.matmul(
-                        probabilities, vh[b, h], self.stats)
-            merged = (context.transpose(0, 2, 1, 3)
-                      .reshape(batch * seq, cfg.hidden_size))
+                        qh[b, :, h], kh[b, :, h], scale, mask_bias)
+                    # The value slice is a chain output too: exact bf16.
+                    context[b, :, h] = self.e_array.matmul(
+                        probabilities, vh[b, :, h], self.stats,
+                        assume_bf16_b=True)
+            merged = context.reshape(batch * seq, cfg.hidden_size)
 
             attended = self._dataflow1(
                 merged, attention_output, attention.output.bias,

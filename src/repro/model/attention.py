@@ -2,9 +2,9 @@
 
 The attention sublayer produces exactly the op mix the paper's dataflow
 analysis keys on: four large MatMuls (Q/K/V projections and the output
-projection → Dataflow 1) and the batched dot products with scaling and
-softmax (→ Dataflow 3).  Per-head dot products have the small shapes the
-paper quotes (m ≈ seq·heads-batched, k = 64), which drive the choice of
+projection → Dataflow 1) and the per-(batch, head) dot products with
+scaling and softmax (→ Dataflow 3).  Per-head dot products have the small
+shapes the paper quotes (m = seq, k = 64), which drive the choice of
 small E-Type systolic arrays.
 """
 
@@ -59,17 +59,22 @@ class MultiHeadAttention:
         cfg = self.config
         if width != cfg.hidden_size:
             raise ValueError("attention: hidden width mismatch")
+        if (attention_mask is not None
+                and attention_mask.shape != (batch, seq)):
+            raise ValueError("attention_mask must be (batch, seq)")
         heads, head_dim = cfg.num_heads, cfg.head_dim
 
         q = self.query.forward(hidden, recorder)
         k = self.key.forward(hidden, recorder)
         v = self.value.forward(hidden, recorder)
 
+        # The trace records the ATen transposes; here a head is a
+        # strided slice of the (batch, seq, head, dim) view.
         def split_heads(x: np.ndarray) -> np.ndarray:
             maybe_record(recorder, elementwise_op(
                 OpKind.TRANSPOSE, (batch, seq, heads, head_dim),
                 name="attention.split_heads", layer=self.layer))
-            return x.reshape(batch, seq, heads, head_dim).transpose(0, 2, 1, 3)
+            return x.reshape(batch, seq, heads, head_dim)
 
         q, k, v = split_heads(q), split_heads(k), split_heads(v)
 
@@ -78,37 +83,47 @@ class MultiHeadAttention:
         maybe_record(recorder, bmm_op(
             batch * heads, seq, head_dim, seq,
             name="attention.scores", layer=self.layer))
-        scores = q @ k.transpose(0, 1, 3, 2)
-
         # Scale by 1/sqrt(d): an elementwise Matrix Div in the ATen trace.
+        divisor = np.sqrt(head_dim).astype(np.float32)
         maybe_record(recorder, elementwise_op(
             OpKind.DIV, (batch, heads, seq, seq),
             name="attention.scale", layer=self.layer,
             metadata={"divisor": float(np.sqrt(head_dim))}))
-        scores /= np.sqrt(head_dim).astype(np.float32)
-
         if attention_mask is not None:
-            if attention_mask.shape != (batch, seq):
-                raise ValueError("attention_mask must be (batch, seq)")
             maybe_record(recorder, elementwise_op(
                 OpKind.ADD, (batch, heads, seq, seq),
                 name="attention.mask", layer=self.layer))
-            bias = (1.0 - attention_mask[:, None, None, :]) * ATTENTION_MASK_VALUE
-            scores += bias.astype(np.float32)
-
         maybe_record(recorder, elementwise_op(
             OpKind.SOFTMAX, (batch, heads, seq, seq),
             name="attention.softmax", layer=self.layer))
-        probabilities = softmax(scores, axis=-1)
-
-        # Weighted sum of values: the second batched MatMul of Dataflow 3.
+        # Weighted sum of values: the second MatMul of Dataflow 3.
         maybe_record(recorder, bmm_op(
             batch * heads, seq, seq, head_dim,
             name="attention.context", layer=self.layer))
-        context = probabilities @ v
+
+        # One (seq, seq) score tile at a time, as the E-Type arrays
+        # stream them: a tile stays in cache from the dot products to the
+        # context MatMul, where every head at once would not.  The
+        # context is written in (batch, seq, head, dim) order, so merging
+        # the heads is a reshape.
+        context = np.empty((batch, seq, heads, head_dim), dtype=np.float32)
+        for b in range(batch):
+            bias = None
+            # An unmasked row's bias is -0.0, and x + -0.0 == x: skip it.
+            if attention_mask is not None and not np.all(
+                    attention_mask[b] == 1):
+                bias = ((1.0 - attention_mask[b]) * ATTENTION_MASK_VALUE
+                        ).astype(np.float32)
+            for h in range(heads):
+                scores = q[b, :, h] @ k[b, :, h].T
+                scores /= divisor
+                if bias is not None:
+                    scores += bias
+                np.matmul(softmax(scores, axis=-1), v[b, :, h],
+                          out=context[b, :, h])
 
         maybe_record(recorder, elementwise_op(
             OpKind.TRANSPOSE, (batch, seq, heads, head_dim),
             name="attention.merge_heads", layer=self.layer))
-        context = context.transpose(0, 2, 1, 3).reshape(batch, seq, width)
-        return self.output.forward(context, recorder)
+        return self.output.forward(context.reshape(batch, seq, width),
+                                   recorder)

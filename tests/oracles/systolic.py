@@ -1,12 +1,14 @@
 """The functional datapath as it stood before the encoder weights were
-rounded to bfloat16 once, when :class:`AcceleratedProteinBert` is built.
+rounded to bfloat16 once, when :class:`AcceleratedProteinBert` is built,
+and before the attention passed ``k.T`` and the value slices as bfloat16.
 
 :class:`RoundingSystolicArray` rounds ``b`` on every ``matmul`` and
 ignores a caller's mark that ``b`` is already bfloat16;
 :func:`unrounded_weights` gives each layer's fp32 GEMM weights in the
 order of ``AcceleratedProteinBert.bf16_weights``.  An accelerated model
 running on these arrays with these weights is the old datapath, which
-the product must match bit for bit.
+the product must match bit for bit; :class:`RoundingAcceleratedBert` is
+that model.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.arch.accelerated_model import AcceleratedProteinBert
 from repro.arch.systolic import ExecutionStats, SystolicArray
+from repro.dataflow.patterns import ArrayType
 from repro.model.bert import ProteinBert
 from repro.model.tensors import to_bfloat16
 
@@ -51,3 +55,15 @@ def unrounded_weights(model: ProteinBert) -> List[Tuple[np.ndarray, ...]]:
         layer.attention.query, layer.attention.key, layer.attention.value,
         layer.attention.output, layer.intermediate, layer.output))
         for layer in model.layers]
+
+
+class RoundingAcceleratedBert(AcceleratedProteinBert):
+    """The old datapath: every array rounds ``b`` on every call, so the
+    fp32 weights, ``k.T`` and the value slices are all rounded again."""
+
+    def __init__(self, model: ProteinBert, array_size: int = 16) -> None:
+        super().__init__(model, array_size)
+        self.m_array = RoundingSystolicArray(array_size, ArrayType.M)
+        self.g_array = RoundingSystolicArray(array_size, ArrayType.G)
+        self.e_array = RoundingSystolicArray(array_size, ArrayType.E)
+        self.bf16_weights = unrounded_weights(model)

@@ -1,5 +1,7 @@
 """Tests for functional execution of Protein BERT on simulated hardware."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,18 @@ class TestFidelity:
         _, accelerated, _, _ = setup
         with pytest.raises(ValueError):
             accelerated.forward(np.zeros(5, dtype=np.int64))
+
+    @pytest.mark.parametrize("shape", [(2, 12), (12,), (1, 14)],
+                             ids=["two-rows", "one-d", "too-long"])
+    def test_wrong_mask_shape_rejected(self, setup, shape):
+        # One sequence of 12 tokens: a mask for two, a 1-D mask and a
+        # mask two tokens too long each fail before any array runs.
+        _, accelerated, ids, _ = setup
+        before = replace(accelerated.stats)
+        with pytest.raises(ValueError,
+                           match=r"attention_mask must be \(batch, seq\)"):
+            accelerated.forward(ids[:1], np.ones(shape, dtype=np.int64))
+        assert accelerated.stats == before
 
 
 class TestWithRealSequences:

@@ -1,19 +1,24 @@
 """Bit-for-bit parity of the in-place encoder kernels with the allocating
 ones they replaced (``tests/oracles/kernels.py``), and of the functional
-datapath on weights rounded once with the one that rounded them on every
-call (``tests/oracles/systolic.py``).
+datapath (weights, ``k.T`` and the value slices marked bfloat16) with
+the one that rounded every operand on every call
+(``tests/oracles/systolic.py``).
 
 Every kernel must give the same bits as its oracle, including NaN
 payloads and signed zeros, and must leave its input array unchanged.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.arch.accelerated_model import AcceleratedProteinBert
 from repro.arch.systolic import SimdOpcode, SimdStep, SystolicArray
+from repro.binding.experiment import default_extractor_config
 from repro.dataflow.patterns import ArrayType
 from repro.model import (
+    MultiHeadAttention,
     ProteinBert,
     gelu,
     layer_norm,
@@ -21,9 +26,10 @@ from repro.model import (
     softmax,
     to_bfloat16,
 )
-from repro.proteins import ProteinTokenizer
+from repro.model.weights import pretrained_like_weights
+from repro.proteins import ProteinTokenizer, SequenceGenerator
 from tests.oracles import kernels as oracle
-from tests.oracles.systolic import RoundingSystolicArray, unrounded_weights
+from tests.oracles.systolic import RoundingAcceleratedBert, unrounded_weights
 
 #: Low halves that exercise round-to-nearest-even: exact, just below a
 #: tie, the tie, just above it, and the largest discard (which carries
@@ -212,11 +218,13 @@ class TestSimdDatapath:
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_attention_scores(self, masked):
+        # q and k are bf16, as every Dataflow 1 read-out is: the product
+        # does not round k again.
         rng, mask = padded_batch(8, batch=1, seq=13)
         model = ProteinBert(protein_bert_tiny(num_layers=1), seed=1)
         accelerated = AcceleratedProteinBert(model, array_size=8)
-        q = rng.normal(size=(13, 16)).astype(np.float32)
-        k = rng.normal(size=(13, 16)).astype(np.float32)
+        q = to_bfloat16(rng.normal(size=(13, 16)).astype(np.float32))
+        k = to_bfloat16(rng.normal(size=(13, 16)).astype(np.float32))
         row = (((1.0 - mask[0]) * -1e9).astype(np.float32)
                if masked else None)
         exp_lut = accelerated.e_array._exp
@@ -224,6 +232,32 @@ class TestSimdDatapath:
             lambda q, k: accelerated._attention_scores(q, k, 4.0, row),
             lambda q, k: oracle.attention_scores(exp_lut, q, k, 4.0, row),
             q, k)
+
+
+def traced_peak(function, *args) -> int:
+    """Peak bytes ``tracemalloc`` sees while ``function(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestEncoderFootprint:
+    def test_one_score_tile_at_a_time(self):
+        """One head's (seq, seq) scores at a time: at seq 512 the peak
+        stays within 6 score tiles, where all eight heads at once need
+        more than 18."""
+        seq = 512
+        config = protein_bert_tiny(num_layers=1, hidden_size=256,
+                                   num_heads=8, intermediate_size=512,
+                                   max_position=seq)
+        attention = ProteinBert(config, seed=0).layers[0].attention
+        hidden = np.random.default_rng(0).normal(
+            size=(1, seq, 256)).astype(np.float32)
+        attention.forward(hidden)
+        assert traced_peak(attention.forward, hidden) <= 6 * seq * seq * 4
 
 
 class TestBf16Weights:
@@ -240,13 +274,8 @@ class TestBf16Weights:
 
     @staticmethod
     def pair(model):
-        product = AcceleratedProteinBert(model, array_size=8)
-        old = AcceleratedProteinBert(model, array_size=8)
-        old.m_array = RoundingSystolicArray(8, ArrayType.M)
-        old.g_array = RoundingSystolicArray(8, ArrayType.G)
-        old.e_array = RoundingSystolicArray(8, ArrayType.E)
-        old.bf16_weights = unrounded_weights(model)
-        return product, old
+        return (AcceleratedProteinBert(model, array_size=8),
+                RoundingAcceleratedBert(model, array_size=8))
 
     def test_weights_rounded_at_build(self, model):
         product, _ = self.pair(model)
@@ -272,3 +301,54 @@ class TestBf16Weights:
         assert np.array_equal(product.forward(encoding.ids, mask),
                               old.forward(encoding.ids, mask))
         assert product.stats == old.stats
+
+
+class TestEmbedShape:
+    """Both datapaths at the ``embed`` benchmark's shape (the default
+    extractor config: 4 layers, 8 heads of 64, pretrained-like weights
+    at seed 2022) against their oracles: the fp32 encoder with the
+    allocating attention of ``tests/oracles/kernels.py``, and the old
+    datapath of ``tests/oracles/systolic.py``.  Outputs must be
+    ``np.array_equal`` and the E-Type stats equal."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        config = default_extractor_config()
+        return ProteinBert(config, weights=pretrained_like_weights(
+            config, seed=2022))
+
+    @staticmethod
+    def encode(lengths):
+        generator = SequenceGenerator(seed=5)
+        sequences = [generator.sequence(length) for length in lengths]
+        encoding = ProteinTokenizer().encode_batch(sequences)
+        return encoding.ids, encoding.attention_mask
+
+    def check(self, model, monkeypatch, ids, mask):
+        product = AcceleratedProteinBert(model)
+        old = RoundingAcceleratedBert(model)
+        assert np.array_equal(product.forward(ids, mask),
+                              old.forward(ids, mask))
+        assert product.stats.tiles > 0
+        assert product.stats == old.stats
+
+        got = model.forward(ids, mask)
+        monkeypatch.setattr(
+            MultiHeadAttention, "forward",
+            lambda self, hidden, attention_mask=None, recorder=None:
+            oracle.attention(self, hidden, attention_mask))
+        assert np.array_equal(got, model.forward(ids, mask))
+
+    def test_one_sequence_alone(self, model, monkeypatch):
+        ids, _ = self.encode([298])
+        self.check(model, monkeypatch, ids, None)
+
+    def test_ragged_masked_batch(self, model, monkeypatch):
+        ids, mask = self.encode([298, 251, 180])
+        assert not mask.all() and mask[0].all()
+        self.check(model, monkeypatch, ids, mask)
+
+    def test_all_ones_mask(self, model, monkeypatch):
+        ids, mask = self.encode([298, 298])
+        assert mask.all()
+        self.check(model, monkeypatch, ids, mask)
