@@ -176,13 +176,15 @@ class SpecialFunctionLut:
         values are already exact bfloat16 patterns (e.g. prior SIMD-stage
         outputs) pass ``assume_bf16=True`` to skip the redundant rounding;
         ``to_bfloat16`` is idempotent, so the results are identical.
+        The index is built as ``intp`` in one pass: ``np.take`` would
+        convert a ``uint32`` index to ``intp`` first, a second copy.
         """
         array = np.asarray(values, dtype=np.float32)
         if not assume_bf16:
             array = to_bfloat16(array)
         bits = np.ascontiguousarray(array).ravel().view(np.uint32)
-        return np.take(self._dense, bits >> np.uint32(16)).reshape(
-            np.shape(array))
+        return np.take(self._dense, np.right_shift(bits, 16, dtype=np.intp)
+                       ).reshape(np.shape(array))
 
     def max_absolute_error(self, values: np.ndarray) -> float:
         """Worst-case |LUT - float reference| over ``values``."""

@@ -23,6 +23,8 @@ from functools import reduce
 from operator import add
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..arch.config import HardwareConfig
 from ..arch.interconnect import DISPATCH_OVERHEAD_SECONDS
 from ..arch.timing import dataflow_signature, time_dataflow
@@ -115,11 +117,11 @@ class ScheduleResult:
 #: ``(is_host, channel_hold, duration)``.
 Candidate = Tuple
 
-#: One placement-log row: ``(thread, node index, ready, start, end,
-#: resource, kind, candidate, marks)``.  ``marks`` holds each segment's
-#: ``(start, end, host slot)``, slot ``None`` on the accelerator; a host
-#: task has no candidate and is one host segment.
-LogRow = Tuple
+#: What each of a task's spans reads its times and track from: a host
+#: segment's reservation (on its host slot), a channel hold (from the
+#: reservation's start, on the link channel), an array hold (the
+#: reservation, on the array) or the task itself (on its thread).
+_HOST, _STREAM, _EXEC, _TASK = range(4)
 
 
 def _fit(starts: List[float], ends: List[float], earliest: float,
@@ -190,117 +192,170 @@ def _reserve(starts: List[List[float]], ends: List[List[float]],
     return end
 
 
-def _replay(log: List[LogRow], thread_nodes: List[Tuple],
-            record_tasks: bool, histogram: Optional[Histogram]
+def _replay(tasks: np.ndarray, names: List[str], thread_nodes: List[Tuple],
+            thread_plans: List[List], record_tasks: bool,
+            histogram: Optional[Histogram]
             ) -> Optional[Tuple[TaskRecord, ...]]:
-    """Derive task records and task latencies from a placement log.
+    """Derive task records and task latencies from a placement log's
+    task rows (see :meth:`Orchestrator.run`).
 
     Returns:
         The task records when ``record_tasks`` is set, else ``None``.
     """
     if histogram is not None:
-        histogram.observe_many([row[4] - row[3] for row in log])
+        histogram.observe_many(tasks[:, 4] - tasks[:, 3])
     if not record_tasks:
         return None
-    return tuple(
-        TaskRecord(thread=thread, name=thread_nodes[thread][index].name,
-                   kind=kind, ready=ready, start=start, end=end,
-                   resource=resource)
-        for thread, index, ready, start, end, resource, kind, _, _ in log)
+    records = []
+    for thread, index, ready, start, end, array in tasks.tolist():
+        thread, index, array = int(thread), int(index), int(array)
+        records.append(TaskRecord(
+            thread=thread, name=thread_nodes[thread][index].name,
+            kind=thread_plans[thread][index][1] if array >= 0 else "host",
+            ready=ready, start=start, end=end,
+            resource=names[array] if array >= 0 else "host"))
+    return tuple(records)
 
 
-def _trace(tracer: Tracer, log: List[LogRow], names: List[str],
-           thread_nodes: List[Tuple], sub_batches: List[int],
+def _trace(tracer: Tracer, tasks: np.ndarray, marks: np.ndarray,
+           names: List[str], sizes: List[int], thread_nodes: List[Tuple],
+           thread_plans: List[List], sub_batches: List[int],
            trace_pid: str, makespan: float,
            run_args: Dict[str, object]) -> None:
     """Fill the tracer's span columns from a placement log, in one call.
 
-    Rows are visited in dispatch order, and ``names`` maps a resource
-    index to its track name.  Each task's reservations become spans
-    before the task's own span: host-side segments on the chosen host
-    slot's track (category ``host``), channel holds on the link track
-    (``stream``), array holds on the array's track (``exec``).  The
-    ``orchestrator.run`` span over ``[0, makespan]`` comes last.
+    Tasks are visited in dispatch order, and ``names`` maps a resource
+    index to its track name (``sizes`` to its array size).  Each task's
+    reservations become spans before the task's own span: host-side
+    segments on the chosen host slot's track (category ``host``),
+    channel holds on the link track (``stream``), array holds on the
+    array's track (``exec``).  The ``orchestrator.run`` span over
+    ``[0, makespan]`` comes last.
 
-    A task's span names, categories and reservation args are fixed by
-    its node, sub-batch and array size, so they are built once per such
-    triple (:func:`_template`); only times, tracks and the task's own
-    args are per row.
+    A task's span names, categories, reservation args and channel holds
+    are fixed by its sub-batch, node and array size, so each such
+    template is laid out once (:func:`_layout`), and its task args once
+    per template and resource, with the task's ready time in the
+    ``ready`` column.  One gather over the concatenated layouts then
+    builds every column.
     """
-    tracks = [tracer.track(trace_pid, name) for name in names]
-    thread_tracks = [tracer.track(trace_pid, f"thread{thread:02d}")
-                     for thread in range(len(sub_batches))]
-    templates: Dict[Tuple[int, int, int], Tuple] = {}
-    columns: Tuple[List, ...] = ([], [], [], [], [], [])
-    span_names, starts, ends, span_tracks, categories, span_args = columns
-    start_at, end_at, on_track = starts.append, ends.append, span_tracks.append
-    for (thread, index, ready, start, end, resource, kind, candidate,
-         marks) in log:
-        sub = sub_batches[thread]
-        size = candidate[2] if candidate is not None else 0
-        template = templates.get((sub, index, size))
-        if template is None:
-            template = templates[(sub, index, size)] = _template(
-                thread_nodes[thread][index], sub, index, candidate)
-        task_names, task_categories, segment_args, holds = template
-        span_names.extend(task_names)
-        categories.extend(task_categories)
-        span_args.extend(segment_args)
-        span_args.append({"kind": kind, "resource": resource,
-                          "sub_batch": sub, "ready": ready, "node": index})
-        for (seg_start, seg_end, slot), hold in zip(marks, holds):
-            if slot is not None:
-                start_at(seg_start)
-                end_at(seg_end)
-                on_track(tracks[slot])
-                continue
-            start_at(seg_start)
-            end_at(seg_start + hold)
-            on_track(tracks[candidate[1]])
-            start_at(seg_start)
-            end_at(seg_end)
-            on_track(tracks[candidate[0]])
-        start_at(start)
-        end_at(end)
-        on_track(thread_tracks[thread])
-    for column, value in zip(columns, (
-            "orchestrator.run", 0.0, makespan,
-            tracer.track(trace_pid, "schedule"), "run", run_args)):
-        column.append(value)
-    tracer.add_spans(*columns)
+    threads, nodes, arrays = (tasks[:, column].astype(np.intp)
+                              for column in (0, 1, 5))
+    subs = np.array(sub_batches)[threads]
+    task_sizes = np.append(sizes, 0)[arrays]  # a host task's array is -1
+    _, first, template_of = np.unique(
+        (subs * (nodes.max(initial=0) + 1) + nodes)
+        * (task_sizes.max(initial=0) + 1) + task_sizes,
+        return_index=True, return_inverse=True)
+    layout: List[Tuple] = []
+    starts_at, span_counts, mark_counts, kinds = [], [], [], []
+    for thread, index, array in zip(*(column[first].tolist() for column
+                                      in (threads, nodes, arrays))):
+        plan = thread_plans[thread][index]
+        candidate = None if array < 0 else next(
+            option for option in plan[0] if option[0] == array)
+        spans = _layout(thread_nodes[thread][index], sub_batches[thread],
+                        index, candidate)
+        starts_at.append(len(layout))
+        span_counts.append(len(spans))
+        mark_counts.append(1 if candidate is None else len(candidate[5]))
+        kinds.append("host" if candidate is None else plan[1])
+        layout += spans
+    (span_names, span_categories, span_args, sources, segments, holds,
+     channels) = zip(*layout)
+    names_of = {name: code for code, name in enumerate(dict.fromkeys(
+        span_names + ("orchestrator.run",)))}
+    categories_of = {category: code for code, category in enumerate(
+        dict.fromkeys(span_categories + ("run",)))}
+    # A layout row's args code; a task row has none (its args vary per
+    # task and are coded below).
+    arg_table = [args for args in span_args if args is not None]
+    arg_codes = np.cumsum([args is not None for args in span_args]) - 1
+    # Task args: one dict per template and resource.
+    _, task_first, task_args = np.unique(
+        template_of * (len(names) + 1) + arrays + 1,
+        return_index=True, return_inverse=True)
+    task_args += len(arg_table)
+    for template, thread, index, array in zip(*(
+            column[task_first].tolist()
+            for column in (template_of, threads, nodes, arrays))):
+        arg_table.append({"kind": kinds[template],
+                          "resource": names[array] if array >= 0 else "host",
+                          "sub_batch": sub_batches[thread], "ready": None,
+                          "node": index})
+    arg_table.append(run_args)
+
+    # The gather: each task's spans are rows of its template's layout,
+    # and each span's reservation a row of the marks.
+    counts = np.array(span_counts)[template_of]
+    owner = np.repeat(np.arange(len(tasks)), counts)
+    row = np.arange(len(owner)) + np.repeat(
+        np.array(starts_at)[template_of] - (np.cumsum(counts) - counts),
+        counts)
+    task_marks = np.array(mark_counts)[template_of]
+    mark = ((np.cumsum(task_marks) - task_marks)[owner]
+            + np.array(segments)[row])
+    source = np.array(sources)[row]
+    is_task = source == _TASK
+    reserved = marks[mark, 0]
+    resource_tracks = np.array([tracer.track(trace_pid, name)
+                                for name in names])
+    thread_tracks = np.array([tracer.track(trace_pid, f"thread{thread:02d}")
+                              for thread in range(len(sub_batches))])
+    tracks = np.where(is_task, thread_tracks[threads[owner]],
+                      resource_tracks[np.select(
+                          [source == _HOST, source == _STREAM],
+                          [marks[mark, 2].astype(np.intp),
+                           np.array(channels)[row]], arrays[owner])])
+    ends = np.where(is_task, tasks[owner, 4], np.where(
+        source == _STREAM, reserved + np.array(holds)[row], marks[mark, 1]))
+    # The run span is the last row.
+    tracer.add_spans(
+        list(names_of), list(categories_of), arg_table,
+        np.append(np.array([names_of[name] for name in span_names])[row],
+                  names_of["orchestrator.run"]),
+        np.append(np.array([categories_of[category] for category
+                            in span_categories])[row], categories_of["run"]),
+        np.append(np.where(is_task, task_args[owner], arg_codes[row]),
+                  len(arg_table) - 1),
+        np.append(np.where(is_task, tasks[owner, 3], reserved), 0.0),
+        np.append(ends, makespan),
+        np.append(tracks, tracer.track(trace_pid, "schedule")),
+        np.append(np.where(is_task, tasks[owner, 2], np.nan), np.nan))
 
 
-def _template(node: Node, sub: int, index: int,
-              candidate: Optional[Candidate]) -> Tuple:
-    """``(names, categories, reservation args, channel holds)`` of one
-    task's spans: one host span for a host task, else per segment of the
-    dataflow placed by ``candidate`` one host span (hold ``None``) or a
-    stream and an exec span, then the task span (whose args vary)."""
+def _layout(node: Node, sub: int, index: int,
+            candidate: Optional[Candidate]) -> List[Tuple]:
+    """One task's spans in recording order, as ``(name, category, args,
+    source, segment, channel hold, channel)``: one host span for a host
+    task, else per segment of the dataflow placed by ``candidate`` one
+    host span or a stream and an exec span; then the task span, whose
+    args (``None`` here) vary per task."""
     if candidate is None:
-        return ((node.name, node.name), ("host", "task"),
-                ({"ops": len(node.ops), "flops": node.flops},), (None,))
-    _, _, size, _, timing, segments = candidate
+        return [(node.name, "host", {"ops": len(node.ops),
+                                     "flops": node.flops}, _HOST, 0, 0.0, 0),
+                (node.name, "task", None, _TASK, 0, 0.0, 0)]
+    _, channel, size, _, timing, segments = candidate
     array_type = node.array_type.value
-    names, categories, args, holds = [], [], [], []
+    spans = []
     for segment_index, (segment, (is_host, hold, _)) in enumerate(
             zip(timing.segments, segments)):
         if is_host:
-            names.append(f"{node.name}:host{segment_index}")
-            categories.append("host")
-            args.append({"sub_batch": sub, "node": index})
-            holds.append(None)
+            spans.append((f"{node.name}:host{segment_index}", "host",
+                          {"sub_batch": sub, "node": index}, _HOST,
+                          segment_index, 0.0, 0))
             continue
-        names += [f"{node.name}:xfer{segment_index}",
-                  f"{node.name}:seg{segment_index}"]
-        categories += ["stream", "exec"]
-        args += [{"bytes": segment.stream_bytes, "sub_batch": sub,
-                  "node": index, "array_type": array_type},
-                 {"compute_seconds": segment.compute_seconds,
-                  "array_size": size, "sub_batch": sub, "node": index,
-                  "array_type": array_type}]
-        holds.append(hold)
-    return (tuple(names) + (node.name,), tuple(categories) + ("task",),
-            tuple(args), tuple(holds))
+        spans += [(f"{node.name}:xfer{segment_index}", "stream",
+                   {"bytes": segment.stream_bytes, "sub_batch": sub,
+                    "node": index, "array_type": array_type}, _STREAM,
+                   segment_index, hold, channel),
+                  (f"{node.name}:seg{segment_index}", "exec",
+                   {"compute_seconds": segment.compute_seconds,
+                    "array_size": size, "sub_batch": sub, "node": index,
+                    "array_type": array_type}, _EXEC, segment_index, 0.0,
+                   0)]
+    spans.append((node.name, "task", None, _TASK, 0, 0.0, 0))
+    return spans
 
 
 class Orchestrator:
@@ -344,10 +399,10 @@ class Orchestrator:
 
         One placement loop schedules every task.  When anything observes
         the run (``record_tasks``, ``tracer`` or ``metrics``), the loop
-        also appends one plain-tuple row per task to a placement log, and
-        the task records, spans and task-latency histogram are all derived
-        from that log after the loop; the schedule itself never depends
-        on who observes it.
+        also appends a few numbers per task and per reservation to a
+        placement log, and the task records, spans and task-latency
+        histogram are all derived from that log after the loop; the
+        schedule itself never depends on who observes it.
 
         Args:
             config: the Protein BERT model.
@@ -438,9 +493,14 @@ class Orchestrator:
         contention_seconds = 0.0
         kind_compute: Dict[str, float] = {}
         makespan = 0.0
-        log: Optional[List[LogRow]] = (
+        # The placement log, kept when anything observes the run, as two
+        # flat lists of numbers: per task ``(thread, node, ready, start,
+        # end, array)`` (array -1 for a host task), per reservation
+        # ``(start, end, host slot)`` (slot -1 on the accelerator).
+        tasks: Optional[List[float]] = (
             [] if record_tasks or tracer is not None or metrics is not None
             else None)
+        marks = None if tasks is None else []
 
         # Earliest-ready-first list scheduling across threads.  Each thread
         # walks its own graph serially (Figure 8); at every step the thread
@@ -506,7 +566,6 @@ class Orchestrator:
                         candidate = option
                         best_finish = fit
                 array, channel, _, _, timing, segments = candidate
-            marks = [] if log is not None else None
             clock = ready
             start = None
             for is_host, hold, duration in segments:
@@ -531,7 +590,7 @@ class Orchestrator:
                     clock = _reserve(starts, ends, last, busy, slot,
                                      seg_start, hold)
                     if marks is not None:
-                        marks.append((seg_start, clock, slot))
+                        marks += (seg_start, clock, slot)
                     continue
                 # Channel and array are held from one instant: the least
                 # start at or after `clock` where both fit, reached by
@@ -567,14 +626,14 @@ class Orchestrator:
                 clock = _reserve(starts, ends, last, busy, array, seg_start,
                                  duration)
                 if marks is not None:
-                    marks.append((seg_start, clock, None))
+                    marks += (seg_start, clock, -1)
                 if start is None:
                     start = seg_start
             end = clock
             if candidate is None:
-                if log is not None:
-                    log.append((thread_index, node_index, ready, marks[0][0],
-                                end, "host", "host", None, tuple(marks)))
+                if tasks is not None:
+                    tasks += (thread_index, node_index, ready, seg_start, end,
+                              -1)
             else:
                 if start is None:
                     start = ready
@@ -584,9 +643,9 @@ class Orchestrator:
                 contention_seconds += per_dispatch * accel_segments
                 kind_compute[kind] = (kind_compute.get(kind, 0.0)
                                       + timing.accel_compute_seconds)
-                if log is not None:
-                    log.append((thread_index, node_index, ready, start, end,
-                                names[array], kind, candidate, tuple(marks)))
+                if tasks is not None:
+                    tasks += (thread_index, node_index, ready, start, end,
+                              array)
             if end > makespan:
                 makespan = end
             next_index = node_index + 1
@@ -597,9 +656,12 @@ class Orchestrator:
                 heapq.heappop(heap)
 
         task_log = None
+        if tasks is not None:
+            tasks = np.array(tasks, dtype=float).reshape(-1, 6)
+            marks = np.array(marks, dtype=float).reshape(-1, 3)
         if record_tasks or metrics is not None:
             task_log = _replay(
-                log, thread_nodes, record_tasks,
+                tasks, names, thread_nodes, thread_plans, record_tasks,
                 (metrics.histogram("sched/task_seconds")
                  if metrics is not None else None))
 
@@ -633,8 +695,12 @@ class Orchestrator:
             # bottleneck attribution (repro.telemetry.analyze).
             inventory = {f"arrays_{t.value.lower()}": len(arrays[t])
                          for t in ArrayType}
-            _trace(tracer, log, names, thread_nodes, sub_batches, trace_pid,
-                   makespan, dict(
+            sizes = [0] * len(names)
+            for members in arrays.values():
+                for array, size in members:
+                    sizes[array] = size
+            _trace(tracer, tasks, marks, names, sizes, thread_nodes,
+                   thread_plans, sub_batches, trace_pid, makespan, dict(
                        batch=batch, seq_len=seq_len, threads=thread_count,
                        policy="earliest_finish", dispatches=total_dispatches,
                        stream_bytes=total_bytes, host_slots=self.host.slots,

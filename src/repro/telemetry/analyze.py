@@ -4,10 +4,11 @@ The recording layers (:class:`~repro.telemetry.spans.Tracer`, the
 metrics registry, the SLO monitor) can say *what* happened; this module says
 *why a number is what it is*.  Three analyses over a finished trace (a
 live :class:`Tracer` or Chrome-trace JSON), as numpy passes over its
-span columns (:meth:`Tracer.sim_columns`).  One sort puts the spans in
-the order :meth:`Tracer.finished_spans` returns them, and every pass
+coded span columns (:meth:`Tracer.sim_columns`): no pass builds a
+string, an args dict or a ``Span`` per span.  One sort puts the spans
+in the order :meth:`Tracer.finished_spans` returns them, and every pass
 keeps it.  Sums accumulate, never reduce: each adds its terms left to
-right in that order (``np.cumsum`` per group, or ``+=``), never with
+right in that order (``np.add.accumulate``, or ``+=``), never with
 ``np.sum``'s pairwise adds or the builtin ``sum()``, which compensates
 from Python 3.12.  So the bytes do not depend on the interpreter, nor
 on whether the spans were recorded in bulk or one at a time:
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
@@ -178,12 +178,22 @@ def _codes(values: List) -> Tuple[List, np.ndarray]:
                                  len(values))
 
 
+#: Groups of at most this many rows add up in one padded matrix.
+_PADDED_ROWS = 64
+
+
 def _group_totals(keys: np.ndarray, *columns: np.ndarray
                   ) -> Tuple[List[int], List[int], List[List[float]]]:
     """Per distinct key, in order of first appearance: the key, its row
     count and, per column, its values added left to right in row order
-    from 0.0 — one ``np.add.accumulate`` (``np.cumsum``) per group, whose
-    ``+ 0.0`` makes an all ``-0.0`` sum the ``0.0`` a ``+=`` loop gets."""
+    from 0.0.
+
+    Groups of up to :data:`_PADDED_ROWS` rows fill one zero-padded
+    (position, group) matrix that one ``np.add.accumulate`` adds down
+    its columns; each longer group takes an accumulate of its own.
+    Trailing ``0.0`` pads change no sum but ``-0.0``, and the final
+    ``+ 0.0`` makes an all ``-0.0`` sum the ``0.0`` a ``+=`` loop gets
+    anyway."""
     if not len(keys):
         return [], [], [[] for _ in columns]
     # Narrowed keys let numpy radix-sort them.
@@ -192,14 +202,24 @@ def _group_totals(keys: np.ndarray, *columns: np.ndarray
     keys = keys[grouped]
     heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     counts = np.diff(np.append(heads, len(keys)))
-    longer = np.flatnonzero(counts > 1)
     first = np.argsort(grouped[heads], kind="stable")
+    short = counts <= _PADDED_ROWS
+    rows = np.repeat(short, counts)
+    cells = ((np.arange(len(keys)) - np.repeat(heads, counts))[rows],
+             np.repeat(np.cumsum(short) - 1, counts)[rows])
+    shape = (counts[short].max(initial=0), np.count_nonzero(short))
+    longer = np.flatnonzero(~short).tolist()
     sums = []
     for values in (column[grouped] for column in columns):
-        totals = values[heads]
-        totals[longer] = [np.add.accumulate(values[low:low + count])[-1]
-                          for low, count in zip(heads[longer].tolist(),
-                                                counts[longer].tolist())]
+        matrix = np.zeros(shape)
+        matrix[cells] = values[rows]
+        totals = np.empty(len(heads))
+        if shape[1]:
+            totals[short] = np.add.accumulate(matrix)[-1]
+        for group in longer:
+            low = heads[group]
+            totals[group] = np.add.accumulate(
+                values[low:low + counts[group]])[-1]
         sums.append((totals[first] + 0.0).tolist())
     return keys[heads[first]].tolist(), counts[first].tolist(), sums
 
@@ -208,27 +228,28 @@ class _Trace:
     """A trace's finished sim-time spans as numpy columns, stable-sorted
     by ``(start, pid, tid, name)`` as :meth:`Tracer.finished_spans` sorts
     them (ties keep recording order).  Names and categories are codes
-    into sorted lists; ``ties`` ranks ``(start, pid, tid, name)``, equal
-    for equal keys; ``args`` is an object column of arg dicts."""
+    into sorted lists, remapped from the columns' own tables; ``ties``
+    ranks ``(start, pid, tid, name)``, equal for equal keys; each row's
+    args dict is ``arg_table[arg_codes[row]]``, without the row's
+    ``ready`` column (see :class:`~repro.telemetry.spans.SpanColumns`)."""
 
     def __init__(self, columns: SpanColumns) -> None:
-        self.labels, _, names, starts, ends, tracks, categories, args = \
-            columns
+        (self.labels, names, categories, self.arg_table, _, name_codes,
+         starts, ends, tracks, category_codes, arg_codes, ready) = columns
         _, rank = _codes(self.labels)  # each track's place in label order
         self.name_list, names = _codes(names)
         self.category_list, categories = _codes(categories)
-        tracks = np.array(tracks, dtype=np.intp)
-        starts = np.array(starts, dtype=float)
+        names, categories = names[name_codes], categories[category_codes]
         # The one sort: by (track rank, name), narrowed so numpy can
         # radix-sort it, then stably by start.
         ties = rank[tracks] * len(self.name_list) + names
         order = np.argsort(ties.astype(np.min_scalar_type(
             ties.max(initial=0))), kind="stable")
         order = order[np.argsort(starts[order], kind="stable")]
-        self.args = np.fromiter(args, object, len(args))[order]
         self.names, self.categories = names[order], categories[order]
         self.tracks, self.starts = tracks[order], starts[order]
-        self.ends = np.array(ends, dtype=float)[order]
+        self.ends, self.arg_codes = ends[order], arg_codes[order]
+        self.ready = ready[order]
         self.durations = self.ends - self.starts
         ties = ties[order]
         self.ties = np.cumsum(np.concatenate(([True], (
@@ -252,8 +273,9 @@ def _find_root(trace: _Trace, name: Optional[str]) -> Tuple[int, Span]:
     the longest span of a root category (``run``/``fleet``); if none
     exists — e.g. a hand-built trace — a synthetic span covering the
     hull of all sim-time spans (index -1).  Ties go to the first span.
+    The returned span carries no args.
     """
-    if not len(trace.args):
+    if not len(trace.names):
         raise ValueError("trace has no finished sim-time spans")
     if name is not None and name not in trace.name_list:
         raise ValueError(f"no sim-time span named '{name}'")
@@ -268,8 +290,7 @@ def _find_root(trace: _Trace, name: Optional[str]) -> Tuple[int, Span]:
                 trace.name_list[trace.names[index]],
                 float(trace.starts[index]), float(trace.ends[index]),
                 *trace.labels[trace.tracks[index]],
-                trace.category_list[trace.categories[index]], SIM_CLOCK,
-                trace.args[index])
+                trace.category_list[trace.categories[index]], SIM_CLOCK)
     return -1, Span(name="(trace)", start=float(trace.starts[0]),
                     end=float(trace.ends[np.argmax(trace.ends)]),
                     pid="analysis", tid="hull", category="run",
@@ -333,9 +354,10 @@ class CriticalPath:
                 "by_category": self.by_category()}
 
 
-def _critical_path(trace: _Trace, root_index: int,
-                   root_span: Span) -> CriticalPath:
-    """Chain the blocking predecessors of the end-to-end span.
+def _critical_path(trace: _Trace, root_index: int, root_span: Span
+                   ) -> Tuple[CriticalPath, np.ndarray]:
+    """Chain the blocking predecessors of the end-to-end span; returns
+    the path and each hop's row (-1 for an idle hop).
 
     Walks backward from the root's end: at every cursor the blocking
     span is the latest-finishing span at (or before) that instant; ties
@@ -352,51 +374,89 @@ def _critical_path(trace: _Trace, root_index: int,
             & (trace.starts < high) & ~trace.category_mask(_NOT_BLOCKERS))
     if root_index >= 0:
         mask[root_index] = False
-    # Sorted by end for the bisect walk; among ends within the slack the
+    # Sorted by end for the walk; among ends within the slack the
     # highest tie rank (the latest start, then track, then name) wins.
+    # ``after`` is where the walk's search lands once a candidate is a
+    # hop: the last end within the slack of its start, searched for
+    # every candidate at once.  A dropped candidate stays in the
+    # columns and the walk steps over it.
     candidates = np.flatnonzero(mask)
     candidates = candidates[np.argsort(trace.ends[candidates],
                                        kind="stable")]
-    ends = trace.ends[candidates].tolist()
-    starts, ties = trace.starts[candidates], trace.ties[candidates]
-    hops: List[CriticalHop] = []
+    ends, starts, ties = (trace.ends[candidates], trace.starts[candidates],
+                          trace.ties[candidates])
+    after = np.searchsorted(ends, np.maximum(starts, root_span.start)
+                            + DEFAULT_EPSILON, side="right") - 1
+    dropped = set()
+    # Each hop's candidate (-1 when idle), start, end and self time, in
+    # lists of numbers: a tuple per hop would be a container for the
+    # garbage collector to track.
+    found: List[int] = []
+    hop_starts: List[float] = []
+    hop_ends: List[float] = []
+    seconds: List[float] = []
     gap_seconds = 0.0
     cursor = root_span.end
+    last = int(np.searchsorted(ends, cursor + DEFAULT_EPSILON,
+                               side="right")) - 1
     while cursor > low:
-        best = bisect_right(ends, cursor + DEFAULT_EPSILON) - 1
-        scan = best - 1
-        while scan >= 0 and ends[scan] >= ends[best] - DEFAULT_EPSILON:
+        best = last
+        while best in dropped:
+            best -= 1
+        end = ends.item(best) if best >= 0 else -math.inf
+        for scan in range(best - 1, -1, -1):
+            if scan in dropped:
+                continue
+            if ends.item(scan) < end - DEFAULT_EPSILON:
+                break
             if ties.item(scan) > ties.item(best):
-                best = scan
-            scan -= 1
-        if best < 0 or ends[best] < cursor - DEFAULT_EPSILON:
+                best, end = scan, ends.item(scan)
+        if end < cursor - DEFAULT_EPSILON:
             # Nothing ends at the cursor: idle back to the latest end
             # before it, or to the root's start if nothing ends before.
-            idle_from = root_span.start if best < 0 else ends[best]
-            gap = cursor - idle_from
-            gap_seconds += gap
-            hops.append(CriticalHop(IDLE_HOP, root_span.pid, root_span.tid,
-                                    "idle", idle_from, cursor, gap))
-            cursor = idle_from
-        elif starts.item(best) >= cursor:
-            del ends[best]
-            starts, ties, candidates = (np.delete(column, best) for column
-                                        in (starts, ties, candidates))
+            best, start, end = (-1, root_span.start if best < 0 else end,
+                                cursor)
+            lower = start
+            gap_seconds += cursor - start
+            last = int(np.searchsorted(ends, start + DEFAULT_EPSILON,
+                                       side="right")) - 1
         else:
-            start, index = starts.item(best), candidates.item(best)
+            start = starts.item(best)
+            if start >= cursor:
+                dropped.add(best)
+                continue
             lower = max(start, root_span.start)
-            args = trace.args[index]
-            hops.append(CriticalHop(
-                trace.name_list[trace.names.item(index)],
-                *trace.labels[trace.tracks.item(index)],
-                trace.category_list[trace.categories.item(index)], start,
-                ends[best], cursor - lower, str(args.get("kind", "")),
-                str(args.get("resource", ""))))
-            cursor = lower
-    hops.reverse()
+            last = after.item(best)
+        found.append(best)
+        hop_starts.append(start)
+        hop_ends.append(end)
+        seconds.append(cursor - lower)
+        cursor = lower
+    # Each hop's strings, gathered from tables that hold the idle hop's
+    # value as one more entry.
+    for column in (found, hop_starts, hop_ends, seconds):
+        column.reverse()
+    rows = np.append(candidates, -1)[found]
+    idle = rows < 0
+    codes, args_of = np.unique(trace.arg_codes[rows], return_inverse=True)
+    args = [trace.arg_table[code] for code in codes.tolist()]
+    strings = [
+        np.array(table + [extra], dtype=object)[
+            np.where(idle, len(table), column)].tolist()
+        for column, table, extra in (
+            (trace.names[rows], trace.name_list, IDLE_HOP),
+            (trace.tracks[rows], [pid for pid, _ in trace.labels],
+             root_span.pid),
+            (trace.tracks[rows], [tid for _, tid in trace.labels],
+             root_span.tid),
+            (trace.categories[rows], trace.category_list, "idle"),
+            (args_of, [str(one.get("kind", "")) for one in args], ""),
+            (args_of, [str(one.get("resource", "")) for one in args], ""))]
+    hops = tuple(map(CriticalHop._make, zip(
+        *strings[:4], hop_starts, hop_ends, seconds, *strings[4:])))
     return CriticalPath(root_name=root_span.name, root_pid=root_span.pid,
-                        root_seconds=root_span.duration,
-                        hops=tuple(hops), gap_seconds=gap_seconds)
+                        root_seconds=root_span.duration, hops=hops,
+                        gap_seconds=gap_seconds), rows
 
 
 # -- utilization & phase verdicts ---------------------------------------
@@ -516,7 +576,7 @@ def _phase_verdicts(trace: _Trace) -> List[PhaseVerdict]:
     pid_of = pid_codes[trace.tracks[busy]]
     verdicts: List[PhaseVerdict] = []
     for phase in phases.tolist():
-        args = trace.args[phase]
+        args = trace.arg_table[trace.arg_codes[phase]]
         host_slots = args.get("host_slots")
         if not isinstance(host_slots, int):
             continue
@@ -610,14 +670,19 @@ def _utilization(trace: _Trace, root_span: Span) -> UtilizationReport:
     concurrency = _concurrency(trace.starts[on_resources],
                                trace.ends[on_resources], root_start,
                                root_end)
-    # The ``ready`` column, read once.  A missing or non-numeric one is
-    # +inf, which ``max(start - ready, 0.0)`` turns into no blocked time.
-    ready = [args.get("ready", math.inf) for args in trace.args[spans]]
-    if not set(map(type, ready)) <= {float}:
-        ready = [float(value) if isinstance(value, (int, float))
-                 and not isinstance(value, bool) else math.inf
-                 for value in ready]
-    blocked = trace.starts[spans] - np.array(ready, dtype=float)
+    # Each span's ready time: its ``ready`` column, or where that is NaN
+    # the ``ready`` its args dict holds, read once per table entry.  A
+    # missing or non-numeric one is +inf, which ``max(start - ready,
+    # 0.0)`` turns into no blocked time.
+    ready = trace.ready[spans]
+    from_args = np.isnan(ready)
+    if from_args.any():
+        table = np.array([
+            float(value) if isinstance(value, (int, float))
+            and not isinstance(value, bool) else math.inf
+            for value in (args.get("ready") for args in trace.arg_table)])
+        ready[from_args] = table[trace.arg_codes[spans[from_args]]]
+    blocked = trace.starts[spans] - ready
     blocked[0.0 > blocked] = 0.0
     keys, counts, (busy, blocked) = _group_totals(
         tracks, trace.durations[spans], blocked)
@@ -661,9 +726,10 @@ def _concurrency(starts: np.ndarray, ends: np.ndarray, root_start: float,
 # -- rollups & trace diff ------------------------------------------------
 
 def _rollup(trace: _Trace, root_index: int, root_span: Span,
-            path: CriticalPath,
+            path: CriticalPath, hop_rows: np.ndarray,
             report: UtilizationReport) -> Dict[str, object]:
-    """The rollup document :func:`build_rollup` describes."""
+    """The rollup document :func:`build_rollup` describes; ``hop_rows``
+    are the path's rows, as :func:`_critical_path` returns them."""
     mask = ~trace.category_mask(_ROOT_CATEGORIES)
     if root_index >= 0:
         mask[root_index] = False
@@ -672,11 +738,17 @@ def _rollup(trace: _Trace, root_index: int, root_span: Span,
     keys, counts, (totals,) = _group_totals(
         trace.names[spans] * width + trace.categories[spans],
         trace.durations[spans])
-    critical: Dict[Tuple[str, str], List] = {}
-    for hop in path.hops:
-        entry = critical.setdefault((hop.name, hop.category), [0, 0.0])
-        entry[0] += 1
-        entry[1] += hop.self_seconds
+    # The path's hops grouped the same way, idle hops as one more key.
+    idle = len(trace.name_list) * width
+    hop_keys, hop_counts, (hop_totals,) = _group_totals(
+        np.where(hop_rows < 0, idle, trace.names[hop_rows] * width
+                 + trace.categories[hop_rows]),
+        np.array([hop.self_seconds for hop in path.hops], dtype=float))
+    critical = sorted(
+        ((IDLE_HOP, "idle") if key == idle else
+         (trace.name_list[key // width], trace.category_list[key % width]),
+         count, seconds)
+        for key, count, seconds in zip(hop_keys, hop_counts, hop_totals))
     return {
         "schema": ROLLUP_SCHEMA,
         "schema_version": ROLLUP_SCHEMA_VERSION,
@@ -691,8 +763,7 @@ def _rollup(trace: _Trace, root_index: int, root_span: Span,
         "critical": [
             {"name": name, "category": category,
              "count": count, "self_seconds": seconds}
-            for (name, category), (count, seconds)
-            in sorted(critical.items())],
+            for (name, category), count, seconds in critical],
         "bound_by": (report.phases[0].bound_by
                      if report.phases else None),
     }
@@ -882,9 +953,10 @@ def analyze_trace(source: Union[Tracer, Dict[str, object], str],
     """
     trace = _Trace(load_trace(source).sim_columns())
     root_row, root_span = _find_root(trace, root)
-    path = _critical_path(trace, root_row, root_span)
+    path, hop_rows = _critical_path(trace, root_row, root_span)
     utilization = _utilization(trace, root_span)
-    rollup = _rollup(trace, root_row, root_span, path, utilization)
+    rollup = _rollup(trace, root_row, root_span, path, hop_rows,
+                     utilization)
     diff = None
     if against is not None:
         diff = diff_rollups(analyze_trace(against, root=root).rollup, rollup)

@@ -12,10 +12,11 @@ a per-instance registry folds into a system-level one both under an
 from __future__ import annotations
 
 import bisect
-from functools import reduce
-from itertools import repeat
 from operator import add
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 #: Default latency buckets (seconds): 100 µs to 10 s, roughly log-spaced.
 DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
@@ -82,18 +83,28 @@ class Histogram:
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
 
-    def observe_many(self, values: Iterable[float]) -> None:
-        """:meth:`observe` each value in turn, in bulk."""
-        values = list(map(float, values))
-        if not values:
+    def observe_many(self, values: ArrayLike) -> None:
+        """:meth:`observe` each value of a column in turn, in bulk.
+
+        The values must not be NaN.  Bucket ``i`` counts the values
+        ``bisect_left`` puts there (the first edge at or above them),
+        the total adds them left to right from the running total as
+        repeated ``+=`` does, and the extremes are the first minimum
+        and maximum, as ``min()`` and ``max()`` pick among equals.
+        """
+        values = np.asarray(values, dtype=float).ravel()
+        if not len(values):
             return
-        counts = self.counts
-        for index in map(bisect.bisect_left, repeat(self.bounds), values):
-            counts[index] += 1
+        buckets = np.bincount(np.searchsorted(self.bounds, values,
+                                              side="left"),
+                              minlength=len(self.counts))
+        self.counts[:] = map(add, self.counts, buckets.tolist())
         self.count += len(values)
-        # Left to right from the running total, as repeated `+=` adds.
-        self.total = reduce(add, values, self.total)
-        low, high = min(values), max(values)
+        with np.errstate(over="ignore", invalid="ignore"):  # as `+=`
+            self.total = np.add.accumulate(
+                np.concatenate(([self.total], values)))[-1].item()
+        low = values[np.argmin(values)].item()
+        high = values[np.argmax(values)].item()
         self.min = low if self.min is None else min(self.min, low)
         self.max = high if self.max is None else max(self.max, high)
 

@@ -7,17 +7,28 @@ coexist:
 * **sim-time** spans are recorded retroactively with explicit start/end
   timestamps in simulated seconds, which is how the discrete-event
   schedulers report their placements: one span at a time
-  (:meth:`Tracer.add_span`), or many at once as parallel columns
+  (:meth:`Tracer.add_span`), or many at once as coded columns
   (:meth:`Tracer.add_spans`);
 * **wall-clock** spans wrap real work with the :meth:`Tracer.span`
   context manager, timed against the tracer's own monotonic epoch —
   used by the functional datapath.
 
-Spans recorded one at a time are :class:`Span` objects from the start.
-Bulk rows stay columns (name, start, end, track index, category, args)
-until someone iterates :attr:`Tracer.spans` (export, rendering, tests),
-which builds their objects once; trace analytics read the columns
-through :meth:`Tracer.sim_columns` and never build a ``Span`` per row.
+Sim-time spans have one column format, :class:`SpanColumns`: numpy
+arrays of start, end, track index, span id and ready time, and names,
+categories and args dicts as integer codes into tables.  Rows share
+table entries: the orchestrator codes each node's span names and
+reservation args once and each task's args once per node and
+resource, and keeps the per-task ``ready`` time in the ready column
+(NaN where the args dict holds it).  Bulk rows stay in that format
+until someone iterates :attr:`Tracer.spans` (export, rendering,
+tests), which builds their objects once, each args dict a copy with
+its ``ready`` filled in.  Spans recorded one at a time are
+:class:`Span` objects from the start (the fleet, serving and system
+simulators and the Chrome-JSON loader record them so), and
+:meth:`Tracer.sim_columns` codes them into the same format, each into
+table entries of its own, and merges them with the bulk rows by span
+id.  Trace analytics read only the columns: they never build a
+``Span`` or an args dict per row.
 
 Instrumented code takes an *optional* ``tracer=`` argument, and a
 simulation result never depends on whether one is given.  The
@@ -34,9 +45,12 @@ import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import attrgetter, ge, itemgetter
+from operator import attrgetter
 from typing import (Dict, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple)
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 #: Clock-domain labels stored on every span.
 SIM_CLOCK = "sim"
@@ -81,24 +95,76 @@ class Instant:
 
 
 class SpanColumns(NamedTuple):
-    """Sim-time spans as parallel columns: index ``i`` of each is a span.
+    """Sim-time spans as coded columns: row ``i`` of each array is a span.
 
-    ``tracks`` indexes ``labels``, the (pid, tid) pairs.  Rows may share
-    an ``args`` dict: the columns only read it.
+    Strings and args dicts are codes into tables: ``name_codes`` index
+    ``names``, ``category_codes`` index ``categories``, ``arg_codes``
+    index ``args`` and ``tracks`` index ``labels``, the (pid, tid)
+    pairs.  A table may hold a value twice, and rows may share an args
+    dict: the columns only read it.  ``ready`` is the row's ``ready``
+    time, NaN where its args dict alone says (the orchestrator's tasks
+    share one dict per node and resource, and keep the per-task time
+    here).
     """
 
     labels: List[Tuple[str, str]]
-    ids: List[int]
     names: List[str]
-    starts: List[float]
-    ends: List[float]
-    tracks: List[int]
     categories: List[str]
     args: List[Dict[str, object]]
+    ids: np.ndarray
+    name_codes: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    tracks: np.ndarray
+    category_codes: np.ndarray
+    arg_codes: np.ndarray
+    ready: np.ndarray
+
+
+def _span_args(args: Dict[str, object], ready: float) -> Dict[str, object]:
+    """A bulk row's own args: a copy of its table entry, with ``ready``
+    set from the row's column unless that is NaN."""
+    args = dict(args)
+    if ready == ready:
+        args["ready"] = ready
+    return args
 
 
 def _no_rows(labels: List[Tuple[str, str]]) -> SpanColumns:
-    return SpanColumns(labels, [], [], [], [], [], [], [])
+    codes = np.zeros(0, dtype=np.intp)
+    times = np.zeros(0)
+    return SpanColumns(labels, [], [], [], codes, codes, times, times,
+                       codes, codes, codes, times)
+
+
+def _concatenate(labels: List[Tuple[str, str]],
+                 blocks: List[SpanColumns]) -> SpanColumns:
+    """One set of columns holding every block's rows, in span-id order.
+
+    Each block's codes shift past the tables of the blocks before it.
+    """
+    if not blocks:
+        return _no_rows(labels)
+    if len(blocks) == 1:
+        return blocks[0]._replace(labels=labels)
+    tables: Tuple[List, ...] = ([], [], [])
+    rows: Tuple[List[np.ndarray], ...] = tuple([] for _ in range(8))
+    for block in blocks:
+        offsets = [len(table) for table in tables]
+        for table, values in zip(tables, block[1:4]):
+            table.extend(values)
+        (ids, name_codes, starts, ends, tracks, category_codes, arg_codes,
+         ready) = block[4:]
+        for column, values in zip(rows, (
+                ids, name_codes + offsets[0], starts, ends, tracks,
+                category_codes + offsets[1], arg_codes + offsets[2],
+                ready)):
+            column.append(values)
+    columns = [np.concatenate(column) for column in rows]
+    if np.any(columns[0][1:] < columns[0][:-1]):
+        order = np.argsort(columns[0], kind="stable")
+        columns = [column[order] for column in columns]
+    return SpanColumns(labels, *tables, *columns)
 
 
 def _check_span(name: str, start: float, end: float) -> None:
@@ -130,8 +196,10 @@ class Tracer:
         self.instants: List[Instant] = []
         self._next_id = 1
         self._open: List[Span] = []
-        #: Bulk rows not yet built into objects; their track table.
-        self._bulk = _no_rows([])
+        #: Bulk rows not yet built into objects, one block per
+        #: :meth:`add_spans` call, and the track table they share.
+        self._blocks: List[SpanColumns] = []
+        self._labels: List[Tuple[str, str]] = []
         self._track_index: Dict[Tuple[str, str], int] = {}
 
     # -- clock ----------------------------------------------------------
@@ -171,37 +239,52 @@ class Tracer:
     def track(self, pid: str, tid: str) -> int:
         """The index :meth:`add_spans` takes for the (pid, tid) track."""
         if (pid, tid) not in self._track_index:
-            self._track_index[(pid, tid)] = len(self._bulk.labels)
-            self._bulk.labels.append((pid, tid))
+            self._track_index[(pid, tid)] = len(self._labels)
+            self._labels.append((pid, tid))
         return self._track_index[(pid, tid)]
 
-    def add_spans(self, names: Sequence[str], starts: Sequence[float],
-                  ends: Sequence[float], tracks: Sequence[int],
-                  categories: Sequence[str],
-                  args: Sequence[Dict[str, object]]) -> None:
-        """Record finished sim-time spans in bulk, as parallel columns.
+    def add_spans(self, names: Sequence[str], categories: Sequence[str],
+                  args: Sequence[Dict[str, object]], name_codes: ArrayLike,
+                  category_codes: ArrayLike, arg_codes: ArrayLike,
+                  starts: ArrayLike, ends: ArrayLike, tracks: ArrayLike,
+                  ready: ArrayLike) -> None:
+        """Record finished sim-time spans in bulk, as coded columns.
 
-        Row ``i`` is the span ``add_span(names[i], starts[i], ends[i],
-        category=categories[i], **args[i])`` on track ``tracks[i]`` (an
-        index from :meth:`track`): the rows pass the same checks and get
-        the span ids and recording order those calls would.  Rows may
-        share one ``args`` dict; building a row's :class:`Span` copies it.
+        ``names``, ``categories`` and ``args`` are tables, and the other
+        arguments are one column each, in the layout of
+        :class:`SpanColumns`.  Row ``i`` is the span
+        ``add_span(names[name_codes[i]], starts[i], ends[i],
+        category=categories[category_codes[i]], **row_args)`` on track
+        ``tracks[i]`` (an index from :meth:`track`), where ``row_args``
+        is ``args[arg_codes[i]]`` with its ``ready`` set to ``ready[i]``
+        unless that is NaN.  The rows pass the same checks and get the
+        span ids and recording order those calls would; building a
+        row's :class:`Span` copies its args.
         """
-        columns = (names, starts, ends, tracks, categories, args)
-        count = len(names)
-        if any(len(column) != count for column in columns):
+        columns = (np.asarray(name_codes, dtype=np.intp),
+                   np.asarray(starts, dtype=float),
+                   np.asarray(ends, dtype=float),
+                   np.asarray(tracks, dtype=np.intp),
+                   np.asarray(category_codes, dtype=np.intp),
+                   np.asarray(arg_codes, dtype=np.intp),
+                   np.asarray(ready, dtype=float))
+        count = len(columns[0])
+        if any(column.shape != (count,) for column in columns):
             raise ValueError("add_spans columns differ in length")
-        # One C-level pass in the common case: no NaN anywhere (it fails
-        # `>=`), no reversed row, and finite extremes.
-        if count and not (all(map(ge, ends, starts))
-                          and math.isfinite(min(starts))
-                          and math.isfinite(max(ends))):
-            for row in range(count):
-                _check_span(names[row], starts[row], ends[row])
-        self._bulk.ids.extend(range(self._next_id, self._next_id + count))
+        starts, ends = columns[1:3]
+        # NaN fails `>=`, so one mask finds every bad row.
+        bad = ~((ends >= starts) & np.isfinite(starts) & np.isfinite(ends))
+        if bad.any():
+            row = int(np.argmax(bad))
+            _check_span(names[columns[0][row]], starts[row].item(),
+                        ends[row].item())
+        if not count:
+            return
+        ids = np.arange(self._next_id, self._next_id + count)
         self._next_id += count
-        for column, values in zip(self._bulk[2:], columns):
-            column.extend(values)
+        self._blocks.append(SpanColumns(
+            self._labels, list(names), list(categories), list(args), ids,
+            *columns))
 
     def instant(self, name: str, ts: float, *, pid: str = "sim",
                 tid: str = "main", category: str = "event",
@@ -251,13 +334,16 @@ class Tracer:
         it changes the trace.  Pending bulk rows are built into
         :class:`Span` objects and merged in by span id on first access.
         """
-        if self._bulk.ids:
-            labels, *columns = self._bulk
-            self._bulk = _no_rows(labels)
-            built = [Span(name, start, end, *labels[track], category,
-                          SIM_CLOCK, dict(args), span_id)
-                     for span_id, name, start, end, track, category, args
-                     in zip(*columns)]
+        if self._blocks:
+            labels, blocks = self._labels, self._blocks
+            self._blocks = []
+            built = [
+                Span(block.names[name], start, end, *labels[track],
+                     block.categories[category], SIM_CLOCK,
+                     _span_args(block.args[args], ready), span_id)
+                for block in blocks
+                for span_id, name, start, end, track, category, args, ready
+                in zip(*(column.tolist() for column in block[4:]))]
             if self._spans and self._spans[-1].span_id > built[0].span_id:
                 built = sorted(self._spans + built,
                                key=attrgetter("span_id"))
@@ -266,28 +352,36 @@ class Tracer:
         return self._spans
 
     def sim_columns(self) -> SpanColumns:
-        """Every finished sim-time span as columns, in recording order.
+        """Every finished sim-time span as coded columns, in recording
+        order.
 
         Pending bulk rows come as stored (read them only); spans held as
-        objects are read at call time.
+        objects are coded at call time, each into its own table entries.
         """
+        blocks = list(self._blocks)
         objects = [span for span in self._spans
                    if span.end is not None and span.clock == SIM_CLOCK]
-        if not objects:
-            return self._bulk
-        labels, *columns = self._bulk
-        labels, index = list(labels), dict(self._track_index)
-        rows = list(zip(*columns))
-        for span in objects:
-            key = (span.pid, span.tid)
-            if key not in index:
-                index[key] = len(labels)
-                labels.append(key)
-            rows.append((span.span_id, span.name, span.start, span.end,
-                         index[key], span.category, span.args))
-        if self._bulk.ids:
-            rows.sort(key=itemgetter(0))
-        return SpanColumns(labels, *map(list, zip(*rows)))
+        labels = self._labels
+        if objects:
+            labels, index = list(labels), dict(self._track_index)
+            tracks = []
+            for span in objects:
+                key = (span.pid, span.tid)
+                if key not in index:
+                    index[key] = len(labels)
+                    labels.append(key)
+                tracks.append(index[key])
+            codes = np.arange(len(objects))
+            blocks.append(SpanColumns(
+                labels, [span.name for span in objects],
+                [span.category for span in objects],
+                [span.args for span in objects],
+                np.array([span.span_id for span in objects]), codes,
+                np.array([span.start for span in objects], dtype=float),
+                np.array([span.end for span in objects], dtype=float),
+                np.array(tracks, dtype=np.intp), codes, codes,
+                np.full(len(objects), np.nan)))
+        return _concatenate(labels, blocks)
 
     def finished_spans(self) -> List[Span]:
         """All closed spans, in deterministic analytics order.
@@ -302,4 +396,5 @@ class Tracer:
             key=lambda span: (span.start, span.pid, span.tid, span.name))
 
     def __len__(self) -> int:
-        return len(self._spans) + len(self._bulk.ids)
+        return len(self._spans) + sum(len(block.ids)
+                                      for block in self._blocks)

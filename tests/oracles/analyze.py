@@ -44,7 +44,7 @@ from repro.telemetry.analyze import (
     bottleneck_of,
     load_trace,
 )
-from repro.telemetry.spans import SIM_CLOCK, Span, SpanColumns, Tracer
+from repro.telemetry.spans import SIM_CLOCK, Span, Tracer
 
 
 def _array_type_of_tid(tid: str) -> Optional[str]:
@@ -83,15 +83,30 @@ class _SummedReport(UtilizationReport):
 
 
 class _Trace:
-    """One trace's finished sim-time span columns, plus the analytics
-    order: row indices stable-sorted by ``(start, pid, tid, name)``, the
-    order :meth:`Tracer.finished_spans` returns (ties keep recording
-    order).  Every pass below walks ``order`` (or a filter of it), so
-    every float sum adds its terms in the order it always has."""
+    """One trace's finished sim-time spans as per-row lists, plus the
+    analytics order: row indices stable-sorted by ``(start, pid, tid,
+    name)``, the order :meth:`Tracer.finished_spans` returns (ties keep
+    recording order).  Every pass below walks ``order`` (or a filter of
+    it), so every float sum adds its terms in the order it always has.
 
-    def __init__(self, columns: SpanColumns) -> None:
-        (self.labels, _, self.names, self.starts, self.ends, self.tracks,
-         self.categories, self.args) = columns
+    The rows are read from :attr:`Tracer.spans`, the span objects an
+    export reads, not from the coded columns the product code reads."""
+
+    def __init__(self, spans: List[Span]) -> None:
+        self.labels: List[Tuple[str, str]] = []
+        index: Dict[Tuple[str, str], int] = {}
+        self.tracks = []
+        for span in spans:
+            key = (span.pid, span.tid)
+            if key not in index:
+                index[key] = len(self.labels)
+                self.labels.append(key)
+            self.tracks.append(index[key])
+        self.names = [span.name for span in spans]
+        self.starts = [span.start for span in spans]
+        self.ends = [span.end for span in spans]
+        self.categories = [span.category for span in spans]
+        self.args = [span.args for span in spans]
         # (pid, tid) order as one int per track, so the sort key is a
         # float, an int and a string.
         rank = [0] * len(self.labels)
@@ -411,7 +426,8 @@ def analyze(source: Union[Tracer, Dict[str, object], str],
             root: Optional[str] = None) -> TraceAnalysis:
     """The analysis :func:`repro.telemetry.analyze.analyze_trace` makes
     of ``source`` (without a diff), by the per-row passes."""
-    trace = _Trace(load_trace(source).sim_columns())
+    trace = _Trace([span for span in load_trace(source).spans
+                    if span.end is not None and span.clock == SIM_CLOCK])
     root_row, root_span = _find_root(trace, root)
     path = _critical_path(trace, root_row, root_span)
     utilization = _utilization(trace, root_span)

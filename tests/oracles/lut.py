@@ -54,3 +54,16 @@ def lookup_grouped(lut: SpecialFunctionLut, values: np.ndarray) -> np.ndarray:
             table = lut._tables[(sign, biased)]
             output[select] = table[mantissas[select]]
     return output.reshape(np.shape(array))
+
+
+def lookup_uint32_index(lut: SpecialFunctionLut, values: np.ndarray,
+                        assume_bf16: bool = False) -> np.ndarray:
+    """The dense gather with a ``uint32`` index, which ``np.take``
+    converts to ``intp`` before gathering (reference for the one-pass
+    ``intp`` index of :meth:`SpecialFunctionLut.lookup`)."""
+    array = np.asarray(values, dtype=np.float32)
+    if not assume_bf16:
+        array = to_bfloat16(array)
+    bits = np.ascontiguousarray(array).ravel().view(np.uint32)
+    return np.take(lut._dense, bits >> np.uint32(16)).reshape(
+        np.shape(array))

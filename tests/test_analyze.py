@@ -10,6 +10,7 @@ and the ``analyze`` CLI over a trace written by ``trace``.
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -211,20 +212,31 @@ def _random_traces(draw):
                args) for start, length, pid, args in draw(_PHASES)]
     bulk = draw(st.integers(0, len(spans)))
     tracer = Tracer()
-    columns = ([], [], [], [], [], [])
+    columns = ([], [], [], [], [], [], [])
     for index, (name, start, length, (pid, tid), category,
                 *args) in enumerate(spans):
         args = args[0] if args else draw(
             _PHASE_ARGS if category == "run" else _SPAN_ARGS)
         if index < bulk:
+            # A numeric ready may move to the ready column, leaving a
+            # placeholder in its args, as the orchestrator records it.
+            ready = args.get("ready")
+            if (isinstance(ready, (int, float)) and not isinstance(
+                    ready, bool) and draw(st.booleans())):
+                args = dict(args, ready=None)
+            else:
+                ready = np.nan
             for column, value in zip(columns, (
                     name, start, start + length, tracer.track(pid, tid),
-                    category, args)):
+                    category, args, ready)):
                 column.append(value)
         else:
             tracer.add_span(name, start, start + length, pid=pid, tid=tid,
                             category=category, **args)
-    tracer.add_spans(*columns)
+    names, starts, ends, tracks, categories, args, ready = columns
+    codes = np.arange(len(names))
+    tracer.add_spans(names, categories, args, codes, codes, codes, starts,
+                     ends, tracks, ready)
     source = to_chrome_trace(tracer) if draw(st.booleans()) else tracer
     root = draw(st.none() | st.sampled_from([span[0] for span in spans]))
     return source, root

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.arch.accelerated_model import AcceleratedProteinBert
+from repro.arch.lut import make_exp_lut, make_gelu_lut
 from repro.arch.systolic import SimdOpcode, SimdStep, SystolicArray
 from repro.binding.experiment import default_extractor_config
 from repro.dataflow.patterns import ArrayType
@@ -29,6 +30,7 @@ from repro.model import (
 from repro.model.weights import pretrained_like_weights
 from repro.proteins import ProteinTokenizer, SequenceGenerator
 from tests.oracles import kernels as oracle
+from tests.oracles.lut import lookup_uint32_index
 from tests.oracles.systolic import RoundingAcceleratedBert, unrounded_weights
 
 #: Low halves that exercise round-to-nearest-even: exact, just below a
@@ -258,6 +260,31 @@ class TestEncoderFootprint:
             size=(1, seq, 256)).astype(np.float32)
         attention.forward(hidden)
         assert traced_peak(attention.forward, hidden) <= 6 * seq * seq * 4
+
+    @pytest.mark.parametrize("make_lut", [make_gelu_lut, make_exp_lut])
+    def test_lut_index_matches_the_uint32_index(self, make_lut):
+        lut = make_lut()
+        patterns = every_bf16_pattern()
+        for values, assume_bf16 in (
+                (patterns, True), (patterns.reshape(256, 256), True),
+                (np.random.default_rng(4).normal(
+                    scale=8.0, size=(3, 5, 7)).astype(np.float32), False),
+                (np.float32(1.5), False)):
+            assert_same_bits(lut.lookup(values, assume_bf16),
+                             lookup_uint32_index(lut, values, assume_bf16))
+
+    @pytest.mark.parametrize("make_lut", [make_gelu_lut, make_exp_lut])
+    def test_lut_index_is_built_once(self, make_lut):
+        """The dense gather's index is one ``intp`` array: a ``(510,
+        510)`` lookup peaks at the index (2x the input) plus the float32
+        output (1x).  A ``uint32`` index that ``np.take`` converts
+        again peaks at 4x."""
+        lut = make_lut()
+        values = to_bfloat16(np.random.default_rng(3).normal(
+            size=(510, 510)).astype(np.float32))
+        lut.lookup(values, assume_bf16=True)
+        assert traced_peak(lut.lookup, values, True) <= \
+            3 * values.nbytes + 64 * 1024
 
 
 class TestBf16Weights:

@@ -10,15 +10,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.arch import best_perf
+from repro.arch import best_perf, table4_configs
 from repro.arch.accelerated_model import AcceleratedProteinBert
-from repro.dataflow import ArrayType
+from repro.dataflow import ArrayType, build_seq2seq_graph
 from repro.fleet import FleetSimulator, build_fleet
-from repro.model import ProteinBert, protein_bert_tiny
+from repro.model import ProteinBert, protein_bert_base, protein_bert_tiny
 from repro.proteins.workloads import uniprot_like_workload
 from repro.reliability import FaultModel, FaultRates, RetryPolicy
 from repro.sched import Orchestrator
+import repro.sched.orchestrator as orchestrator_module
 from repro.sched.orchestrator import ScheduleResult
 from repro.system import CampaignSimulator, ProSESystem
 from repro.telemetry import (
@@ -32,6 +35,8 @@ from repro.telemetry import (
     write_chrome_trace,
     write_metrics_jsonl,
 )
+from tests.oracles import analyze as analyze_oracle
+from tests.oracles import schedule_trace
 
 CONFIG = protein_bert_tiny(num_layers=2, hidden_size=64, num_heads=4,
                            intermediate_size=128)
@@ -145,6 +150,14 @@ BULK_ROWS = [
 ]
 
 
+def add_rows(tracer, names, starts, ends, tracks, categories, args):
+    """Record rows through :meth:`Tracer.add_spans`, each with its own
+    name, category and args table entry and no ready column."""
+    codes = np.arange(len(names))
+    tracer.add_spans(names, categories, args, codes, codes, codes, starts,
+                     ends, tracks, np.full(len(names), np.nan))
+
+
 def _mixed_trace(bulk):
     """One trace with bulk rows, parented add_span spans, wall-clock
     spans and instants, recorded through ``add_spans`` (``bulk``) or
@@ -159,11 +172,21 @@ def _mixed_trace(bulk):
                 tracer.add_span(name, start, end, pid=pid, tid=tid,
                                 category=category, **args)
             return
+        # Coded as the orchestrator codes them: one table entry per
+        # distinct name and category, and the ready times in the ready
+        # column, their args entries holding a None placeholder.
         names, starts, ends, pids, tids, categories, args = zip(*rows)
-        tracer.add_spans(names, starts, ends,
-                         [tracer.track(pid, tid)
-                          for pid, tid in zip(pids, tids)],
-                         categories, [dict(row) for row in args])
+        name_table = list(dict.fromkeys(names))
+        category_table = list(dict.fromkeys(categories))
+        arg_table = [dict(row, ready=None) if "ready" in row else dict(row)
+                     for row in args]
+        tracer.add_spans(
+            name_table, category_table, arg_table,
+            [name_table.index(name) for name in names],
+            [category_table.index(category) for category in categories],
+            range(len(rows)), starts, ends,
+            [tracer.track(pid, tid) for pid, tid in zip(pids, tids)],
+            [row.get("ready", np.nan) for row in args])
 
     with tracer.span("setup", tid="driver"):
         with tracer.span("plan", tid="driver", step=1):
@@ -215,22 +238,132 @@ class TestSpanColumns:
                 (0.0, float("inf"), "NaN or infinite"),
                 (float("-inf"), 0.0, "NaN or infinite"),
                 (2.0, 1.0, "ends .* before it")):
-            with pytest.raises(ValueError, match=message):
-                tracer.add_spans(["ok", "bad"], [0.0, start], [1.0, end],
-                                 [track, track], ["exec", "exec"], [{}, {}])
-        with pytest.raises(ValueError, match="differ in length"):
-            tracer.add_spans(["a"], [0.0], [1.0], [track], ["exec"], [])
+            with pytest.raises(ValueError, match=message) as error:
+                add_rows(tracer, ["ok", "bad"], [0.0, start], [1.0, end],
+                         [track, track], ["exec", "exec"], [{}, {}])
+            with pytest.raises(ValueError) as single:
+                Tracer().add_span("bad", start, end)
+            assert str(error.value) == str(single.value)
+        codes = np.zeros(1, dtype=np.intp)
+        for short in range(7):
+            columns = [codes, codes, codes, [0.0], [1.0], [track], [0.0]]
+            columns[short] = np.zeros((2,) if short % 2 else (1, 1))
+            with pytest.raises(ValueError, match="differ in length"):
+                tracer.add_spans(["a"], ["exec"], [{}], *columns)
         assert len(tracer) == 0
 
     def test_built_spans_do_not_share_args(self):
         tracer = Tracer()
         track = tracer.track("p", "t")
-        shared = {"array_size": 16}
-        tracer.add_spans(["a", "b"], [0.0, 1.0], [1.0, 2.0],
-                         [track, track], ["exec", "exec"], [shared, shared])
+        shared = {"array_size": 16, "ready": None}
+        tracer.add_spans(["a", "b"], ["exec"], [shared], [0, 1], [0, 0],
+                         [0, 0], [0.0, 1.0], [1.0, 2.0], [track, track],
+                         [0.5, np.nan])
         first, second = tracer.spans
         first.args["array_size"] = 32
-        assert second.args == shared == {"array_size": 16}
+        assert shared == {"array_size": 16, "ready": None}
+        assert list(first.args.items()) == [("array_size", 32),
+                                            ("ready", 0.5)]
+        assert second.args == shared
+
+
+def _decoded(columns):
+    """Each row of coded span columns as ``(name, start, end, pid, tid,
+    category, args items, span id)``: the row's args are its table entry
+    with ``ready`` set from the ready column unless that is NaN."""
+    rows = []
+    for row in range(len(columns.ids)):
+        args = dict(columns.args[columns.arg_codes[row]])
+        if not np.isnan(columns.ready[row]):
+            args["ready"] = float(columns.ready[row])
+        rows.append((columns.names[columns.name_codes[row]],
+                     float(columns.starts[row]), float(columns.ends[row]),
+                     *columns.labels[columns.tracks[row]],
+                     columns.categories[columns.category_codes[row]],
+                     list(args.items()), int(columns.ids[row])))
+    return rows
+
+
+class TestScheduleColumns:
+    """A traced schedule's columns and its ``Span`` objects against the
+    list-built walk of the same placement log that the columnar
+    ``_trace`` replaced (``tests/oracles/schedule_trace.py``): names,
+    times, tracks, categories, args with their key order, and ids."""
+
+    @staticmethod
+    def traced(monkeypatch, hardware, batch, **kwargs):
+        logs = []
+        build = orchestrator_module._trace
+
+        def capture(tracer, *log):
+            logs.append(log)
+            build(tracer, *log)
+
+        monkeypatch.setattr(orchestrator_module, "_trace", capture)
+        tracer = Tracer()
+        result = Orchestrator(hardware).run(
+            protein_bert_base(), batch=batch, seq_len=64, tracer=tracer,
+            **kwargs)
+        (log,) = logs
+        expected = [(name, start, end, pid, tid, category,
+                     list(args.items()), span_id)
+                    for span_id, (name, start, end, pid, tid, category, args)
+                    in enumerate(schedule_trace.spans(*log), 1)]
+        assert _decoded(tracer.sim_columns()) == expected
+        assert [(span.name, span.start, span.end, span.pid, span.tid,
+                 span.category, list(span.args.items()), span.span_id)
+                for span in tracer.spans] == expected
+        return result, expected
+
+    @pytest.mark.parametrize("batch", [2, 8, 32])
+    @pytest.mark.parametrize("hardware", table4_configs(),
+                             ids=lambda hardware: hardware.name)
+    def test_table4_configs(self, monkeypatch, hardware, batch):
+        self.traced(monkeypatch, hardware, batch)
+
+    def test_task_records_match_the_task_spans(self, monkeypatch):
+        result, expected = self.traced(monkeypatch, best_perf(), 8,
+                                       record_tasks=True)
+        tasks = [(name, start, end, tid, dict(args)) for
+                 name, start, end, _, tid, category, args, _ in expected
+                 if category == "task"]
+        assert [(record.name, record.start, record.end,
+                 f"thread{record.thread:02d}", record.kind,
+                 record.resource, record.ready)
+                for record in result.task_log] == [
+            (name, start, end, tid, args["kind"], args["resource"],
+             args["ready"]) for name, start, end, tid, args in tasks]
+        assert {args["kind"] for *_, args in tasks} > {"host"}
+
+    def test_graph_builder_override(self, monkeypatch):
+        config = protein_bert_base()
+        _, expected = self.traced(
+            monkeypatch, best_perf(), 8,
+            graph_builder=lambda sub: build_seq2seq_graph(
+                config, batch=sub, src_len=64, tgt_len=32))
+        assert any(name.startswith("dec") for name, *_ in expected)
+
+    def test_system_trace_keeps_recording_order(self):
+        # Each instance's schedule is one bulk block, followed by that
+        # instance's add_span shard span.
+        tracer = Tracer()
+        ProSESystem(best_perf(), instances=3).simulate(
+            protein_bert_base(), batch=6, seq_len=64, tracer=tracer)
+        columns = tracer.sim_columns()
+        assert columns.ids.tolist() == list(range(1, len(tracer) + 1))
+        categories = [columns.categories[code]
+                      for code in columns.category_codes]
+        runs, shards = ([row for row, category in enumerate(categories)
+                         if category == wanted]
+                        for wanted in ("run", "shard"))
+        assert [run + 1 for run in runs] == shards and len(shards) == 3
+        analysis = analyze_trace(tracer).to_json()
+        assert analysis == analyze_oracle.analyze(tracer).to_json()
+        assert _decoded(columns) == [
+            (span.name, span.start, span.end, span.pid, span.tid,
+             span.category, list(span.args.items()), span.span_id)
+            for span in tracer.spans]
+        assert analyze_trace(tracer).to_json() == analysis
 
 
 # -- scheduler instrumentation ------------------------------------------
@@ -419,6 +552,27 @@ class TestHistogram:
             assert (many.counts, many.count, many.total, many.min,
                     many.max) == (one.counts, one.count, one.total,
                                   one.min, one.max)
+
+    @given(st.lists(st.floats(allow_nan=False), max_size=3),
+           st.lists(st.floats(allow_nan=False)
+                    | st.sampled_from([1e-4, 2.5e-4, 1.0, -0.0, 0.0]),
+                    max_size=60),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_observe_many_column_matches_observe(self, already, values,
+                                                  as_array):
+        one, many = Histogram("one"), Histogram("many")
+        for value in already:
+            one.observe(value)
+            many.observe(value)
+        for value in values:
+            one.observe(value)
+        many.observe_many(np.array(values) if as_array else values)
+        assert (many.counts, many.count, many.min, many.max) == (
+            one.counts, one.count, one.min, one.max)
+        assert str(many.total) == str(one.total)
+        assert all(type(value) in (float, type(None)) for value in (
+            many.total, many.min, many.max))
 
     def test_percentiles_at_bucket_edges(self):
         histogram = Histogram("h", bounds=(1.0, 2.0, 4.0))
