@@ -9,6 +9,7 @@ array groups; NVLink 3.0 doubles the per-generation total.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -45,8 +46,10 @@ class LinkConfig:
     lanes: int = NVLINK_LANES
 
     def __post_init__(self) -> None:
-        if self.total_bandwidth <= 0 or self.lanes <= 0:
-            raise ValueError("bandwidth and lanes must be positive")
+        if (not math.isfinite(self.total_bandwidth)
+                or self.total_bandwidth <= 0 or self.lanes <= 0):
+            raise ValueError("bandwidth and lanes must be positive, and "
+                             "bandwidth finite")
 
     @property
     def lane_bandwidth(self) -> float:

@@ -14,8 +14,10 @@ throughput is compute-limited rather than DRAM-limited.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
+from numbers import Integral
 from operator import add
 
 from ..trace.ops import Op, OpKind
@@ -50,10 +52,11 @@ class HostModel:
     flops_throughput: float = 5.0e10
 
     def __post_init__(self) -> None:
-        if self.slots <= 0:
-            raise ValueError("host slots must be positive")
-        if min(self.elementwise_throughput, self.flops_throughput) <= 0:
-            raise ValueError("host throughputs must be positive")
+        if not isinstance(self.slots, Integral) or self.slots <= 0:
+            raise ValueError("host slots must be a positive integer")
+        if not all(math.isfinite(value) and value > 0 for value in (
+                self.elementwise_throughput, self.flops_throughput)):
+            raise ValueError("host throughputs must be positive and finite")
 
     def op_seconds(self, op: Op) -> float:
         """Time for one host op on one slot."""

@@ -7,8 +7,8 @@ Three pieces:
   ``tracer=`` parameter (``None`` keeps every report bit-identical);
 * :class:`MetricsRegistry` — counters, gauges, and fixed-bucket
   histograms that merge hierarchically across instances and campaigns;
-* exporters — Chrome-trace/Perfetto JSON (open at ``ui.perfetto.dev``),
-  a JSONL metrics dump, and an ASCII timeline renderer.
+* exporters — Chrome-trace/Perfetto JSON (open at ``ui.perfetto.dev``)
+  and its loader, a JSONL metrics dump, and an ASCII timeline renderer.
 
 Recording needs nothing beyond the standard library; the trace
 analytics (:func:`analyze_trace`) run numpy passes over the recorded
@@ -32,12 +32,12 @@ from .analyze import (
     format_critical_path,
     format_diff,
     format_utilization,
-    load_trace,
-    tracer_from_chrome_trace,
     validate_rollup,
 )
 from .export import (
+    load_trace,
     to_chrome_trace,
+    tracer_from_chrome_trace,
     validate_chrome_trace,
     write_chrome_trace,
     write_metrics_jsonl,

@@ -7,8 +7,8 @@ live :class:`Tracer` or Chrome-trace JSON), as numpy passes over its
 coded span columns (:meth:`Tracer.sim_columns`): no pass builds a
 string, an args dict or a ``Span`` per span.  One sort puts the spans
 in the order :meth:`Tracer.finished_spans` returns them, and every pass
-keeps it.  Sums accumulate, never reduce: each adds its terms left to
-right in that order (``np.add.accumulate``, or ``+=``), never with
+keeps it.  Every sum adds its terms left to right in that order, as
+``np.bincount`` adds weights into bins or ``+=`` adds, never with
 ``np.sum``'s pairwise adds or the builtin ``sum()``, which compensates
 from Python 3.12.  So the bytes do not depend on the interpreter, nor
 on whether the spans were recorded in bulk or one at a time:
@@ -19,16 +19,18 @@ on whether the spans were recorded in bulk or one at a time:
   simulated stack starts either when its dependency finished or when a
   resource freed, and both leave a span ending at exactly that time, so
   the backward chain tiles the root span gap-free: the ordered hops with
-  per-hop self-time *are* the end-to-end latency, attributed.
+  per-hop self-time *are* the end-to-end latency, attributed.  The hop
+  records are built only when read.
 * **utilization attribution** — per-track busy/idle/blocked fractions, a
   concurrency histogram over the root window, and a per-phase "bound by"
   verdict recomputed from the spans alone, cross-checked against the
   ``bottleneck`` the scheduler recorded on its run span.
 * **trace diff** — two traces of the same scenario aligned by span
   ``(name, category)`` structure; the end-to-end delta is attributed to
-  the top-k span groups that moved.  Rollups (the diff's input, carried
-  by each analysis) are JSON documents, so a committed rollup can serve
-  as the baseline of a later diff without re-running old code.
+  the top-k span groups that moved.  Rollups (the diff's input, built
+  when an analysis's ``rollup`` is read) are JSON documents, so a
+  committed rollup can serve as the baseline of a later diff without
+  re-running old code.
 
 Everything here is read-only over recorded spans: analyzing a run can
 never change its results.
@@ -39,12 +41,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
+from .export import load_trace
 from .spans import SIM_CLOCK, Span, SpanColumns, Tracer
 
 #: Slack (seconds) for "ends at the cursor" checks; sim spans share the
@@ -79,97 +82,6 @@ _NOT_BLOCKERS = frozenset(_ROOT_CATEGORIES + ("critical", "idle"))
 IDLE_HOP = "(idle)"
 
 
-# -- trace loading -------------------------------------------------------
-
-def tracer_from_chrome_trace(data: Dict[str, object]) -> Tracer:
-    """Rebuild a :class:`Tracer` from an exported Chrome-trace dict.
-
-    Inverse of :func:`repro.telemetry.export.to_chrome_trace` for the
-    span/instant content: ``M`` metadata events restore the pid/tid
-    labels, ``X`` events become spans (the ``clock`` attribute survives
-    the round trip through ``args``), ``i`` events become instants.
-    Counter tracks and the profile process carry no schedule structure
-    and are skipped.  A malformed document, or a span whose ``ready``
-    is a non-finite number, raises a one-line :class:`ValueError` naming
-    the offending event index.
-    """
-    events = data.get("traceEvents") if isinstance(data, dict) else None
-    if not isinstance(events, list):
-        raise ValueError("trace must carry a traceEvents list")
-    pid_names: Dict[int, str] = {}
-    tid_names: Dict[Tuple[int, int], str] = {}
-    tracer = Tracer()
-
-    def seconds(event: Dict[str, object], key: str) -> float:
-        value = event[key] if key == "ts" else event.get(key, 0.0)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"non-numeric {key!r} {value!r}")
-        return float(value) / 1e6
-
-    for metadata in (True, False):
-        for index, event in enumerate(events):
-            try:
-                if not isinstance(event, dict):
-                    raise ValueError(f"not an object: {event!r}")
-                phase = event.get("ph")
-                args = event.get("args") or {}
-                if not isinstance(args, dict):
-                    raise ValueError(f"non-object 'args' {args!r}")
-                if metadata:
-                    if phase != "M":
-                        continue
-                    if event.get("name") == "process_name":
-                        pid_names[event["pid"]] = event["args"]["name"]
-                    elif event.get("name") == "thread_name":
-                        tid_names[(event["pid"], event["tid"])] = \
-                            event["args"]["name"]
-                    continue
-                if phase not in ("X", "i"):
-                    continue
-                pid = pid_names.get(event["pid"], str(event["pid"]))
-                if pid in ("profile", "analysis"):
-                    # Derived tracks (hotspot lanes, a critical-path
-                    # highlight) would double-count if re-analyzed.
-                    continue
-                tid = tid_names.get((event["pid"], event["tid"]),
-                                    str(event["tid"]))
-                args = dict(args)
-                start = seconds(event, "ts")
-                if phase == "i":
-                    tracer.instant(event["name"], start, pid=pid, tid=tid,
-                                   category=str(event.get("cat", "event")),
-                                   **args)
-                    continue
-                ready = args.get("ready")
-                if (isinstance(ready, (int, float))
-                        and not math.isfinite(ready)):
-                    raise ValueError(f"non-finite 'ready' {ready!r}")
-                clock = str(args.pop("clock", SIM_CLOCK))
-                tracer.add_span(event["name"], start,
-                                start + seconds(event, "dur"), pid=pid,
-                                tid=tid,
-                                category=str(event.get("cat", "span")),
-                                clock=clock, **args)
-            except KeyError as error:
-                raise ValueError(f"trace event {index} has no "
-                                 f"{error.args[0]!r} key") from error
-            except (OverflowError, TypeError, ValueError) as error:
-                raise ValueError(f"trace event {index}: {error}") from error
-    return tracer
-
-
-def load_trace(source: Union[Tracer, Dict[str, object], str]) -> Tracer:
-    """Coerce a tracer, Chrome-trace dict, or JSON path to a Tracer."""
-    if isinstance(source, Tracer):
-        return source
-    if isinstance(source, str):
-        with open(source, encoding="utf-8") as handle:
-            return tracer_from_chrome_trace(json.load(handle))
-    if isinstance(source, dict):
-        return tracer_from_chrome_trace(source)
-    raise TypeError(f"cannot load a trace from {type(source).__name__}")
-
-
 def _codes(values: List) -> Tuple[List, np.ndarray]:
     """The distinct values in str order, and each value's index there."""
     distinct = sorted(set(values))
@@ -178,50 +90,33 @@ def _codes(values: List) -> Tuple[List, np.ndarray]:
                                  len(values))
 
 
-#: Groups of at most this many rows add up in one padded matrix.
-_PADDED_ROWS = 64
+def _changes(values: np.ndarray) -> np.ndarray:
+    """True on the first row and on each row whose value differs from
+    the row before."""
+    changes = np.ones(len(values), dtype=bool)
+    changes[1:] = values[1:] != values[:-1]
+    return changes
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of non-negative int keys,
+    narrowed to the least type that holds them: numpy radix-sorts keys
+    of 16 bits or fewer."""
+    return np.argsort(keys.astype(np.min_scalar_type(keys.max(initial=0))),
+                      kind="stable")
 
 
 def _group_totals(keys: np.ndarray, *columns: np.ndarray
                   ) -> Tuple[List[int], List[int], List[List[float]]]:
-    """Per distinct key, in order of first appearance: the key, its row
-    count and, per column, its values added left to right in row order
-    from 0.0.
-
-    Groups of up to :data:`_PADDED_ROWS` rows fill one zero-padded
-    (position, group) matrix that one ``np.add.accumulate`` adds down
-    its columns; each longer group takes an accumulate of its own.
-    Trailing ``0.0`` pads change no sum but ``-0.0``, and the final
-    ``+ 0.0`` makes an all ``-0.0`` sum the ``0.0`` a ``+=`` loop gets
-    anyway."""
-    if not len(keys):
-        return [], [], [[] for _ in columns]
-    # Narrowed keys let numpy radix-sort them.
-    grouped = np.argsort(keys.astype(np.min_scalar_type(keys.max())),
-                         kind="stable")
-    keys = keys[grouped]
-    heads = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    counts = np.diff(np.append(heads, len(keys)))
-    first = np.argsort(grouped[heads], kind="stable")
-    short = counts <= _PADDED_ROWS
-    rows = np.repeat(short, counts)
-    cells = ((np.arange(len(keys)) - np.repeat(heads, counts))[rows],
-             np.repeat(np.cumsum(short) - 1, counts)[rows])
-    shape = (counts[short].max(initial=0), np.count_nonzero(short))
-    longer = np.flatnonzero(~short).tolist()
-    sums = []
-    for values in (column[grouped] for column in columns):
-        matrix = np.zeros(shape)
-        matrix[cells] = values[rows]
-        totals = np.empty(len(heads))
-        if shape[1]:
-            totals[short] = np.add.accumulate(matrix)[-1]
-        for group in longer:
-            low = heads[group]
-            totals[group] = np.add.accumulate(
-                values[low:low + counts[group]])[-1]
-        sums.append((totals[first] + 0.0).tolist())
-    return keys[heads[first]].tolist(), counts[first].tolist(), sums
+    """Per distinct key (a non-negative int), in ascending order: the
+    key, its row count and, per column, its values added left to right
+    in row order from 0.0, as ``np.bincount`` adds each row's weight to
+    its key's bin."""
+    counts = np.bincount(keys)
+    present = np.flatnonzero(counts)
+    return present.tolist(), counts[present].tolist(), [
+        np.bincount(keys, column, len(counts))[present].tolist()
+        for column in columns]
 
 
 class _Trace:
@@ -240,20 +135,22 @@ class _Trace:
         self.name_list, names = _codes(names)
         self.category_list, categories = _codes(categories)
         names, categories = names[name_codes], categories[category_codes]
-        # The one sort: by (track rank, name), narrowed so numpy can
-        # radix-sort it, then stably by start.
+        # The one sort, as two stable sorts of int keys: by (track rank,
+        # name), then by each start's rank among the distinct starts,
+        # which a quicksort finds (numpy merge-sorts floats).
         ties = rank[tracks] * len(self.name_list) + names
-        order = np.argsort(ties.astype(np.min_scalar_type(
-            ties.max(initial=0))), kind="stable")
-        order = order[np.argsort(starts[order], kind="stable")]
+        by_start = np.argsort(starts)
+        start_ranks = np.empty(len(starts), dtype=np.intp)
+        start_ranks[by_start] = np.cumsum(_changes(starts[by_start]))
+        order = _stable_order(ties)
+        order = order[_stable_order(start_ranks[order])]
         self.names, self.categories = names[order], categories[order]
         self.tracks, self.starts = tracks[order], starts[order]
         self.ends, self.arg_codes = ends[order], arg_codes[order]
         self.ready = ready[order]
         self.durations = self.ends - self.starts
         ties = ties[order]
-        self.ties = np.cumsum(np.concatenate(([True], (
-            self.starts[1:] != self.starts[:-1]) | (ties[1:] != ties[:-1]))))
+        self.ties = np.cumsum(_changes(self.starts) | _changes(ties))
 
     def category_mask(self, members: Iterable[str]) -> np.ndarray:
         """True on the spans whose category is one of ``members``."""
@@ -334,7 +231,10 @@ class CriticalPath:
     def total_seconds(self) -> float:
         """Sum of per-hop self time (== root duration, gaps included),
         added left to right from int 0 as ``sum()`` adds before 3.12."""
-        return reduce(add, (hop.self_seconds for hop in self.hops), 0)
+        return reduce(add, self._self_seconds(), 0)
+
+    def _self_seconds(self) -> Iterable[float]:
+        return (hop.self_seconds for hop in self.hops)
 
     def by_category(self) -> Dict[str, float]:
         """Path self-time per span category, largest first."""
@@ -354,10 +254,56 @@ class CriticalPath:
                 "by_category": self.by_category()}
 
 
+class _WalkedPath(CriticalPath):
+    """A path as :func:`_critical_path` walks it: columns of each hop's
+    row (-1 when idle), name, track, category and args codes, start, end
+    and self time, in time order, from which ``hops`` is built when
+    first read."""
+
+    def __init__(self, trace: _Trace, root_span: Span, gap_seconds: float,
+                 rows: np.ndarray, *columns: np.ndarray) -> None:
+        # Frozen fields, set the way the dataclass sets them; the path
+        # keeps its hops' codes and the tables, not the trace's columns.
+        self.__dict__.update(
+            root_name=root_span.name, root_pid=root_span.pid,
+            root_seconds=root_span.duration, gap_seconds=gap_seconds,
+            _tables=(trace.name_list, trace.labels, trace.category_list,
+                     trace.arg_table, root_span),
+            _columns=(rows, trace.names[rows], trace.tracks[rows],
+                      trace.categories[rows], trace.arg_codes[rows],
+                      *columns))
+
+    def _self_seconds(self) -> List[float]:
+        return self._columns[-1].tolist()
+
+    @cached_property
+    def hops(self) -> Tuple[CriticalHop, ...]:
+        # Each hop's strings, gathered from tables that hold the idle
+        # hop's value as one more entry.
+        name_list, labels, category_list, arg_table, root = self._tables
+        (rows, names, tracks, categories, arg_codes, starts, ends,
+         seconds) = self._columns
+        codes, args_of = np.unique(arg_codes, return_inverse=True)
+        args = [arg_table[code] for code in codes.tolist()]
+        strings = [
+            np.array(table + [extra], dtype=object)[
+                np.where(rows < 0, len(table), column)].tolist()
+            for column, table, extra in (
+                (names, name_list, IDLE_HOP),
+                (tracks, [pid for pid, _ in labels], root.pid),
+                (tracks, [tid for _, tid in labels], root.tid),
+                (categories, category_list, "idle"),
+                (args_of, [str(one.get("kind", "")) for one in args], ""),
+                (args_of, [str(one.get("resource", "")) for one in args],
+                 ""))]
+        return tuple(map(CriticalHop._make, zip(
+            *strings[:4], starts.tolist(), ends.tolist(), seconds.tolist(),
+            *strings[4:])))
+
+
 def _critical_path(trace: _Trace, root_index: int, root_span: Span
-                   ) -> Tuple[CriticalPath, np.ndarray]:
-    """Chain the blocking predecessors of the end-to-end span; returns
-    the path and each hop's row (-1 for an idle hop).
+                   ) -> _WalkedPath:
+    """Chain the blocking predecessors of the end-to-end span.
 
     Walks backward from the root's end: at every cursor the blocking
     span is the latest-finishing span at (or before) that instant; ties
@@ -367,96 +313,124 @@ def _critical_path(trace: _Trace, root_index: int, root_span: Span
     simulator traces the chain is gap-free by construction.  A blocker
     that starts at or after the cursor (shorter than the slack) explains
     no time before it and is dropped.
+
+    The step at a cursor depends on the cursor alone, and a hop moves
+    the cursor to its start: the steps at all distinct starts are found
+    at once, and the walk follows one step to the next.  An idle step
+    moves the cursor to an end: the first finds the steps at all ends.
     """
-    low = root_span.start + DEFAULT_EPSILON
-    high = root_span.end - DEFAULT_EPSILON
+    root_start, root_end = root_span.start, root_span.end
+    low = root_start + DEFAULT_EPSILON
     mask = ((trace.durations > 0.0) & (trace.ends > low)
-            & (trace.starts < high) & ~trace.category_mask(_NOT_BLOCKERS))
+            & (trace.starts < root_end - DEFAULT_EPSILON)
+            & ~trace.category_mask(_NOT_BLOCKERS))
     if root_index >= 0:
         mask[root_index] = False
-    # Sorted by end for the walk; among ends within the slack the
-    # highest tie rank (the latest start, then track, then name) wins.
-    # ``after`` is where the walk's search lands once a candidate is a
-    # hop: the last end within the slack of its start, searched for
-    # every candidate at once.  A dropped candidate stays in the
-    # columns and the walk steps over it.
+    # In row order the clipped starts ascend: a cursor per distinct
+    # value, then the root's end.
     candidates = np.flatnonzero(mask)
-    candidates = candidates[np.argsort(trace.ends[candidates],
-                                       kind="stable")]
-    ends, starts, ties = (trace.ends[candidates], trace.starts[candidates],
-                          trace.ties[candidates])
-    after = np.searchsorted(ends, np.maximum(starts, root_span.start)
-                            + DEFAULT_EPSILON, side="right") - 1
-    dropped = set()
-    # Each hop's candidate (-1 when idle), start, end and self time, in
-    # lists of numbers: a tuple per hop would be a container for the
-    # garbage collector to track.
-    found: List[int] = []
-    hop_starts: List[float] = []
-    hop_ends: List[float] = []
-    seconds: List[float] = []
-    gap_seconds = 0.0
-    cursor = root_span.end
-    last = int(np.searchsorted(ends, cursor + DEFAULT_EPSILON,
-                               side="right")) - 1
-    while cursor > low:
-        best = last
-        while best in dropped:
-            best -= 1
-        end = ends.item(best) if best >= 0 else -math.inf
-        for scan in range(best - 1, -1, -1):
-            if scan in dropped:
-                continue
-            if ends.item(scan) < end - DEFAULT_EPSILON:
-                break
-            if ties.item(scan) > ties.item(best):
-                best, end = scan, ends.item(scan)
-        if end < cursor - DEFAULT_EPSILON:
-            # Nothing ends at the cursor: idle back to the latest end
-            # before it, or to the root's start if nothing ends before.
-            best, start, end = (-1, root_span.start if best < 0 else end,
-                                cursor)
-            lower = start
-            gap_seconds += cursor - start
-            last = int(np.searchsorted(ends, start + DEFAULT_EPSILON,
-                                       side="right")) - 1
-        else:
-            start = starts.item(best)
-            if start >= cursor:
-                dropped.add(best)
-                continue
-            lower = max(start, root_span.start)
-            last = after.item(best)
-        found.append(best)
-        hop_starts.append(start)
-        hop_ends.append(end)
-        seconds.append(cursor - lower)
-        cursor = lower
-    # Each hop's strings, gathered from tables that hold the idle hop's
-    # value as one more entry.
-    for column in (found, hop_starts, hop_ends, seconds):
-        column.reverse()
-    rows = np.append(candidates, -1)[found]
-    idle = rows < 0
-    codes, args_of = np.unique(trace.arg_codes[rows], return_inverse=True)
-    args = [trace.arg_table[code] for code in codes.tolist()]
-    strings = [
-        np.array(table + [extra], dtype=object)[
-            np.where(idle, len(table), column)].tolist()
-        for column, table, extra in (
-            (trace.names[rows], trace.name_list, IDLE_HOP),
-            (trace.tracks[rows], [pid for pid, _ in trace.labels],
-             root_span.pid),
-            (trace.tracks[rows], [tid for _, tid in trace.labels],
-             root_span.tid),
-            (trace.categories[rows], trace.category_list, "idle"),
-            (args_of, [str(one.get("kind", "")) for one in args], ""),
-            (args_of, [str(one.get("resource", "")) for one in args], ""))]
-    hops = tuple(map(CriticalHop._make, zip(
-        *strings[:4], hop_starts, hop_ends, seconds, *strings[4:])))
-    return CriticalPath(root_name=root_span.name, root_pid=root_span.pid,
-                        root_seconds=root_span.duration, hops=hops,
-                        gap_seconds=gap_seconds), rows
+    lowers = np.maximum(trace.starts[candidates], root_start)
+    fresh = _changes(lowers)
+    cursors = np.append(lowers.compress(fresh), root_end)
+    # By end, after the root's start: a candidate ending there, starting
+    # before any cursor and ranked lowest, for a step that finds nothing
+    # else to idle back to.  The highest rank wins: the tie rank (the
+    # latest start, then track, then name), then the later candidate.
+    # ``reach`` is where the ends within the slack below each end begin.
+    by_end = np.argsort(trace.ends[candidates], kind="stable")
+    candidates = np.append(-1, candidates[by_end])
+    count = len(candidates)
+    ends, starts = trace.ends[candidates], trace.starts[candidates]
+    ranks = trace.ties[candidates] * count + np.arange(count)
+    ends[0], starts[0], ranks[0] = root_start, -np.inf, 0
+    reach = np.maximum.accumulate(np.where(_changes(ends),
+                                           np.arange(count), 0))
+    chained = np.flatnonzero(ends[reach - 1] >= ends - DEFAULT_EPSILON)
+    reach[chained] = np.searchsorted(ends, ends[chained] - DEFAULT_EPSILON)
+    # ``tops[k, i]``: the highest rank over candidates i .. i + 2**k - 1,
+    # up to the longest window the walk reads, one reach long.
+    tops = np.full((np.frexp((np.arange(count) - reach).max() + 1)[1],
+                    count), -1)
+    tops[0] = ranks
+    for level in range(1, len(tops)):
+        half = 1 << (level - 1)
+        tops[level, :-half] = np.maximum(tops[level - 1, :-half],
+                                         tops[level - 1, half:])
+    # After a hop, the step at its start; -1 at the root's start.
+    after_hop = np.append(-1, (np.cumsum(fresh) - 1)[by_end])
+    after_hop = np.where(cursors[after_hop] > low, after_hop, -1)
+
+    def scan(cursors: np.ndarray) -> Tuple[np.ndarray, np.ndarray,
+                                           List[int]]:
+        """The step at each cursor: its blocker, whether it idles, and
+        the step after it (-1 - c after idling back to candidate c).
+
+        The window opens at the last end within the slack after the
+        cursor and skips candidates that start at or after the cursor:
+        they explain no time before it, and their tie rank (start first)
+        would outrank the rest, so skipping them is dropping them.  Only
+        candidates ending after the cursor can start there; below them
+        ``tops`` gives the window's best.  The window moves down in
+        rounds while it holds no candidate to keep, or while the best
+        one's end reaches lower."""
+        best = np.searchsorted(ends, cursors + DEFAULT_EPSILON, "right") - 1
+        by_cursor = best.copy()
+        over = np.flatnonzero(ends[best] > cursors)
+        by_cursor[over] = np.searchsorted(ends, cursors[over], "right") - 1
+        active, highs = np.arange(len(cursors)), best
+        lows, key = reach[highs], np.full(len(cursors), -1)
+        while len(active):
+            mids = np.minimum(by_cursor[active], highs)
+            whole = np.flatnonzero(mids >= lows)
+            levels = np.frexp(mids[whole] - lows[whole] + 1)[1] - 1
+            key[whole] = np.maximum(key[whole], np.maximum(
+                tops[levels, lows[whole]],
+                tops[levels, mids[whole] + 1 - np.left_shift(1, levels)]))
+            for at in np.flatnonzero(mids < highs).tolist():
+                rows = slice(max(mids[at] + 1, lows[at]), highs[at] + 1)
+                kept = ranks[rows][starts[rows] < cursors[active[at]]]
+                key[at] = max(key[at], kept.max(initial=-1))
+            best[active] = key % count
+            below = np.where(key < 0, lows - 1, best[active])
+            moved = np.flatnonzero(reach[below] < lows)
+            active, key, highs = active[moved], key[moved], lows[moved] - 1
+            lows = reach[below[moved]]
+        idle = ends[best] < cursors - DEFAULT_EPSILON
+        return best, idle, np.where(idle, -1 - best,
+                                    after_hop[best]).tolist()
+
+    best, idle, follow = scan(cursors)
+    steps: List[int] = []
+    step = len(cursors) - 1 if root_end > low else -1
+    while True:
+        while step >= 0:
+            steps.append(step)
+            step = follow[step]
+        if step == -1:
+            break
+        # Idled back to candidate c's end: at the first idle step, the
+        # steps at every candidate's end join the table.
+        if len(follow) == len(cursors):
+            more = scan(ends)
+            best, idle = np.append(best, more[0]), np.append(idle, more[1])
+            follow += more[2]
+        step = len(cursors) - 1 - step
+    # Each step's hop, in time order.  The cursor a hop leaves is its
+    # own start, clipped, or the end an idle hop went back to, not its
+    # step's cursor (the first of equal starts: -0.0 for 0.0, say); the
+    # cursor it came from is the one the next hop left.
+    steps = np.array(steps[::-1], dtype=np.intp)
+    best, idle = best[steps], idle[steps]
+    hop_ends = ends[best]
+    hop_starts = np.where(idle, hop_ends, starts[best])
+    lowers = np.where(idle, hop_starts, np.maximum(hop_starts, root_start))
+    cursors = np.append(lowers[1:], root_end)
+    hop_ends[idle] = cursors[idle]
+    seconds = cursors - lowers
+    return _WalkedPath(trace, root_span,
+                       reduce(add, seconds[idle][::-1].tolist(), 0.0),
+                       np.where(idle, -1, candidates[best]), hop_starts,
+                       hop_ends, seconds)
 
 
 # -- utilization & phase verdicts ---------------------------------------
@@ -538,18 +512,13 @@ def bottleneck_of(utilization: Dict[str, float]) -> str:
                                  item[0]))[0]
 
 
-def _resource(category: str, tid: str) -> str:
-    """What an ``exec``/``stream``/``host`` span's time counts towards:
-    ``host``, or ``array:T``/``link:T`` for a track named like an array
-    timeline (``"<count>x <size>x<size> <T>[<i>]"``) or a link channel
-    (``"channel:<T>"``); "" for any other span or track."""
-    if category == "host":
-        return "host"
+def _array_type(tid: str) -> str:
+    """``T`` for a track named like an array timeline (``"<count>x
+    <size>x<size> <T>[<i>]"``) or a link channel (``"channel:<T>"``);
+    "" for any other track."""
     head = tid.split("[", 1)[0].strip()
-    array_type = (tid.split(":", 1)[1] if tid.startswith("channel:") else
-                  head.rsplit(" ", 1)[-1] if " " in head else None)
-    return (f"{CATEGORY_CLASSES[category]}:{array_type}"
-            if category in ("exec", "stream") and array_type else "")
+    return (tid.split(":", 1)[1] if tid.startswith("channel:") else
+            head.rsplit(" ", 1)[-1] if " " in head else "")
 
 
 def _phase_verdicts(trace: _Trace) -> List[PhaseVerdict]:
@@ -564,14 +533,20 @@ def _phase_verdicts(trace: _Trace) -> List[PhaseVerdict]:
     """
     phases = np.flatnonzero(trace.category_mask(("run",))
                             & trace.name_mask("orchestrator.run"))
-    # The resource each busy span's (track, category) pair counts
-    # towards, as a code ("" for none), and each busy span's pid code.
+    if not len(phases):
+        return []
+    # What each busy span's time counts towards, from its category and
+    # its track's array type: ``host``, ``array:T`` or ``link:T`` ("" for
+    # nothing), as a code; and each busy span's pid code.
     busy = np.flatnonzero(trace.category_mask(("exec", "stream", "host")))
+    types, type_of = _codes([_array_type(tid) for _, tid in trace.labels])
     resources, resource_of = _codes([
-        _resource(category, tid) for _, tid in trace.labels
-        for category in trace.category_list])
-    resource_of = resource_of[trace.tracks[busy] * len(trace.category_list)
-                              + trace.categories[busy]]
+        "host" if category == "host" else
+        f"{CATEGORY_CLASSES[category]}:{array_type}"
+        if category in ("exec", "stream") and array_type else ""
+        for category in trace.category_list for array_type in types])
+    resource_of = resource_of[trace.categories[busy] * len(types)
+                              + type_of[trace.tracks[busy]]]
     _, pid_codes = _codes([pid for pid, _ in trace.labels])
     pid_of = pid_codes[trace.tracks[busy]]
     verdicts: List[PhaseVerdict] = []
@@ -586,9 +561,10 @@ def _phase_verdicts(trace: _Trace) -> List[PhaseVerdict]:
         pid = trace.labels[trace.tracks[phase]][0]
         start, end = float(trace.starts[phase]), float(trace.ends[phase])
         duration = end - start
-        inside = ((pid_of == pid_codes[trace.tracks[phase]])
-                  & (trace.starts[busy] >= start - DEFAULT_EPSILON)
-                  & (trace.ends[busy] <= end + DEFAULT_EPSILON))
+        inside = np.flatnonzero(
+            (pid_of == pid_codes[trace.tracks[phase]])
+            & (trace.starts[busy] >= start - DEFAULT_EPSILON)
+            & (trace.ends[busy] <= end + DEFAULT_EPSILON))
         keys, _, (seconds,) = _group_totals(
             resource_of[inside], trace.durations[busy[inside]])
         busy_seconds = dict(zip(map(resources.__getitem__, keys), seconds))
@@ -666,24 +642,27 @@ def _utilization(trace: _Trace, root_span: Span) -> UtilizationReport:
                          for category in trace.category_list])
     track_class = np.full(len(trace.labels), len(classes) - 1)
     np.minimum.at(track_class, tracks, class_of[trace.categories[spans]])
-    on_resources = spans[track_class[tracks] != classes.index("thread")]
+    on_resources = spans[np.flatnonzero(
+        track_class[tracks] != classes.index("thread"))]
     concurrency = _concurrency(trace.starts[on_resources],
                                trace.ends[on_resources], root_start,
                                root_end)
     # Each span's ready time: its ``ready`` column, or where that is NaN
-    # the ``ready`` its args dict holds, read once per table entry.  A
-    # missing or non-numeric one is +inf, which ``max(start - ready,
-    # 0.0)`` turns into no blocked time.
+    # the ``ready`` its args dict holds, read once per table entry those
+    # rows use.  A missing or non-numeric one is +inf, which
+    # ``max(start - ready, 0.0)`` turns into no blocked time.
     ready = trace.ready[spans]
-    from_args = np.isnan(ready)
-    if from_args.any():
-        table = np.array([
-            float(value) if isinstance(value, (int, float))
-            and not isinstance(value, bool) else math.inf
-            for value in (args.get("ready") for args in trace.arg_table)])
-        ready[from_args] = table[trace.arg_codes[spans[from_args]]]
-    blocked = trace.starts[spans] - ready
-    blocked[0.0 > blocked] = 0.0
+    from_args = np.flatnonzero(np.isnan(ready))
+    if len(from_args):
+        codes = trace.arg_codes[spans[from_args]]
+        table = np.full(len(trace.arg_table), math.inf)
+        for code in np.flatnonzero(np.bincount(codes)).tolist():
+            value = trace.arg_table[code].get("ready")
+            if isinstance(value, (int, float)) and not isinstance(value,
+                                                                 bool):
+                table[code] = float(value)
+        ready[from_args] = table[codes]
+    blocked = np.maximum(trace.starts[spans] - ready, 0.0)
     keys, counts, (busy, blocked) = _group_totals(
         tracks, trace.durations[spans], blocked)
     usage = [TrackUsage(*trace.labels[track], classes[track_class[track]],
@@ -700,70 +679,75 @@ def _concurrency(starts: np.ndarray, ends: np.ndarray, root_start: float,
                  root_end: float) -> Dict[int, float]:
     """Share of the root window spent at each resource-concurrency level.
 
-    Clips the spans to the root window and sweeps their starts (``+1``)
-    and ends (``-1``) in time order, ends first at equal times: a stable
-    merge of the two sorted columns, the level as the running count.
-    Each level's shares add in time order.
+    Clips the spans (``starts`` ascending) to the root window and sweeps
+    their starts (``+1``) and ends (``-1``) in time order, ends first at
+    equal times: the sorted ends and the starts in one stable merge, the
+    level as the running count.  Each level's shares add in time order.
     """
     horizon = root_end - root_start
     if horizon <= 0:
         return {}
     ups, downs = np.maximum(starts, root_start), np.minimum(ends, root_end)
-    kept = downs > ups
-    events = np.concatenate((np.sort(downs[kept]), np.sort(ups[kept])))
+    kept = np.flatnonzero(downs > ups)
+    events = np.concatenate((np.sort(downs[kept]), ups[kept]))
     merged = np.argsort(events, kind="stable")
     # Time from each event to the next (the first from the root's start,
-    # the last to its end), at the level the events before it reached.
-    gaps = np.diff(events[merged], prepend=root_start, append=root_end)
-    steps = np.ones(len(events) + 1, dtype=np.intp)
-    steps[0] = 0
-    steps[1:][merged < np.count_nonzero(kept)] = -1
-    levels, _, (shares,) = _group_totals(steps.cumsum()[gaps > 0.0],
-                                         gaps[gaps > 0.0] / horizon)
-    return dict(zip(levels, shares))
+    # the last to its end), at the level the events before it reached:
+    # their starts less their ends.
+    gaps = np.diff(np.concatenate(([root_start], events[merged],
+                                   [root_end])))
+    moved = np.flatnonzero(gaps > 0.0)
+    levels = moved - 2 * np.concatenate(
+        ([0], np.cumsum(merged < len(kept))))[moved]
+    keys, _, (shares,) = _group_totals(levels, gaps[moved] / horizon)
+    # Each level in the order its first gap comes.
+    first = np.full(keys[-1] + 1, len(levels))
+    np.minimum.at(first, levels, np.arange(len(levels)))
+    return dict(sorted(zip(keys, shares), key=lambda item: first[item[0]]))
 
 
 # -- rollups & trace diff ------------------------------------------------
 
-def _rollup(trace: _Trace, root_index: int, root_span: Span,
-            path: CriticalPath, hop_rows: np.ndarray,
-            report: UtilizationReport) -> Dict[str, object]:
-    """The rollup document :func:`build_rollup` describes; ``hop_rows``
-    are the path's rows, as :func:`_critical_path` returns them."""
-    mask = ~trace.category_mask(_ROOT_CATEGORIES)
+def _rollup(columns: Tuple, path: _WalkedPath, report: UtilizationReport
+            ) -> Dict[str, object]:
+    """The rollup document :func:`build_rollup` describes, from the span
+    columns an analysis keeps for it (see :class:`_Analysis`)."""
+    (name_list, category_list, names, categories, durations, root_index,
+     root_span) = columns
+    kept = np.array([category not in _ROOT_CATEGORIES
+                     for category in category_list])[categories]
     if root_index >= 0:
-        mask[root_index] = False
-    spans = np.flatnonzero(mask)
-    width = len(trace.category_list)
+        kept[root_index] = False
+    spans = np.flatnonzero(kept)
+    width = len(category_list)
     keys, counts, (totals,) = _group_totals(
-        trace.names[spans] * width + trace.categories[spans],
-        trace.durations[spans])
+        names[spans] * width + categories[spans], durations[spans])
     # The path's hops grouped the same way, idle hops as one more key.
-    idle = len(trace.name_list) * width
+    rows, hop_names, _, hop_categories, *_, seconds = path._columns
+    idle = len(name_list) * width
     hop_keys, hop_counts, (hop_totals,) = _group_totals(
-        np.where(hop_rows < 0, idle, trace.names[hop_rows] * width
-                 + trace.categories[hop_rows]),
-        np.array([hop.self_seconds for hop in path.hops], dtype=float))
+        np.where(rows < 0, idle, hop_names * width + hop_categories),
+        seconds)
     critical = sorted(
         ((IDLE_HOP, "idle") if key == idle else
-         (trace.name_list[key // width], trace.category_list[key % width]),
-         count, seconds)
-        for key, count, seconds in zip(hop_keys, hop_counts, hop_totals))
+         (name_list[key // width], category_list[key % width]),
+         count, total)
+        for key, count, total in zip(hop_keys, hop_counts, hop_totals))
     return {
         "schema": ROLLUP_SCHEMA,
         "schema_version": ROLLUP_SCHEMA_VERSION,
         "root": root_span.name,
         "root_seconds": root_span.duration,
         "spans": [
-            {"name": trace.name_list[key // width],
-             "category": trace.category_list[key % width],
+            {"name": name_list[key // width],
+             "category": category_list[key % width],
              "count": count, "total_seconds": total}
-            for key, count, total in sorted(zip(keys, counts, totals))],
+            for key, count, total in zip(keys, counts, totals)],
         "classes": report.class_busy(),
         "critical": [
             {"name": name, "category": category,
-             "count": count, "self_seconds": seconds}
-            for (name, category), count, seconds in critical],
+             "count": count, "self_seconds": total}
+            for (name, category), count, total in critical],
         "bound_by": (report.phases[0].bound_by
                      if report.phases else None),
     }
@@ -940,6 +924,26 @@ class TraceAnalysis:
         return json.dumps(self.as_dict(top=top), sort_keys=True, indent=1)
 
 
+class _Analysis(TraceAnalysis):
+    """What :func:`analyze_trace` returns: ``rollup`` is built when first
+    read, by a diff or :func:`build_rollup`, from the span columns the
+    analysis keeps for it."""
+
+    def __init__(self, trace: _Trace, root: Optional[str]) -> None:
+        root_index, root_span = _find_root(trace, root)
+        # Frozen fields, set the way the dataclass sets them.
+        self.__dict__.update(
+            path=_critical_path(trace, root_index, root_span),
+            utilization=_utilization(trace, root_span), diff=None,
+            _spans=(trace.name_list, trace.category_list, trace.names,
+                    trace.categories, trace.durations, root_index,
+                    root_span))
+
+    @cached_property
+    def rollup(self) -> Dict[str, object]:
+        return _rollup(self._spans, self.path, self.utilization)
+
+
 def analyze_trace(source: Union[Tracer, Dict[str, object], str],
                   against: Union[Tracer, Dict[str, object], str,
                                  None] = None,
@@ -951,17 +955,12 @@ def analyze_trace(source: Union[Tracer, Dict[str, object], str],
         against: optional baseline trace; adds the run-to-run diff.
         root: anchor span name (default: the run/fleet root).
     """
-    trace = _Trace(load_trace(source).sim_columns())
-    root_row, root_span = _find_root(trace, root)
-    path, hop_rows = _critical_path(trace, root_row, root_span)
-    utilization = _utilization(trace, root_span)
-    rollup = _rollup(trace, root_row, root_span, path, hop_rows,
-                     utilization)
-    diff = None
+    analysis = _Analysis(_Trace(load_trace(source).sim_columns()), root)
     if against is not None:
-        diff = diff_rollups(analyze_trace(against, root=root).rollup, rollup)
-    return TraceAnalysis(path=path, utilization=utilization, rollup=rollup,
-                         diff=diff)
+        # The frozen diff field, set the way the others are.
+        analysis.__dict__["diff"] = diff_rollups(
+            analyze_trace(against, root=root).rollup, analysis.rollup)
+    return analysis
 
 
 def build_rollup(source: Union[Tracer, Dict[str, object], str],
@@ -972,7 +971,8 @@ def build_rollup(source: Union[Tracer, Dict[str, object], str],
     count and total duration, per-class busy seconds, the root
     duration, and the critical path aggregated the same way.  Two runs
     of the same scenario align by these keys even when thread/track
-    placement differs.  It is the rollup :func:`analyze_trace` carries.
+    placement differs.  It is the ``rollup`` of :func:`analyze_trace`'s
+    analysis, which builds it when read.
     """
     return analyze_trace(source, root=root).rollup
 

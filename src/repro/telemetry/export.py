@@ -1,4 +1,5 @@
-"""Exporters: Chrome-trace/Perfetto JSON and the JSONL metrics dump.
+"""Exporters: Chrome-trace/Perfetto JSON and the JSONL metrics dump,
+and the loader that reads an exported Chrome trace back.
 
 The trace export follows the Trace Event Format's JSON-object flavour
 (the one ``ui.perfetto.dev`` and ``chrome://tracing`` both load): a
@@ -19,10 +20,12 @@ render as graphs directly above the spans that caused them.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+import math
+from typing import (TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from .metrics import MetricsRegistry
-from .spans import Span, Tracer
+from .spans import SIM_CLOCK, Span, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .timeseries import TimeSeriesStore
@@ -255,3 +258,92 @@ def write_metrics_jsonl(registry: MetricsRegistry, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for row in registry.rows():
             handle.write(json.dumps(row) + "\n")
+
+
+def tracer_from_chrome_trace(data: Dict[str, object]) -> Tracer:
+    """Rebuild a :class:`Tracer` from an exported Chrome-trace dict.
+
+    Inverse of :func:`to_chrome_trace` for the
+    span/instant content: ``M`` metadata events restore the pid/tid
+    labels, ``X`` events become spans (the ``clock`` attribute survives
+    the round trip through ``args``), ``i`` events become instants.
+    Counter tracks and the profile process carry no schedule structure
+    and are skipped.  A malformed document, or a span whose ``ready``
+    is a non-finite number, raises a one-line :class:`ValueError` naming
+    the offending event index.
+    """
+    events = data.get("traceEvents") if isinstance(data, dict) else None
+    if not isinstance(events, list):
+        raise ValueError("trace must carry a traceEvents list")
+    pid_names: Dict[int, str] = {}
+    tid_names: Dict[Tuple[int, int], str] = {}
+    tracer = Tracer()
+
+    def seconds(event: Dict[str, object], key: str) -> float:
+        value = event[key] if key == "ts" else event.get(key, 0.0)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"non-numeric {key!r} {value!r}")
+        return float(value) / 1e6
+
+    for metadata in (True, False):
+        for index, event in enumerate(events):
+            try:
+                if not isinstance(event, dict):
+                    raise ValueError(f"not an object: {event!r}")
+                phase = event.get("ph")
+                args = event.get("args") or {}
+                if not isinstance(args, dict):
+                    raise ValueError(f"non-object 'args' {args!r}")
+                if metadata:
+                    if phase != "M":
+                        continue
+                    if event.get("name") == "process_name":
+                        pid_names[event["pid"]] = event["args"]["name"]
+                    elif event.get("name") == "thread_name":
+                        tid_names[(event["pid"], event["tid"])] = \
+                            event["args"]["name"]
+                    continue
+                if phase not in ("X", "i"):
+                    continue
+                pid = pid_names.get(event["pid"], str(event["pid"]))
+                if pid in ("profile", "analysis"):
+                    # Derived tracks (hotspot lanes, a critical-path
+                    # highlight) would double-count if re-analyzed.
+                    continue
+                tid = tid_names.get((event["pid"], event["tid"]),
+                                    str(event["tid"]))
+                args = dict(args)
+                start = seconds(event, "ts")
+                if phase == "i":
+                    tracer.instant(event["name"], start, pid=pid, tid=tid,
+                                   category=str(event.get("cat", "event")),
+                                   **args)
+                    continue
+                ready = args.get("ready")
+                if (isinstance(ready, (int, float))
+                        and not math.isfinite(ready)):
+                    raise ValueError(f"non-finite 'ready' {ready!r}")
+                clock = str(args.pop("clock", SIM_CLOCK))
+                tracer.add_span(event["name"], start,
+                                start + seconds(event, "dur"), pid=pid,
+                                tid=tid,
+                                category=str(event.get("cat", "span")),
+                                clock=clock, **args)
+            except KeyError as error:
+                raise ValueError(f"trace event {index} has no "
+                                 f"{error.args[0]!r} key") from error
+            except (OverflowError, TypeError, ValueError) as error:
+                raise ValueError(f"trace event {index}: {error}") from error
+    return tracer
+
+
+def load_trace(source: Union[Tracer, Dict[str, object], str]) -> Tracer:
+    """Coerce a tracer, Chrome-trace dict, or JSON path to a Tracer."""
+    if isinstance(source, Tracer):
+        return source
+    if isinstance(source, str):
+        with open(source, encoding="utf-8") as handle:
+            return tracer_from_chrome_trace(json.load(handle))
+    if isinstance(source, dict):
+        return tracer_from_chrome_trace(source)
+    raise TypeError(f"cannot load a trace from {type(source).__name__}")

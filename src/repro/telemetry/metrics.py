@@ -12,6 +12,7 @@ a per-instance registry folds into a system-level one both under an
 from __future__ import annotations
 
 import bisect
+import math
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -75,7 +76,10 @@ class Histogram:
         self.max: Optional[float] = None
 
     def observe(self, value: float) -> None:
+        """Count one value; NaN raises ``ValueError`` and counts nothing."""
         value = float(value)
+        if math.isnan(value):
+            raise ValueError(f"histogram {self.name} cannot observe NaN")
         index = bisect.bisect_left(self.bounds, value)
         self.counts[index] += 1
         self.count += 1
@@ -86,13 +90,16 @@ class Histogram:
     def observe_many(self, values: ArrayLike) -> None:
         """:meth:`observe` each value of a column in turn, in bulk.
 
-        The values must not be NaN.  Bucket ``i`` counts the values
-        ``bisect_left`` puts there (the first edge at or above them),
-        the total adds them left to right from the running total as
-        repeated ``+=`` does, and the extremes are the first minimum
-        and maximum, as ``min()`` and ``max()`` pick among equals.
+        A NaN among the values raises ``ValueError`` and counts none of
+        them.  Bucket ``i`` counts the values ``bisect_left`` puts there
+        (the first edge at or above them), the total adds them left to
+        right from the running total as repeated ``+=`` does, and the
+        extremes are the first minimum and maximum, as ``min()`` and
+        ``max()`` pick among equals.
         """
         values = np.asarray(values, dtype=float).ravel()
+        if np.isnan(values).any():
+            raise ValueError(f"histogram {self.name} cannot observe NaN")
         if not len(values):
             return
         buckets = np.bincount(np.searchsorted(self.bounds, values,

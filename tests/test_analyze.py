@@ -9,6 +9,7 @@ and the ``analyze`` CLI over a trace written by ``trace``.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch import best_perf
+from repro.arch.config import table4_configs
 from repro.cli import main
 from repro.model import protein_bert_base
 from repro.sched.orchestrator import Orchestrator
@@ -242,6 +244,48 @@ def _random_traces(draw):
     return source, root
 
 
+#: Instants the stacked traces gather span ends at: a grid, and hops
+#: start on it, so the walk reaches the instants one after another.
+_INSTANTS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5]
+#: A step well inside the 1 ns slack: a few stacked ends chain.
+_SLACK_STEP = 3e-10
+
+
+@st.composite
+def _stacked_traces(draw):
+    """A trace that is hard to walk.  At some instants, span ends stack
+    down in slack steps while their starts rise, so each later start
+    outranks the one above and the tie window chains down the stack to
+    a span starting at the instant before.  Short spans start at or
+    after an instant, to be dropped, and at the other instants they are
+    all there is, so the walk idles after the drops."""
+    tracer = Tracer()
+    tracer.add_span("run", 0.0, 4.0, category="run", tid="schedule")
+
+    def span(start, end):
+        tracer.add_span(draw(st.sampled_from(["a", "b", "c"])), start, end,
+                        tid=draw(st.sampled_from(["r0", "r1", "thread00"])),
+                        category=draw(st.sampled_from(["exec", "task"])))
+
+    instants = sorted(draw(st.lists(st.sampled_from(_INSTANTS), min_size=2,
+                                    max_size=6, unique=True)))
+    for index, instant in enumerate(instants):
+        stacked = index == len(instants) - 1 or draw(st.booleans())
+        if stacked:
+            # The latest start, at the instant before, ends lowest.
+            earlier = [0.0] + instants[:index]
+            for step, start in enumerate(sorted(draw(st.lists(
+                    st.sampled_from(earlier), min_size=4, max_size=8)))
+                    + earlier[-1:]):
+                span(start, instant - step * _SLACK_STEP)
+        for step in draw(st.lists(st.integers(0, 3), min_size=not stacked,
+                                  max_size=4)):
+            start = instant + step * _SLACK_STEP
+            span(start, start + draw(st.sampled_from(
+                [1e-10, _SLACK_STEP, 8e-10])))
+    return tracer
+
+
 class TestOracleParity:
     """The columnar passes against the per-row passes they replaced
     (``tests/oracles/analyze.py``), byte for byte."""
@@ -257,6 +301,61 @@ class TestOracleParity:
             expected.rollup, sort_keys=True)
         assert format_critical_path(analysis.path, top=2) == \
             format_critical_path(expected.path, top=2)
+
+    @given(_stacked_traces())
+    @settings(max_examples=200, deadline=None)
+    def test_stacked_ends_and_dropped_blockers_match_the_oracle(
+            self, tracer):
+        analysis = analyze_trace(tracer)
+        expected = oracle.analyze(tracer)
+        assert analysis.to_json() == expected.to_json()
+        assert json.dumps(analysis.rollup, sort_keys=True) == json.dumps(
+            expected.rollup, sort_keys=True)
+
+    def test_signed_zero_starts_match_the_oracle(self):
+        # Both blockers start at the same cursor, -0.0 and 0.0.  The
+        # idle hop before them ends where the hop taken starts, 0.0, not
+        # at the first of the equal starts.
+        tracer = Tracer()
+        tracer.add_span("root", -1.0, 1.0, category="run")
+        tracer.add_span("a", -0.0, 3e-10, category="exec", tid="r")
+        tracer.add_span("a", 0.0, 3e-10, category="exec", tid="r")
+        analysis = analyze_trace(tracer)
+        assert analysis.to_json() == oracle.analyze(tracer).to_json()
+        assert str(analysis.path.hops[0].end) == "0.0"
+
+    def test_one_stack_under_many_cursors_matches_the_oracle(self):
+        # 2,000 spans end together and 2,000 more start just after, so
+        # every one of those cursors looks back over the whole stack.
+        # Gathering the stack once per cursor would take about 100 MB.
+        tracer = Tracer()
+        tracer.add_span("run", 0.0, 10.0, category="run", tid="schedule")
+        for index in range(2000):
+            tracer.add_span("a", index / 400, 5.0, category="exec",
+                            tid=f"r{index % 7}")
+            tracer.add_span("b", 5.0 + index * 1e-13, 6.0 + index / 1000,
+                            category="exec", tid=f"q{index % 5}")
+        tracemalloc.start()
+        try:
+            analysis = analyze_trace(tracer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        assert analysis.to_json() == oracle.analyze(tracer).to_json()
+
+    def test_many_idle_hops_match_the_oracle(self):
+        # Spans apart from each other, some ending inside the next: the
+        # walk idles back between most of them.
+        tracer = Tracer()
+        tracer.add_span("run", 0.0, 400.0, category="run", tid="schedule")
+        for index in range(200):
+            tracer.add_span("a", 2.0 * index + 0.5,
+                            2.0 * index + 1.0 + index % 4 * 0.5,
+                            category="exec", tid=f"r{index % 3}")
+        analysis = analyze_trace(tracer)
+        assert sum(hop.name == IDLE_HOP for hop in analysis.path.hops) > 100
+        assert analysis.to_json() == oracle.analyze(tracer).to_json()
 
     def test_signed_zero_sums_match_the_oracle(self):
         # A span ending at -0.0 after starting at 0.0 lasts -0.0 s, and a
@@ -282,6 +381,19 @@ class TestOracleParity:
         tracer, _result = schedule_run
         assert analyze_trace(tracer).to_json() == \
             oracle.analyze(tracer).to_json()
+
+    @pytest.mark.parametrize("config", table4_configs(),
+                             ids=[config.name for config in table4_configs()])
+    def test_table4_long_walks_match_the_oracle(self, config):
+        # The benchmark's batch-32 seq-512 explain shape: 10,817 spans
+        # and walks of 601 to 1,495 hops.
+        tracer = Tracer()
+        Orchestrator(config).run(CONFIG, batch=32, seq_len=512, tracer=tracer)
+        analysis, expected = analyze_trace(tracer), oracle.analyze(tracer)
+        assert len(analysis.path.hops) > 600
+        assert analysis.to_json() == expected.to_json()
+        assert json.dumps(analysis.rollup, sort_keys=True) == json.dumps(
+            expected.rollup, sort_keys=True)
 
 
 # -- utilization & verdicts ---------------------------------------------

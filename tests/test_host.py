@@ -55,3 +55,19 @@ class TestHostModel:
             HostModel(slots=0)
         with pytest.raises(ValueError):
             HostModel(elementwise_throughput=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("field", ["elementwise_throughput",
+                                       "flops_throughput"])
+    def test_non_finite_throughput_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match="^host throughputs must be "
+                                             "positive and finite$"):
+            HostModel(**{field: value})
+
+    @pytest.mark.parametrize("slots", [float("nan"), float("inf"), 2.5])
+    def test_non_integer_slots_are_rejected(self, slots):
+        # These used to construct and then fail inside the scheduler.
+        with pytest.raises(ValueError, match="^host slots must be a "
+                                             "positive integer$"):
+            HostModel(slots=slots)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.arch import (
     NVLINK_LANES,
+    LinkConfig,
     custom_link,
     enumerate_partitions,
     infinite_link,
@@ -33,6 +34,14 @@ class TestNvlink:
     def test_bad_efficiency_rejected(self):
         with pytest.raises(ValueError):
             nvlink(2, 1.5)
+
+    @pytest.mark.parametrize("bandwidth", [float("nan"), float("inf"),
+                                           float("-inf")])
+    def test_non_finite_bandwidth_rejected(self, bandwidth):
+        with pytest.raises(ValueError, match="^bandwidth and lanes must be "
+                                             "positive, and bandwidth "
+                                             "finite$"):
+            LinkConfig(name="x", total_bandwidth=bandwidth)
 
     def test_infinite_link(self):
         link = infinite_link()

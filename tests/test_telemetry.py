@@ -574,6 +574,25 @@ class TestHistogram:
         assert all(type(value) in (float, type(None)) for value in (
             many.total, many.min, many.max))
 
+    @pytest.mark.parametrize("first", [5.0, float("nan")])
+    def test_nan_is_rejected_in_either_order(self, first):
+        # NaN raises and counts nothing, so min/max do not depend on
+        # whether it came before or after a number.
+        histogram = Histogram("h", bounds=(1.0, 10.0))
+        for value in (first, 5.0 if first != first else float("nan")):
+            if value != value:
+                with pytest.raises(ValueError,
+                                   match="^histogram h cannot observe NaN$"):
+                    histogram.observe(value)
+                with pytest.raises(ValueError,
+                                   match="^histogram h cannot observe NaN$"):
+                    histogram.observe_many([1.0, value, 20.0])
+            else:
+                histogram.observe(value)
+        assert (histogram.counts, histogram.count, histogram.total,
+                histogram.min, histogram.max) == ([0, 1, 0], 1, 5.0, 5.0,
+                                                  5.0)
+
     def test_percentiles_at_bucket_edges(self):
         histogram = Histogram("h", bounds=(1.0, 2.0, 4.0))
         for value in (1.0, 2.0, 2.0, 4.0):
